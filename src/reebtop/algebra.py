@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadCoverError
+from .errors import BadCoverError, IncompatibleCochainError
 
 
 class IntegerMatrix:
@@ -433,9 +433,8 @@ class ChainBasis:
 
     def project(self, vec):
         for row in self._vinv_head:
-            assert (
-                sum(a * x for a, x in zip(row, vec) if a and x) == 0
-            ), "vector is not a cycle"
+            if sum(a * x for a, x in zip(row, vec) if a and x):
+                raise IncompatibleCochainError("vector is not a cycle")
         y = [
             sum(a * x for a, x in zip(row, vec) if a and x) for row in self._vinv_tail
         ]

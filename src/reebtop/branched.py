@@ -26,6 +26,7 @@ from .complexes import (
 from .errors import (
     BadBasepointError,
     InvalidBranchLocusError,
+    InvalidCertificateError,
     InvalidSubmanifoldError,
     NotManifoldLikeError,
 )
@@ -56,11 +57,6 @@ class BranchedModel:
         for locus in self.loci:
             out |= {v for s in self.complex.named_part(locus.name) for v in s}
         return out
-
-    def regular_part(self):
-        """Subcomplex supported away from every locus."""
-        off = set(self.complex.vertices) - self.locus_vertices()
-        return self.complex.full_subcomplex(off)
 
     def to_json(self):
         from .complexes import complex_to_json
@@ -401,8 +397,10 @@ def replay_certificate(c, certificate):
     alive = set(c.simplices)
     cofaces = _coface_table(c.simplices)
     for f, tau in certificate.steps:
-        assert f in alive and tau in alive, "stale step"
-        assert cofaces[f] == {tau}, "face is not free at this stage"
+        if f not in alive or tau not in alive:
+            raise InvalidCertificateError("stale step")
+        if cofaces[f] != {tau}:
+            raise InvalidCertificateError("face is not free at this stage")
         for gone in (tau, f):
             alive.discard(gone)
             for k in range(1, len(gone)):

@@ -99,12 +99,13 @@ def _cmd_reeb(args):
     else:
         raise ToolkitError("reeb needs --asset or --field")
     graph = reeb_graph(field)
-    shown = graph.smoothed() if args.smooth_degree_2 else graph
+    if args.smooth_degree_2:
+        graph = graph.smoothed()
     report = {
         "command": "reeb",
         "recipe_digest": digest,
         "seed": args.seed,
-        "graph": shown.to_json(),
+        "graph": graph.to_json(),
         "invariants": graph_invariants(graph),
         "pass": True,
     }

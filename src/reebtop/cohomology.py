@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .algebra import (
     IntegerMatrix,
+    _restrict_chain,
     boundary_matrix,
     chain_basis,
     smith_normal_form,
@@ -78,20 +79,25 @@ def cohomology_basis(c, p):
     return classes, basis.group(p)
 
 
+def cup_values(c, p, q, a_values, b_values):
+    """Front-face times back-face cochain values on the sorted vertex order."""
+    front = dict(zip(c.simplices_of_dim(p), a_values))
+    back = dict(zip(c.simplices_of_dim(q), b_values))
+    return [
+        front.get(s[: p + 1], 0) * back.get(s[p:], 0)
+        for s in c.simplices_of_dim(p + q)
+    ]
+
+
 def cup_product(a, b):
-    """Front-face times back-face product on the sorted vertex order."""
+    """Cup product of two classes; values come from `cup_values`."""
     if a.complex != b.complex:
         raise IncompatibleCochainError("operands live on different complexes")
     c = a.complex
     p, q = a.degree, b.degree
     if p + q > c.dim:
         raise IncompatibleCochainError("degree sum exceeds the dimension")
-    front = {s: v for s, v in zip(c.simplices_of_dim(p), a.values)}
-    back = {s: v for s, v in zip(c.simplices_of_dim(q), b.values)}
-    values = []
-    for s in c.simplices_of_dim(p + q):
-        values.append(front.get(s[: p + 1], 0) * back.get(s[p:], 0))
-    return cochain_class(c, p + q, values)
+    return cochain_class(c, p + q, cup_values(c, p, q, a.values, b.values))
 
 
 def _sort_parity(items, key):
@@ -140,14 +146,13 @@ def restrict_to_part(a, sub):
     return restrict_class(a, part_inclusion(sub, a.complex))
 
 
-def restriction_columns(w, sub, p):
-    """Coordinates in H^p(sub) of each basis class of H^p(w), restricted."""
-    classes, _ = cohomology_basis(w, p)
+def restriction_columns(w, w_basis, sub, p):
+    """Coordinates in H^p(sub) of each class of `w_basis`, the H^p(w) basis."""
     target = chain_basis(sub, p, dual=True)
-    columns = []
-    for cls in classes:
-        restricted = restrict_to_part(cls, sub)
-        columns.append(target.project(list(restricted.values)))
+    columns = [
+        target.project(_restrict_chain(gen, w, sub, p, strict=False))
+        for gen in w_basis.generators
+    ]
     return columns, target.orders
 
 
@@ -162,24 +167,21 @@ def map_rank(columns, dst_orders):
     return smith_normal_form(mat, transforms=False).rank
 
 
-def restriction_rank(w, sub, p):
-    columns, orders = restriction_columns(w, sub, p)
-    return map_rank(columns, orders)
-
-
 def ring_report(c, max_degree=None):
-    """Basis labels per degree and coordinates of every pairwise product."""
+    """Basis labels per degree and coordinates of every pairwise product.
+
+    One basis per degree; each product is projected through the basis of its
+    degree, which refuses a cochain that is not a cocycle.
+    """
     top = c.dim if max_degree is None else min(max_degree, c.dim)
-    bases = {}
-    groups = {}
-    for p in range(top + 1):
-        bases[p], groups[p] = cohomology_basis(c, p)
+    bases = {p: chain_basis(c, p, dual=True) for p in range(top + 1)}
+    groups = {p: bases[p].group(p) for p in bases}
     report = {
         "degrees": {
             p: {
                 "rank": groups[p].rank,
                 "torsion": list(groups[p].torsion),
-                "basis": [f"h{p}_{i}" for i in range(len(bases[p]))],
+                "basis": [f"h{p}_{i}" for i in range(len(bases[p].generators))],
             }
             for p in range(top + 1)
         },
@@ -187,15 +189,16 @@ def ring_report(c, max_degree=None):
     }
     for p in range(top + 1):
         for q in range(p, top + 1 - p):
-            for i, x in enumerate(bases[p]):
-                for j, y in enumerate(bases[q]):
-                    prod = cup_product(x, y)
+            for i, x in enumerate(bases[p].generators):
+                for j, y in enumerate(bases[q].generators):
                     report["products"].append(
                         {
                             "left": f"h{p}_{i}",
                             "right": f"h{q}_{j}",
                             "degree": p + q,
-                            "coordinates": list(prod.coordinates),
+                            "coordinates": bases[p + q].project(
+                                cup_values(c, p, q, x, y)
+                            ),
                         }
                     )
     return report

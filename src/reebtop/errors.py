@@ -34,7 +34,7 @@ class MissingSimplexError(ToolkitError):
 
 
 class IncompatibleCochainError(ToolkitError):
-    """Cochain operands live on different complexes or bad degrees."""
+    """Cochain operands or degrees do not fit, or a vector is not a (co)cycle."""
 
 
 class NotAnInclusionError(ToolkitError):
@@ -49,12 +49,20 @@ class NonInjectiveFieldError(ToolkitError):
     """Vertex field values must be pairwise distinct."""
 
 
+class MalformedFieldError(ToolkitError):
+    """A vertex field value is not a rational number."""
+
+
 class InvalidSubmanifoldError(ToolkitError):
     """A designated piece violates the preconditions for doubling."""
 
 
 class InvalidBranchLocusError(ToolkitError):
     """A designated locus is not a closed codimension-one subcomplex."""
+
+
+class InvalidCertificateError(ToolkitError):
+    """A collapse certificate step is stale or removes a face that is not free."""
 
 
 class InconsistentHandleDataError(ToolkitError):

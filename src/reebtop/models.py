@@ -300,7 +300,10 @@ def _surface(genus, boundary):
     for _ in range(genus - 1):
         t = _torus_grid(3, 3)
         t = SimplicialComplex(t.vertices, t.simplices)
-        c = _tube_join(c, c.vertices[0], t, t.vertices[0])
+        # join where no earlier tube reaches: a vertex with the torus's rim length
+        rim = len(link(t, (t.vertices[0],)).vertices)
+        v = next(u for u in c.vertices if len(link(c, (u,)).vertices) == rim)
+        c = _tube_join(c, v, t, t.vertices[0])
     if boundary:
         c = _punch(c, boundary)
     return c

@@ -10,37 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import branched, complexes, models
 from .complexes import SimplicialComplex
 from .errors import RecipeError
-
-_REF_FIELDS = {
-    "standard": [],
-    "from_facets": [],
-    "disjoint_union": ["a", "b"],
-    "wedge": ["a", "b"],
-    "product": ["a", "b"],
-    "double": ["x"],
-    "subdivide": ["x"],
-    "attach_flap": ["x"],
-    "attach_double": ["x"],
-    "bouquet": [],
-}
-
-_REQUIRED = {
-    "standard": ["name"],
-    "from_facets": ["facets"],
-    "disjoint_union": ["a", "b"],
-    "wedge": ["a", "p", "b", "q"],
-    "product": ["a", "b"],
-    "double": ["x"],
-    "subdivide": ["x"],
-    "attach_flap": ["x", "sigma"],
-    "attach_double": ["x", "ys"],
-    "bouquet": ["models", "basepoints"],
-}
 
 
 @dataclass(frozen=True)
@@ -75,16 +50,16 @@ def parse_recipe(data):
         if sid in seen:
             raise RecipeError(f"duplicate id {sid!r}", step=i, field="id")
         op = step.get("op")
-        if op not in _REQUIRED:
+        if op not in _OPS:
             raise RecipeError(f"unknown op {op!r}", step=i, field="op")
-        for f in _REQUIRED[op]:
+        for f in _OPS[op].required:
             if f not in step:
                 raise RecipeError(f"{op} needs {f!r}", step=i, field=f)
-        refs = [step[f] for f in _REF_FIELDS[op]]
-        if op == "bouquet":
-            refs = list(step["models"])
+        refs = []
+        for f in _OPS[op].refs:
+            refs += step[f] if isinstance(step[f], (list, tuple)) else [step[f]]
         for ref in refs:
-            if ref not in seen:
+            if not isinstance(ref, str) or ref not in seen:
                 raise RecipeError(
                     f"reference to unknown step {ref!r}", step=i, field="ref"
                 )
@@ -98,58 +73,78 @@ def _as_complex(value):
     return value
 
 
+def _ab(step, values):
+    return _as_complex(values[step["a"]]), _as_complex(values[step["b"]])
+
+
+def _x(step, values):
+    return _as_complex(values[step["x"]])
+
+
+def _standard(step, values):
+    params = {
+        k: v for k, v in step.items() if k not in ("id", "op", "name", "params")
+    }
+    params.update(step.get("params", {}))
+    return models.standard_model(step["name"], **params)
+
+
+def _wedge(step, values):
+    a, b = _ab(step, values)
+    return complexes.wedge(a, a.find_vertex(step["p"]), b, b.find_vertex(step["q"]))
+
+
+def _bouquet(step, values):
+    ms = [values[r] for r in step["models"]]
+    bps = [
+        _as_complex(m).find_vertex(label) for m, label in zip(ms, step["basepoints"])
+    ]
+    return branched.bouquet(ms, bps)
+
+
+@dataclass(frozen=True)
+class _Op:
+    required: tuple  # fields the step must carry
+    refs: tuple  # fields naming earlier steps: one id, or a list of ids
+    build: Callable  # (step, values by id) -> the step's value
+
+
+# builders look library functions up on their modules at call time
+_OPS = {
+    "standard": _Op(("name",), (), _standard),
+    "from_facets": _Op(
+        ("facets",), (), lambda s, v: complexes.from_facets(s["facets"], s.get("named"))
+    ),
+    "disjoint_union": _Op(
+        ("a", "b"), ("a", "b"), lambda s, v: complexes.disjoint_union(*_ab(s, v))[0]
+    ),
+    "wedge": _Op(("a", "p", "b", "q"), ("a", "b"), _wedge),
+    "product": _Op(
+        ("a", "b"), ("a", "b"), lambda s, v: complexes.product(*_ab(s, v))[0]
+    ),
+    "double": _Op(("x",), ("x",), lambda s, v: complexes.double(_x(s, v))),
+    "subdivide": _Op(
+        ("x",), ("x",), lambda s, v: complexes.barycentric_subdivision(_x(s, v))
+    ),
+    "attach_flap": _Op(
+        ("x", "sigma"),
+        ("x",),
+        lambda s, v: branched.attach_flap(v[s["x"]], s["sigma"], seed=s.get("seed", 0)),
+    ),
+    "attach_double": _Op(
+        ("x", "ys"), ("x",), lambda s, v: branched.attach_double(v[s["x"]], s["ys"])
+    ),
+    "bouquet": _Op(("models", "basepoints"), ("models",), _bouquet),
+}
+
+
 def run_recipe(recipe):
     """Execute the steps; returns (values by id, final value)."""
     values = {}
     final = None
     for i, step in enumerate(recipe.steps):
-        op = step["op"]
         try:
-            if op == "standard":
-                params = {
-                    k: v
-                    for k, v in step.items()
-                    if k not in ("id", "op", "name", "params")
-                }
-                params.update(step.get("params", {}))
-                value = models.standard_model(step["name"], **params)
-            elif op == "from_facets":
-                value = complexes.from_facets(step["facets"], step.get("named"))
-            elif op == "disjoint_union":
-                value, _, _ = complexes.disjoint_union(
-                    _as_complex(values[step["a"]]), _as_complex(values[step["b"]])
-                )
-            elif op == "wedge":
-                a = _as_complex(values[step["a"]])
-                b = _as_complex(values[step["b"]])
-                value = complexes.wedge(
-                    a, a.find_vertex(step["p"]), b, b.find_vertex(step["q"])
-                )
-            elif op == "product":
-                value, _, _ = complexes.product(
-                    _as_complex(values[step["a"]]), _as_complex(values[step["b"]])
-                )
-            elif op == "double":
-                value = complexes.double(_as_complex(values[step["x"]]))
-            elif op == "subdivide":
-                value = complexes.barycentric_subdivision(
-                    _as_complex(values[step["x"]])
-                )
-            elif op == "attach_flap":
-                value = branched.attach_flap(
-                    values[step["x"]], step["sigma"], seed=step.get("seed", 0)
-                )
-            elif op == "attach_double":
-                value = branched.attach_double(values[step["x"]], step["ys"])
-            elif op == "bouquet":
-                ms = [values[r] for r in step["models"]]
-                bps = [
-                    _as_complex(m).find_vertex(label)
-                    for m, label in zip(ms, step["basepoints"])
-                ]
-                value = branched.bouquet(ms, bps)
-            else:  # pragma: no cover - parse_recipe blocks this
-                raise RecipeError(f"unknown op {op!r}", step=i)
+            value = _OPS[step["op"]].build(step, values)
         except RecipeError:
             raise
         except Exception as exc:

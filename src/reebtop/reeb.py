@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonInjectiveFieldError
+from .errors import MalformedFieldError, NonInjectiveFieldError
 from .graphs import Multigraph
 
 
@@ -40,9 +40,11 @@ class VertexField:
         """Values given in vertex order, as Fractions or 'p/q' strings."""
         if len(values) != len(complex_.vertices):
             raise NonInjectiveFieldError("value array has the wrong length")
-        return cls(
-            complex_, {v: Fraction(x) for v, x in zip(complex_.vertices, values)}
-        )
+        try:
+            fractions = [Fraction(x) for x in values]
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise MalformedFieldError(f"field value is not rational: {exc}") from None
+        return cls(complex_, dict(zip(complex_.vertices, fractions)))
 
     def relabeled_monotone(self, fn):
         """Compose with a strictly increasing rational map (for tests)."""
@@ -197,6 +199,8 @@ def field_to_json(field):
 def field_from_json(data, complex_=None):
     from .complexes import complex_from_json
 
+    if not isinstance(data, dict) or not isinstance(data.get("values"), list):
+        raise MalformedFieldError('field file needs a "values" list')
     if complex_ is None:
         if "complex" not in data:
             raise NonInjectiveFieldError(

@@ -33,7 +33,7 @@ from .branched import (
     collapse_to,
     replay_certificate,
 )
-from .cohomology import map_rank
+from .cohomology import cup_values, map_rank, restriction_columns
 from .complexes import SimplicialComplex, product, remove_open_star
 from .errors import BadBasepointError, InconsistentHandleDataError
 from .models import concentric_disc, standard_model
@@ -68,9 +68,6 @@ class HandleData:
 
     def h_p(self, p):
         return self.h[p - 1]
-
-    def hj_p(self, j, p):
-        return self.hj[j][p - 1]
 
     def piece_sum(self, p):
         return sum(row[p - 1] for row in self.hj)
@@ -229,20 +226,6 @@ def _claim(claim_id, anchor, expected, computed):
     }
 
 
-def _restrict_values(vec, parent, child, p):
-    index = {s: i for i, s in enumerate(parent.simplices_of_dim(p))}
-    return [vec[index[s]] for s in child.simplices_of_dim(p)]
-
-
-def _cup_values(c, p, q, avals, bvals):
-    front = {s: v for s, v in zip(c.simplices_of_dim(p), avals)}
-    back = {s: v for s, v in zip(c.simplices_of_dim(q), bvals)}
-    return [
-        front.get(s[: p + 1], 0) * back.get(s[p:], 0)
-        for s in c.simplices_of_dim(p + q)
-    ]
-
-
 def verify_double_attachment(inst):
     """Full report for one instance; every claim is exact, no tolerances."""
     w = inst.model.complex
@@ -290,15 +273,11 @@ def verify_double_attachment(inst):
         )
     )
 
-    restriction_cols = {}
-    for label, sub in (("X", sub_x), ("DY", sub_dy)):
-        for p in range(1, n + 1):
-            target = chain_basis(sub, p, dual=True)
-            cols = [
-                target.project(_restrict_values(gen, w, sub, p))
-                for gen in w_dual[p].generators
-            ]
-            restriction_cols[label, p] = (cols, target.orders)
+    restriction_cols = {
+        (label, p): restriction_columns(w, w_dual[p], sub, p)
+        for label, sub in (("X", sub_x), ("DY", sub_dy))
+        for p in range(1, n + 1)
+    }
     claims.append(
         _claim(
             f"{inst.name}:restriction-base",
@@ -349,7 +328,7 @@ def verify_double_attachment(inst):
             vanished = 0
             for u in away_from_doubles[p1]:
                 for v in away_from_base[p2]:
-                    coords = w_dual[p1 + p2].project(_cup_values(w, p1, p2, u, v))
+                    coords = w_dual[p1 + p2].project(cup_values(w, p1, p2, u, v))
                     checked += 1
                     if all(x == 0 for x in coords):
                         vanished += 1

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import reebtop
 from reebtop.verify import INSTANCE_BUILDERS, build_instance, verify_double_attachment
 
 
@@ -21,3 +28,24 @@ def claim_by_suffix(report, suffix):
         if claim["claim_id"].endswith(suffix):
             return claim
     raise AssertionError(f"no claim ending in {suffix!r}")
+
+
+def run_optimized(code):
+    """Run `code` in a fresh `python -O`, where `assert` statements are stripped.
+
+    The script first checks that asserts really are off, then runs `code`,
+    which may import from the test modules; the result carries the exit code
+    and both output streams.
+    """
+    src = str(Path(reebtop.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(
+        p for p in (src, tests, os.environ.get("PYTHONPATH")) if p
+    )
+    script = "assert False, 'asserts are on'\n" + textwrap.dedent(code)
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )

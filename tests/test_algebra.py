@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import run_optimized
 
 from reebtop.algebra import (
     HomologyGroup,
@@ -19,7 +20,7 @@ from reebtop.algebra import (
     smith_normal_form,
 )
 from reebtop.complexes import closure, double, from_facets, wedge
-from reebtop.errors import BadCoverError
+from reebtop.errors import BadCoverError, IncompatibleCochainError
 from reebtop.models import standard_model
 
 
@@ -183,8 +184,29 @@ def test_chain_basis_projects_generators_to_units():
 def test_chain_basis_cycle_detection():
     tri = from_facets([[0, 1, 2]])
     basis = chain_basis(tri, 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(IncompatibleCochainError):
         basis.project([1, 0, 0])  # a single edge is not a cycle
+
+
+def test_chain_basis_cycle_detection_under_optimize():
+    result = run_optimized(
+        """
+        from reebtop.algebra import chain_basis
+        from reebtop.errors import IncompatibleCochainError
+        from reebtop.models import standard_model
+
+        t = standard_model("torus_grid", a=3, b=3)
+        for p in (0, 1):
+            # the cochain dual to one simplex has a nonzero coboundary
+            vec = [1] + [0] * (len(t.simplices_of_dim(p)) - 1)
+            try:
+                chain_basis(t, p, dual=True).project(vec)
+            except IncompatibleCochainError as exc:
+                print("refused:", exc)
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["refused: vector is not a cycle"] * 2
 
 
 def test_augmentation_matrix():

@@ -1,4 +1,5 @@
 import pytest
+from conftest import run_optimized
 
 from reebtop.algebra import betti_numbers, homology, mayer_vietoris_check
 from reebtop.branched import (
@@ -16,6 +17,7 @@ from reebtop.complexes import boundary_subcomplex, cone, from_facets
 from reebtop.errors import (
     BadBasepointError,
     InvalidBranchLocusError,
+    InvalidCertificateError,
     InvalidSubmanifoldError,
 )
 from reebtop.models import concentric_disc, standard_model
@@ -202,3 +204,43 @@ def test_double_boundary_vanishes_inside_attach_double():
     m = attach_double(standard_model("annulus", k=4), ["core"])
     dy = m.complex.subcomplex("DY_1")
     assert not boundary_subcomplex(dy).simplices
+
+
+def forged_certificates():
+    """A non-free edge of a closed torus, and a step repeated after it ran."""
+    t = standard_model("torus_grid", a=3, b=3)
+    edge = t.simplices_of_dim(1)[0]
+    tri = next(s for s in t.simplices_of_dim(2) if set(edge) <= set(s))
+    seg = from_facets([[0, 1]])
+    step = ((0,), (0, 1))
+    return [
+        (t, CollapseCertificate(((edge, tri),), "point", 0, 0)),
+        (seg, CollapseCertificate((step, step), "point", 0, 0)),
+    ]
+
+
+def test_forged_certificates_are_refused():
+    for c, cert in forged_certificates():
+        with pytest.raises(InvalidCertificateError):
+            replay_certificate(c, cert)
+
+
+def test_forged_certificates_are_refused_under_optimize():
+    result = run_optimized(
+        """
+        from reebtop.branched import replay_certificate
+        from reebtop.errors import InvalidCertificateError
+        from test_branched import forged_certificates
+
+        for c, cert in forged_certificates():
+            try:
+                replay_certificate(c, cert)
+            except InvalidCertificateError as exc:
+                print("refused:", exc)
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "refused: face is not free at this stage",
+        "refused: stale step",
+    ]

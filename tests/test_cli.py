@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from reebtop.algebra import betti_numbers
 from reebtop.cli import main
 from reebtop.errors import RecipeError
+from reebtop.graphs import Multigraph
 from reebtop.recipes import parse_recipe, run_recipe
 
 
@@ -40,6 +42,18 @@ def test_parse_recipe_dangling_reference():
     assert err.value.step == 0
 
 
+def test_parse_recipe_reference_must_be_a_step_id():
+    for ref in [{"c": 1}, 7]:
+        with pytest.raises(RecipeError) as err:
+            parse_recipe(
+                [
+                    {"id": "c", "op": "standard", "name": "tripod"},
+                    {"id": "w", "op": "double", "x": ref},
+                ]
+            )
+        assert (err.value.step, err.value.field) == (1, "ref")
+
+
 def test_parse_recipe_unknown_op():
     with pytest.raises(RecipeError) as err:
         parse_recipe([{"id": "w", "op": "fold"}])
@@ -68,6 +82,47 @@ def test_recipe_wedge_and_product():
     values, final = run_recipe(r)
     assert values["p"].euler_characteristic() == 0
     assert final.euler_characteristic() == -1
+
+
+ALL_OPS_RECIPE = [
+    {"id": "c", "op": "standard", "name": "circle", "k": 3},
+    {"id": "f", "op": "from_facets", "facets": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+    {"id": "u", "op": "disjoint_union", "a": "c", "b": "f"},
+    {"id": "w", "op": "wedge", "a": "c", "p": 0, "b": "f", "q": 2},
+    {"id": "pr", "op": "product", "a": "c", "b": "f"},
+    {"id": "i", "op": "standard", "name": "interval", "k": 2},
+    {"id": "d", "op": "double", "x": "i"},
+    {"id": "sd", "op": "subdivide", "x": "d"},
+    {"id": "t", "op": "standard", "name": "torus_grid", "a": 3, "b": 3},
+    {"id": "fl", "op": "attach_flap", "x": "t", "sigma": "meridian", "seed": 3},
+    {"id": "an", "op": "standard", "name": "annulus", "k": 4},
+    {"id": "ad", "op": "attach_double", "x": "an", "ys": ["core"]},
+    {
+        "id": "bq",
+        "op": "bouquet",
+        "models": ["fl", "ad"],
+        "basepoints": ["(1,1)", "(0,0)"],
+    },
+]
+
+
+def test_recipe_runs_every_op():
+    assert len({s["op"] for s in ALL_OPS_RECIPE}) == 10
+    values, final = run_recipe(parse_recipe(ALL_OPS_RECIPE))
+    euler = {k: values[k].euler_characteristic() for k in ("u", "w", "pr", "d", "sd")}
+    assert euler == {"u": 0, "w": -1, "pr": 0, "d": 0, "sd": 0}
+    assert betti_numbers(final.complex) == [1, 4, 2]
+
+
+def test_parse_recipe_reports_missing_field():
+    for step, field in [
+        ({"id": "x", "op": "wedge", "a": "c", "p": 0, "b": "c"}, "q"),
+        ({"id": "x", "op": "bouquet", "models": []}, "basepoints"),
+        ({"id": "x", "op": "attach_flap", "x": "c"}, "sigma"),
+    ]:
+        with pytest.raises(RecipeError) as err:
+            parse_recipe([{"id": "c", "op": "standard", "name": "tripod"}, step])
+        assert (err.value.step, err.value.field) == (1, field)
 
 
 def test_cli_homology_sphere(tmp_path, capsys):
@@ -104,6 +159,44 @@ def test_cli_reeb_field_file(tmp_path):
     ) == 0
     rep = read_json(out)
     assert rep["invariants"]["nodes"] == 2 and rep["invariants"]["edges"] == 1
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"values": ["0/1", "abc", "2/1", "3/1"]},
+        {"values": ["0/1", None, "2/1", "3/1"]},
+        {"values": ["0/1", "1/0", "2/1", "3/1"]},
+        {"values": 5},
+        {"vals": ["0/1", "1/1", "2/1", "3/1"]},
+        ["0/1", "1/1", "2/1", "3/1"],
+    ],
+)
+def test_cli_reeb_malformed_field_exits_two(tmp_path, capsys, data):
+    recipe = write_json(
+        tmp_path / "r.json", [{"id": "s", "op": "standard", "name": "sphere", "n": 2}]
+    )
+    field = write_json(tmp_path / "f.json", data)
+    assert main(["reeb", "--recipe", recipe, "--field", field]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_reeb_smooths_once(tmp_path, monkeypatch):
+    recipe = write_json(
+        tmp_path / "r.json",
+        [{"id": "t", "op": "standard", "name": "torus_grid", "a": 4, "b": 4}],
+    )
+    calls = []
+    original = Multigraph.smoothed
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Multigraph, "smoothed", counted)
+    args = ["reeb", "--recipe", recipe, "--asset", "height", "--smooth-degree-2"]
+    assert main(args + ["--out", str(tmp_path / "g.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_torus_reeb_invariants(tmp_path):

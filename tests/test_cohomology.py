@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from reebtop.algebra import homology
+from reebtop.algebra import chain_basis, homology
 from reebtop.cohomology import (
     cochain_class,
     cohomology_basis,
@@ -13,7 +13,7 @@ from reebtop.cohomology import (
     restriction_columns,
     ring_report,
 )
-from reebtop.complexes import SimplicialComplex, SimplicialMap, from_facets
+from reebtop.complexes import SimplicialComplex, SimplicialMap, from_facets, product
 from reebtop.errors import IncompatibleCochainError, NotAnInclusionError
 from reebtop.models import standard_model
 
@@ -140,7 +140,7 @@ def test_restriction_naturality(torus):
 
 def test_restriction_rank_on_meridian(torus):
     mer = torus.subcomplex("meridian")
-    cols, orders = restriction_columns(torus, mer, 1)
+    cols, orders = restriction_columns(torus, chain_basis(torus, 1, dual=True), mer, 1)
     assert map_rank(cols, orders) == 1
 
 
@@ -160,3 +160,52 @@ def test_ring_report_shape(torus):
     labels = {p["left"] for p in rep["products"]}
     assert "h1_0" in labels
     assert all("coordinates" in p for p in rep["products"])
+
+
+def _rp2_times_circle():
+    rp2 = from_facets(
+        [[0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
+         [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5]]
+    )
+    return product(rp2, standard_model("circle", k=3))[0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: standard_model("torus_grid", a=3, b=3),
+        lambda: standard_model("surface", genus=2, boundary=0),
+        _rp2_times_circle,  # torsion in degrees 2 and 3
+    ],
+    ids=["torus", "genus2", "rp2_x_circle"],
+)
+def test_ring_report_matches_cup_product(build):
+    c = build()
+    rep = ring_report(c)
+    bases = {p: cohomology_basis(c, p)[0] for p in range(c.dim + 1)}
+    expected = [
+        (f"h{p}_{i}", f"h{q}_{j}", list(cup_product(x, y).coordinates))
+        for p in range(c.dim + 1)
+        for q in range(p, c.dim + 1 - p)
+        for i, x in enumerate(bases[p])
+        for j, y in enumerate(bases[q])
+    ]
+    got = [(r["left"], r["right"], r["coordinates"]) for r in rep["products"]]
+    assert got == expected
+
+
+def _projected_restrictions(w, sub, p):
+    target = chain_basis(sub, p, dual=True)
+    classes, _ = cohomology_basis(w, p)
+    return [target.project(list(restrict_to_part(x, sub).values)) for x in classes]
+
+
+def test_restriction_columns_match_restrict_to_part(torus, doubles_instances):
+    cases = [(torus, torus.subcomplex("meridian"), 1)]
+    w = doubles_instances["annulus_core"].model.complex
+    for label in ("X", "DY"):
+        cases += [(w, w.subcomplex(label), p) for p in (1, 2)]
+    for w, sub, p in cases:
+        cols, orders = restriction_columns(w, chain_basis(w, p, dual=True), sub, p)
+        assert cols == _projected_restrictions(w, sub, p)
+        assert orders == chain_basis(sub, p, dual=True).orders

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -283,6 +284,37 @@ def test_surface_models(genus, boundary, h1):
     groups = homology(s)
     assert groups[1].rank == h1
     assert all(not g.torsion for g in groups)
+
+
+@pytest.mark.parametrize("boundary", [0, 1])
+@pytest.mark.parametrize("genus", [3, 4])
+def test_higher_genus_surfaces(genus, boundary):
+    from reebtop.algebra import homology
+
+    s = standard_model("surface", genus=genus, boundary=boundary)
+    groups = [(g.rank, g.torsion) for g in homology(s)]
+    assert groups == [(1, ()), (2 * genus, ()), (1 - boundary, ())]
+    rim = {v for part in s.named.values() for simplex in part for v in simplex}
+    for v in s.vertices:
+        assert classify_link(link(s, (v,))) == ("arc" if v in rim else "circle")
+
+
+@pytest.mark.parametrize(
+    "genus,boundary,digest",
+    [
+        (0, 0, "45dca485c22240f6f0aa1528c307ccf8b4d33e2ed418cb10399fe0dd923b8445"),
+        (0, 1, "1e86129332e5b1cf92f857a8c39ca4e0c72aae651083e7d3417b49048392d7c0"),
+        (1, 0, "abbfbf5b145a2350cd3e252e580722d6b495b7c34c5d3d5b0047291848ab8b4a"),
+        (1, 1, "2a52dc0391501f2d8dafe790b6dd8cf34e30dcdf42ca9a53eeb673bb92359d5d"),
+        (2, 0, "c97ca7dbc8a9b9aae2e12af62da35a17efde99b44b15e0aca520e0866295aa08"),
+        (2, 1, "0e850ce5cdceb3bc05c04ac0bb4bf0d771a70e06f1ad77bc7080bbe5be6d0aa6"),
+    ],
+)
+def test_low_genus_surfaces_keep_their_triangulation(genus, boundary, digest):
+    # the benchmark and earlier reports use these exact triangulations
+    s = standard_model("surface", genus=genus, boundary=boundary)
+    text = json.dumps(complex_to_json(s), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_json_roundtrip_identity():
