@@ -40,7 +40,8 @@ class IntegerMatrix:
         )
 
     def mul(self, other):
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise IncompatibleCochainError("matrix shapes do not fit")
         out = [[0] * other.cols for _ in range(self.rows)]
         for i in range(self.rows):
             row = self.entries[i]
@@ -54,7 +55,8 @@ class IntegerMatrix:
         return IntegerMatrix(self.rows, other.cols, out)
 
     def times_vector(self, v):
-        assert self.cols == len(v)
+        if self.cols != len(v):
+            raise IncompatibleCochainError("vector length does not fit")
         return [sum(a * x for a, x in zip(row, v) if a and x) for row in self.entries]
 
     def column(self, j):
@@ -268,7 +270,8 @@ def smith_normal_form(a, transforms=True):
 def determinant(a):
     """Bareiss fraction-free determinant; exact."""
     n = a.rows
-    assert n == a.cols
+    if n != a.cols:
+        raise IncompatibleCochainError("determinant of a non-square matrix")
     if n == 0:
         return 1
     mat = [row[:] for row in a.entries]
@@ -394,9 +397,8 @@ class ChainBasis:
         for j in range(b.cols):
             col = b.column(j)
             for row in head:
-                assert sum(x * w for x, w in zip(row, col)) == 0, (
-                    "boundary column is not a cycle"
-                )
+                if sum(x * w for x, w in zip(row, col)) != 0:
+                    raise IncompatibleCochainError("boundary column is not a cycle")
         snf_y = smith_normal_form(y)
         diag = snf_y.diagonal
         orders = []
@@ -544,9 +546,8 @@ def _restrict_chain(vec, parent, child, p, strict=True):
     out = [vec[index[s]] for s in own]
     if strict:
         covered = {index[s] for s in own}
-        assert all(
-            x == 0 for i, x in enumerate(vec) if i not in covered
-        ), "chain leaves the subcomplex"
+        if any(x for i, x in enumerate(vec) if i not in covered):
+            raise IncompatibleCochainError("chain leaves the subcomplex")
     return out
 
 

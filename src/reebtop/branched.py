@@ -25,9 +25,11 @@ from .complexes import (
 )
 from .errors import (
     BadBasepointError,
+    BadCoverError,
     InvalidBranchLocusError,
     InvalidCertificateError,
     InvalidSubmanifoldError,
+    InvariantViolationError,
     NotManifoldLikeError,
 )
 from .graphs import classify_link
@@ -128,7 +130,8 @@ def attach_flap(x, sigma_name, seed=0):
         list(base.vertices) + new_vertices, base.simplices, prism.simplices, named=named
     )
     cert = collapse_to(out, base.simplices, seed=seed)
-    assert isinstance(cert, CollapseCertificate), "flap failed to collapse onto base"
+    if not isinstance(cert, CollapseCertificate):
+        raise InvariantViolationError("flap failed to collapse onto base")
     loci = model.loci + (BranchLocus(sigma_name, "tripod", "trivial"),)
     certificates = model.certificates + ((sigma_name, cert),)
     return BranchedModel(out, loci, certificates)
@@ -189,10 +192,10 @@ def attach_double(x, names):
     named["DY"] = frozenset(union_dy)
     out = union_on(vertices, *simplex_sets, named=named)
     for j in range(1, len(parts) + 1):
-        assert out.named_part("X") & out.named_part(f"DY_{j}") == out.named_part(
-            f"Y_{j}"
-        ), "cover intersection is not the doubled piece"
-    assert out.named_part("X") | out.named_part("DY") == out.simplices
+        if out.named_part("X") & out.named_part(f"DY_{j}") != out.named_part(f"Y_{j}"):
+            raise BadCoverError("cover intersection is not the doubled piece")
+    if out.named_part("X") | out.named_part("DY") != out.simplices:
+        raise BadCoverError("X and DY do not cover the double")
     return BranchedModel(out, loci, model.certificates)
 
 

@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Every command reads a recipe (and options), writes one JSON report, and
-exits zero exactly when all of the report's claims pass.  Reports embed the
-recipe digest and the seed so identical invocations are byte-identical.
-Exit codes: 0 pass, 1 verification failure, 2 parse or I/O error.
+Each command maps its parsed options (and, for the five commands that read
+a recipe, the recipe's final value) to one report.  `main` alone loads and
+runs the recipe, stamps the seed and the recipe digest, writes the report as
+canonical JSON and turns its `pass` claim into the exit code, so identical
+invocations are byte-identical.
+Exit codes: 0 pass, 1 verification failure, 2 parse or I/O error,
+3 internal error (the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,84 +14,43 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import verify
 from .algebra import homology
 from .branched import CollapseCertificate, collapse_to
 from .cohomology import ring_report
-from .errors import ToolkitError
+from .errors import RecipeError, ToolkitError
 from .recipes import load_recipe, parse_recipe, run_recipe, value_to_json, _as_complex
 from .reeb import VertexField, field_from_json, graph_invariants, reeb_graph
 
 
-def _write_report(report, out_path):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _build(args, final):
+    return value_to_json(final)
 
 
-def _label_pair(c, step):
-    free, coface = step
-    return [
-        [c.vertex_label(v) for v in free],
-        [c.vertex_label(v) for v in coface],
-    ]
-
-
-def _cmd_build(args):
-    recipe = load_recipe(args.recipe)
-    _, final = run_recipe(recipe)
-    report = value_to_json(final)
-    report["recipe_digest"] = recipe.digest()
-    report["seed"] = args.seed
-    _write_report(report, args.out)
-    return 0
-
-
-def _cmd_homology(args):
-    recipe = load_recipe(args.recipe)
-    _, final = run_recipe(recipe)
+def _homology(args, final):
     c = _as_complex(final)
     coeff = "Z2" if args.coeff == "z2" else "Z"
     groups = homology(c, coefficients=coeff, reduced=args.reduced)
-    report = {
+    return {
         "command": "homology",
-        "recipe_digest": recipe.digest(),
-        "seed": args.seed,
         "coefficients": coeff,
         "reduced": bool(args.reduced),
         "euler_characteristic": c.euler_characteristic(),
         "groups": [g.to_json() for g in groups],
         "pass": True,
     }
-    _write_report(report, args.out)
-    return 0
 
 
-def _cmd_cohomology(args):
-    recipe = load_recipe(args.recipe)
-    _, final = run_recipe(recipe)
-    c = _as_complex(final)
-    report = ring_report(c, max_degree=args.max_degree)
-    report["command"] = "cohomology"
-    report["recipe_digest"] = recipe.digest()
-    report["seed"] = args.seed
-    report["pass"] = True
-    _write_report(report, args.out)
-    return 0
+def _cohomology(args, final):
+    report = ring_report(_as_complex(final), max_degree=args.max_degree)
+    report.update({"command": "cohomology", "pass": True})
+    return report
 
 
-def _cmd_reeb(args):
-    recipe = load_recipe(args.recipe) if args.recipe else None
-    complex_ = None
-    digest = None
-    if recipe is not None:
-        _, final = run_recipe(recipe)
-        complex_ = _as_complex(final)
-        digest = recipe.digest()
+def _reeb(args, final):
+    complex_ = _as_complex(final)
     if args.asset:
         if complex_ is None:
             raise ToolkitError("--asset needs a --recipe to build the complex")
@@ -101,89 +63,75 @@ def _cmd_reeb(args):
     graph = reeb_graph(field)
     if args.smooth_degree_2:
         graph = graph.smoothed()
-    report = {
+    return {
         "command": "reeb",
-        "recipe_digest": digest,
-        "seed": args.seed,
         "graph": graph.to_json(),
         "invariants": graph_invariants(graph),
         "pass": True,
     }
-    _write_report(report, args.out)
-    return 0
 
 
-def _cmd_collapse(args):
-    recipe = load_recipe(args.recipe)
-    _, final = run_recipe(recipe)
+def _collapse(args, final):
     c = _as_complex(final)
-    if args.target == "point":
-        target = "point"
-    else:
-        target = c.subcomplex(args.target)
+    target = "point" if args.target == "point" else c.subcomplex(args.target)
     outcome = collapse_to(
         c, target, seed=args.seed, restarts=args.restarts, budget=args.budget
     )
     ok = isinstance(outcome, CollapseCertificate)
-    report = {
-        "command": "collapse",
-        "recipe_digest": recipe.digest(),
-        "target": args.target,
-        "seed": args.seed,
-        "pass": ok,
-    }
+    report = {"command": "collapse", "target": args.target, "pass": ok}
     if ok:
-        report["steps"] = [_label_pair(c, s) for s in outcome.steps]
+        # each step is a [free face, coface] pair of vertex-label lists
+        report["steps"] = [
+            [[c.vertex_label(v) for v in face] for face in step] for step in outcome.steps
+        ]
         report["winning_seed"] = outcome.seed
         report["restarts_used"] = outcome.restarts_used
     else:
         report["status"] = "inconclusive"
         report["restarts"] = outcome.restarts
         report["budget"] = outcome.budget
-    _write_report(report, args.out)
-    return 0 if ok else 1
+    return report
 
 
-def _cmd_verify_doubles(args):
+def _verify_doubles(args):
     names = None
     if args.instances and args.instances != "all":
         names = [n for n in args.instances.split(",") if n]
     report = verify.verify_doubles_suite(names)
     report["command"] = "verify-doubles"
-    report["seed"] = args.seed
-    _write_report(report, args.out)
-    return 0 if report["pass"] else 1
+    return report
 
 
-def _cmd_verify_bouquet(args):
+def _verify_bouquet(args):
     if args.pieces:
         with open(args.pieces, encoding="utf-8") as fh:
             data = json.load(fh)
-        pieces = []
-        for item in data["pieces"]:
-            recipe = parse_recipe(item["recipe"])
-            _, final = run_recipe(recipe)
-            pieces.append((final, item["sigma"]))
-        last_recipe = parse_recipe(data["last"])
-        _, last = run_recipe(last_recipe)
+        items = data.get("pieces") if isinstance(data, dict) else None
+        if not isinstance(items, list) or "last" not in data or not all(
+            isinstance(item, dict) and {"recipe", "sigma"} <= item.keys()
+            for item in items
+        ):
+            raise RecipeError(
+                'pieces file needs a "pieces" list of {"recipe", "sigma"} and a "last" recipe'
+            )
+        pieces = [
+            (run_recipe(parse_recipe(item["recipe"]))[1], item["sigma"]) for item in items
+        ]
+        last = run_recipe(parse_recipe(data["last"]))[1]
     else:
         pieces, last = verify.default_bouquet_pieces()
     report = verify.verify_bouquet_assembly(pieces, last, seed=args.seed)
     report.pop("model", None)
     report["command"] = "verify-bouquet"
-    report["seed"] = args.seed
-    _write_report(report, args.out)
-    return 0 if report["pass"] else 1
+    return report
 
 
-def _cmd_verify_contractible(args):
+def _verify_contractible(args):
     report = verify.verify_contractible_suite(
         seed=args.seed, restarts=args.restarts, budget=args.budget
     )
     report["command"] = "verify-contractible"
-    report["seed"] = args.seed
-    _write_report(report, args.out)
-    return 0 if report["pass"] else 1
+    return report
 
 
 def build_parser():
@@ -193,66 +141,72 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, recipe_required=True):
-        p.add_argument("--recipe", required=recipe_required, help="recipe JSON path")
+    def command(name, fn, text, recipe):
+        """`recipe`: True or False for a required or optional --recipe, None for none."""
+        p = sub.add_parser(name, help=text)
+        if recipe is not None:
+            p.add_argument("--recipe", required=recipe, help="recipe JSON path")
         p.add_argument("--out", default=None, help="report path (default stdout)")
         p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("build", help="run a recipe and write the final complex")
-    common(p)
-    p.set_defaults(fn=_cmd_build)
+    command("build", _build, "run a recipe and write the final complex", True)
 
-    p = sub.add_parser("homology", help="homology groups of the recipe result")
-    common(p)
+    p = command("homology", _homology, "homology groups of the recipe result", True)
     p.add_argument("--coeff", choices=["z", "z2"], default="z")
     p.add_argument("--reduced", action="store_true")
-    p.set_defaults(fn=_cmd_homology)
 
-    p = sub.add_parser("cohomology", help="cohomology ring report")
-    common(p)
+    p = command("cohomology", _cohomology, "cohomology ring report", True)
     p.add_argument("--max-degree", type=int, default=None)
-    p.set_defaults(fn=_cmd_cohomology)
 
-    p = sub.add_parser("reeb", help="Reeb graph of a vertex field")
-    common(p, recipe_required=False)
+    p = command("reeb", _reeb, "Reeb graph of a vertex field", False)
     p.add_argument("--field", default=None, help="field JSON path")
     p.add_argument("--asset", default=None, help="bundled vertex asset name")
     p.add_argument("--smooth-degree-2", action="store_true")
-    p.set_defaults(fn=_cmd_reeb)
 
-    p = sub.add_parser("collapse", help="greedy collapse search")
-    common(p)
+    p = command("collapse", _collapse, "greedy collapse search", True)
     p.add_argument("--target", default="point")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--budget", type=int, default=10**6)
-    p.set_defaults(fn=_cmd_collapse)
 
-    p = sub.add_parser("verify-doubles", help="handle-formula suite on doubled models")
-    common(p, recipe_required=False)
+    p = command("verify-doubles", _verify_doubles, "handle-formula suite on doubled models", None)
     p.add_argument("--instances", default="all", help="comma list or 'all'")
-    p.set_defaults(fn=_cmd_verify_doubles)
 
-    p = sub.add_parser("verify-bouquet", help="flap/bouquet assembly suite")
-    common(p, recipe_required=False)
+    p = command("verify-bouquet", _verify_bouquet, "flap/bouquet assembly suite", None)
     p.add_argument("--pieces", default=None, help="custom pieces JSON path")
-    p.set_defaults(fn=_cmd_verify_bouquet)
 
-    p = sub.add_parser("verify-contractible", help="collapse-to-point suite")
-    common(p, recipe_required=False)
+    p = command("verify-contractible", _verify_contractible, "collapse-to-point suite", None)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--budget", type=int, default=10**6)
-    p.set_defaults(fn=_cmd_verify_contractible)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if hasattr(args, "recipe"):  # the five commands that read a recipe
+            recipe = load_recipe(args.recipe) if args.recipe else None
+            final = run_recipe(recipe)[1] if recipe else None
+            report = args.fn(args, final)
+            report["recipe_digest"] = recipe.digest() if recipe else None
+        else:
+            report = args.fn(args)
+        report["seed"] = args.seed
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0 if report.get("pass", True) else 1
     except (ToolkitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import (
     BadBasepointError,
     BadNameError,
+    InvariantViolationError,
     MalformedFacetError,
     MissingSimplexError,
     NotAnInclusionError,
@@ -189,23 +190,30 @@ class SimplicialComplex:
     # -- invariants ---------------------------------------------------------
 
     def check_invariants(self):
-        """Raise AssertionError when any structural invariant fails."""
+        """Return True, or raise InvariantViolationError when a structural
+        invariant fails; the checks hold under `python -O` too."""
         for s in self.simplices:
-            assert s, "empty simplex stored"
-            assert list(s) == sorted(set(s), key=self._index.__getitem__), (
-                f"simplex {s!r} not sorted in the vertex order"
-            )
+            if not s:
+                raise InvariantViolationError("empty simplex stored")
+            if list(s) != sorted(set(s), key=self._index.__getitem__):
+                raise InvariantViolationError(f"simplex {s!r} not sorted in the vertex order")
             if len(s) > 1:
                 for f in itertools.combinations(s, len(s) - 1):
-                    assert f in self.simplices, f"closure misses {f!r} < {s!r}"
+                    if f not in self.simplices:
+                        raise InvariantViolationError(f"closure misses {f!r} < {s!r}")
         for name, part in self.named.items():
-            assert part <= self.simplices, f"named part {name!r} leaves the complex"
+            if not part <= self.simplices:
+                raise InvariantViolationError(f"named part {name!r} leaves the complex")
             for s in part:
                 if len(s) > 1:
                     for f in itertools.combinations(s, len(s) - 1):
-                        assert f in part, f"named part {name!r} not closed at {s!r}"
+                        if f not in part:
+                            raise InvariantViolationError(
+                                f"named part {name!r} not closed at {s!r}"
+                            )
         for name, values in self.assets.items():
-            assert set(values) == set(self.vertices), f"asset {name!r} misses vertices"
+            if set(values) != set(self.vertices):
+                raise InvariantViolationError(f"asset {name!r} misses vertices")
         return True
 
     # -- dunder ---------------------------------------------------------------
@@ -583,6 +591,12 @@ def complex_to_json(c):
 
 def complex_from_json(data):
     """Inverse of `complex_to_json`: the vertices array fixes the order."""
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("vertices"), list)
+        and isinstance(data.get("facets"), list)
+    ):
+        raise MalformedFacetError('complex needs a "vertices" list and a "facets" list')
     order = list(data["vertices"])
     index = {v: i for i, v in enumerate(order)}
     if len(index) != len(order):

@@ -6,7 +6,8 @@ class ToolkitError(Exception):
 
 
 class MalformedFacetError(ToolkitError):
-    """A facet repeats a vertex or uses unorderable vertex identifiers."""
+    """A facet repeats a vertex or uses unorderable vertex identifiers, or a
+    complex file lacks its vertex or facet list."""
 
 
 class BadNameError(ToolkitError):
@@ -34,7 +35,8 @@ class MissingSimplexError(ToolkitError):
 
 
 class IncompatibleCochainError(ToolkitError):
-    """Cochain operands or degrees do not fit, or a vector is not a (co)cycle."""
+    """Matrix, chain or cochain operands or degrees do not fit, or a vector is
+    not a (co)cycle."""
 
 
 class NotAnInclusionError(ToolkitError):
@@ -63,6 +65,11 @@ class InvalidBranchLocusError(ToolkitError):
 
 class InvalidCertificateError(ToolkitError):
     """A collapse certificate step is stale or removes a face that is not free."""
+
+
+class InvariantViolationError(ToolkitError):
+    """A complex or a constructed model breaks a structural invariant: closure,
+    vertex order, named parts, assets, a flap's collapse or a Reeb slab."""
 
 
 class InconsistentHandleDataError(ToolkitError):

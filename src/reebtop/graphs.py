@@ -50,31 +50,34 @@ class Multigraph:
         """Contract every degree-two node whose two edge slots differ.
 
         A pure cycle ends as one node carrying a loop; path endpoints and
-        branch nodes are untouched.
+        branch nodes are untouched.  One pass in node order suffices: a
+        contraction keeps every other node's degree and can only turn a
+        neighbour's two parallel edges into a loop, so it never makes a node
+        eligible.  Edges are keyed by insertion id, and the merged edge runs
+        from the far end of the older edge to the far end of the newer one.
         """
-        nodes = list(self.nodes)
-        edges = list(self.edges)
-        changed = True
-        while changed:
-            changed = False
-            for node in nodes:
-                slots = [i for i, (u, v) in enumerate(edges) if node in (u, v)]
-                deg = sum(
-                    (1 if edges[i][0] == node else 0) + (1 if edges[i][1] == node else 0)
-                    for i in slots
-                )
-                if deg != 2 or len(slots) != 2:
-                    continue
-                e1, e2 = edges[slots[0]], edges[slots[1]]
-                a = e1[0] if e1[1] == node else e1[1]
-                b = e2[0] if e2[1] == node else e2[1]
-                for i in sorted(slots, reverse=True):
-                    edges.pop(i)
-                nodes.remove(node)
-                edges.append((a, b))
-                changed = True
-                break
-        return Multigraph(nodes, edges)
+        edges = dict(enumerate(self.edges))
+        incident = {}
+        for i, (u, v) in edges.items():
+            incident.setdefault(u, set()).add(i)
+            incident.setdefault(v, set()).add(i)
+        new = len(edges)
+        nodes = []
+        for node in self.nodes:
+            ids = sorted(incident.get(node, ()))
+            if len(ids) != 2 or any(edges[i][0] == edges[i][1] for i in ids):
+                nodes.append(node)
+                continue
+            a, b = (edges[i][0] if edges[i][1] == node else edges[i][1] for i in ids)
+            for i, end in zip(ids, (a, b)):
+                del edges[i]
+                incident[end].discard(i)
+            incident[node].clear()
+            edges[new] = (a, b)
+            incident[a].add(new)
+            incident[b].add(new)
+            new += 1
+        return Multigraph(nodes, edges.values())
 
     def loop_count(self):
         return sum(1 for u, v in self.edges if u == v)

@@ -22,6 +22,7 @@ from .complexes import (
     union_on,
 )
 from .errors import UnsupportedModelError
+from .graphs import classify_link
 
 
 def standard_model(name, **params):
@@ -196,16 +197,6 @@ def concentric_disc(k, rings):
     return from_facets(facets, names)
 
 
-def _is_circle_link(lk):
-    if lk.dim != 1 or not lk.simplices or not lk.is_connected():
-        return False
-    degree = {v: 0 for v in lk.vertices}
-    for e in lk.simplices_of_dim(1):
-        degree[e[0]] += 1
-        degree[e[1]] += 1
-    return all(d == 2 for d in degree.values())
-
-
 def _rim_vertices(c):
     out = set()
     for name, part in c.named.items():
@@ -224,8 +215,7 @@ def _punch(c, count, start_index=0, max_subdivisions=3):
         for v in c.vertices:
             if v in rims:
                 continue
-            lk = link(c, (v,))
-            if not _is_circle_link(lk):
+            if classify_link(link(c, (v,))) != "circle":
                 continue
             star_verts = {u for s in c.closed_star(v) for u in s}
             if star_verts & rims:

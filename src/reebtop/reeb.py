@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MalformedFieldError, NonInjectiveFieldError
+from .errors import InvariantViolationError, MalformedFieldError, NonInjectiveFieldError
 from .graphs import Multigraph
 
 
@@ -160,9 +160,10 @@ def reeb_graph(field):
             members = groups[rep]
             below = {level_comp[i][s] for s in members}
             above = {level_comp[i + 1][s] for s in members}
-            assert len(below) == 1 and len(above) == 1, (
-                "slab component meets a level in more than one piece"
-            )
+            if len(below) != 1 or len(above) != 1:
+                raise InvariantViolationError(
+                    "slab component meets a level in more than one piece"
+                )
             edges.append(((i, below.pop()), (i + 1, above.pop())))
     return ReebGraph(Multigraph(nodes, edges), values)
 

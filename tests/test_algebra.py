@@ -7,6 +7,7 @@ from conftest import run_optimized
 
 from reebtop.algebra import (
     HomologyGroup,
+    _restrict_chain,
     IntegerMatrix,
     augmentation_matrix,
     betti_numbers,
@@ -207,6 +208,32 @@ def test_chain_basis_cycle_detection_under_optimize():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["refused: vector is not a cycle"] * 2
+
+
+def test_restrict_chain_refuses_a_chain_leaving_the_subcomplex():
+    path, edge = from_facets([[0, 1], [1, 2]]), from_facets([[0, 1]])
+    assert _restrict_chain([3, 0], path, edge, 1) == [3]
+    assert _restrict_chain([3, 1], path, edge, 1, strict=False) == [3]
+    with pytest.raises(IncompatibleCochainError, match="leaves the subcomplex"):
+        _restrict_chain([3, 1], path, edge, 1)
+
+
+def test_restrict_chain_refuses_a_chain_leaving_the_subcomplex_under_optimize():
+    result = run_optimized(
+        """
+        from reebtop.algebra import _restrict_chain
+        from reebtop.complexes import from_facets
+        from reebtop.errors import IncompatibleCochainError
+
+        path, edge = from_facets([[0, 1], [1, 2]]), from_facets([[0, 1]])
+        try:
+            _restrict_chain([3, 1], path, edge, 1)
+        except IncompatibleCochainError as exc:
+            print("refused:", exc)
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["refused: chain leaves the subcomplex"]
 
 
 def test_augmentation_matrix():

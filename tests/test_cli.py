@@ -308,6 +308,71 @@ def test_cli_missing_file_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"last": [{"id": "d", "op": "standard", "name": "simplex", "n": 2}]},
+        {"pieces": [], "lst": []},
+        {"pieces": [{"sigma": "equator"}], "last": []},
+        {"pieces": [{"recipe": []}], "last": []},
+        {"pieces": ["equator"], "last": []},
+        {"pieces": {}, "last": []},
+        [],
+    ],
+)
+def test_cli_malformed_pieces_file_exits_two(tmp_path, capsys, data):
+    pieces = write_json(tmp_path / "pieces.json", data)
+    assert main(["verify-bouquet", "--pieces", pieces]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("drop", ["vertices", "facets"])
+def test_cli_reeb_field_complex_missing_a_list_exits_two(tmp_path, capsys, drop):
+    complex_ = {"vertices": [0, 1, 2], "facets": [[0, 1], [1, 2]]}
+    del complex_[drop]
+    field = write_json(tmp_path / "f.json", {"complex": complex_, "values": [0, 1, 2]})
+    assert main(["reeb", "--field", field]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_reeb_field_carrying_its_complex(tmp_path):
+    complex_ = {"vertices": [0, 1, 2], "facets": [[0, 1], [1, 2]]}
+    field = write_json(tmp_path / "f.json", {"complex": complex_, "values": [0, 2, 1]})
+    out = tmp_path / "g.json"
+    assert main(["reeb", "--field", field, "--out", str(out)]) == 0
+    rep = read_json(out)
+    assert rep["recipe_digest"] is None and rep["invariants"]["degrees"] == [1, 1]
+
+
+def test_cli_internal_error_exits_three(tmp_path, capsys, monkeypatch):
+    import reebtop.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(reebtop.cli, "homology", broken)
+    recipe = write_json(
+        tmp_path / "r.json", [{"id": "s", "op": "standard", "name": "sphere", "n": 2}]
+    )
+    assert main(["homology", "--recipe", recipe]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert "Traceback (most recent call last)" in captured.err
+    assert captured.err.rstrip().endswith("RuntimeError: boom")
+
+
+@pytest.mark.parametrize("command", ["verify-doubles", "verify-bouquet", "verify-contractible"])
+def test_cli_suites_take_no_recipe(tmp_path, capsys, command):
+    recipe = write_json(
+        tmp_path / "r.json", [{"id": "s", "op": "standard", "name": "sphere", "n": 2}]
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--recipe", recipe])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --recipe" in capsys.readouterr().err
+
+
 def test_cli_cohomology_report(tmp_path):
     recipe = write_json(
         tmp_path / "r.json",

@@ -4,8 +4,10 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import run_optimized
 
 from reebtop.complexes import (
+    SimplicialComplex,
     SimplicialMap,
     barycentric_subdivision,
     boundary_subcomplex,
@@ -22,6 +24,7 @@ from reebtop.complexes import (
 from reebtop.errors import (
     BadBasepointError,
     BadNameError,
+    InvariantViolationError,
     MalformedFacetError,
     MissingSimplexError,
     NothingToDoubleError,
@@ -36,6 +39,27 @@ def test_from_facets_full_triangle():
     c = from_facets([[0, 1, 2]])
     assert c.f_vector() == (3, 3, 1)
     c.check_invariants()
+
+
+def test_check_invariants_refuses_a_triangle_without_its_edges():
+    with pytest.raises(InvariantViolationError, match="closure misses"):
+        SimplicialComplex([0, 1, 2], [(0, 1, 2)]).check_invariants()
+
+
+def test_check_invariants_refuses_a_triangle_without_its_edges_under_optimize():
+    result = run_optimized(
+        """
+        from reebtop.complexes import SimplicialComplex
+        from reebtop.errors import InvariantViolationError
+
+        try:
+            SimplicialComplex([0, 1, 2], [(0, 1, 2)]).check_invariants()
+        except InvariantViolationError as exc:
+            print("refused:", exc)
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("refused: closure misses")
 
 
 def test_from_facets_circle():

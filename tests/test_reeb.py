@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from reebtop.complexes import disjoint_union, from_facets, wedge
 from reebtop.errors import NonInjectiveFieldError
-from reebtop.graphs import from_one_complex
+from reebtop.graphs import Multigraph, from_one_complex
 from reebtop.models import perturb_values, standard_model
 from reebtop.reeb import (
     VertexField,
@@ -70,6 +71,59 @@ def test_one_complex_reeb_matches_smoothed_source():
     assert inv["edges"] == len(src.edges)
     assert inv["degrees"] == src.degree_multiset()
     assert inv["betti1"] == src.betti1()
+
+
+def restart_smoothed(g):
+    """The restart loop `Multigraph.smoothed` replaced, kept as its oracle:
+    contract the first eligible node, then rescan from the start."""
+    nodes = list(g.nodes)
+    edges = list(g.edges)
+    changed = True
+    while changed:
+        changed = False
+        for node in nodes:
+            slots = [i for i, (u, v) in enumerate(edges) if node in (u, v)]
+            deg = sum(
+                (1 if edges[i][0] == node else 0) + (1 if edges[i][1] == node else 0)
+                for i in slots
+            )
+            if deg != 2 or len(slots) != 2:
+                continue
+            e1, e2 = edges[slots[0]], edges[slots[1]]
+            a = e1[0] if e1[1] == node else e1[1]
+            b = e2[0] if e2[1] == node else e2[1]
+            for i in sorted(slots, reverse=True):
+                edges.pop(i)
+            nodes.remove(node)
+            edges.append((a, b))
+            changed = True
+            break
+    return Multigraph(nodes, edges)
+
+
+def assert_same_smoothing(g):
+    fast, slow = g.smoothed(), restart_smoothed(g)
+    assert (fast.nodes, fast.edges) == (slow.nodes, slow.edges)
+
+
+def test_smoothed_matches_restart_loop_on_random_multigraphs():
+    rng = random.Random(7)
+    for _ in range(3000):
+        n = rng.randrange(1, 9)
+        nodes = rng.sample(range(12), n)
+        if rng.random() < 0.1:
+            nodes.append(rng.choice(nodes))  # a repeated node
+        ends = nodes + [20] if rng.random() < 0.1 else nodes  # an unlisted end
+        edges = [(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randrange(12))]
+        assert_same_smoothing(Multigraph(nodes, edges))
+
+
+def test_smoothed_matches_restart_loop_on_raw_reeb_graphs():
+    rng = random.Random(3)
+    for c in (standard_model("torus_grid", a=5, b=5), standard_model("surface", genus=2, boundary=0)):
+        for _ in range(3):
+            values = dict(zip(c.vertices, rng.sample(range(10**6), len(c.vertices))))
+            assert_same_smoothing(reeb_graph(VertexField(c, values)).graph)
 
 
 def test_monotone_relabel_invariance():
