@@ -1,6 +1,7 @@
 """Exact integer linear algebra for chain complexes.
 
-Boundary operators, Smith normal form with unimodular transforms, integral
+Boundary operators, Smith normal form with unimodular transforms (and,
+for invariant factors alone, sparse unit-pivot elimination first), integral
 and mod-2 homology, homology generators with a projection onto chosen
 coordinates, and a chain-level Mayer-Vietoris exactness checker.  All
 arithmetic is over Python's arbitrary-precision integers; nothing here may
@@ -10,6 +11,7 @@ touch floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import BadCoverError, IncompatibleCochainError
 
@@ -106,29 +108,115 @@ def augmentation_matrix(c):
 
 @dataclass
 class SnfDecomposition:
-    """U * A * V = S with U, V unimodular and S diagonal, d_i | d_{i+1}."""
+    """U * A * V = S with U, V unimodular and S diagonal, d_i | d_{i+1}.
 
-    U: IntegerMatrix
-    S: IntegerMatrix
-    V: IntegerMatrix
-    Uinv: IntegerMatrix
-    Vinv: IntegerMatrix
+    `diagonal` holds the min(rows, cols) diagonal entries of S: ones first,
+    then the invariant factors above one in divisor order, then zeros.  A
+    decomposition made with `transforms=False` carries only `rank` and
+    `diagonal`; its U, S, V, Uinv and Vinv are None.
+    """
+
+    U: IntegerMatrix | None
+    S: IntegerMatrix | None
+    V: IntegerMatrix | None
+    Uinv: IntegerMatrix | None
+    Vinv: IntegerMatrix | None
     rank: int
-
-    @property
-    def diagonal(self):
-        k = min(self.S.rows, self.S.cols)
-        return [self.S.entries[i][i] for i in range(k)]
+    diagonal: list
 
 
 def smith_normal_form(a, transforms=True):
     """Diagonalize by unimodular row and column operations.
 
-    Pivots always take the smallest available absolute value, which keeps
-    coefficient growth tame at this scale.
+    With `transforms`, a dense elimination also records U, V and their
+    inverses.  Without, only the invariant factors are computed: unit pivots
+    are eliminated sparsely first and the dense elimination runs on the
+    leftover block alone.  `a` is never modified.
     """
     m, n = a.rows, a.cols
+    if not transforms:
+        count, rest = _eliminate_unit_pivots(a)
+        _dense_smith(rest.entries, rest.rows, rest.cols, False)
+        tail = [rest.entries[i][i] for i in range(min(rest.rows, rest.cols))]
+        diagonal = [1] * count + tail + [0] * (min(m, n) - count - len(tail))
+        rank = sum(1 for d in diagonal if d)
+        return SnfDecomposition(None, None, None, None, None, rank, diagonal)
     s = [row[:] for row in a.entries]
+    u, v, uinv, vinv = _dense_smith(s, m, n, True)
+    diagonal = [s[i][i] for i in range(min(m, n))]
+    return SnfDecomposition(
+        IntegerMatrix(m, m, u),
+        IntegerMatrix(m, n, s),
+        IntegerMatrix(n, n, v),
+        IntegerMatrix(m, m, uinv),
+        IntegerMatrix(n, n, vinv),
+        sum(1 for d in diagonal if d),
+        diagonal,
+    )
+
+
+def _eliminate_unit_pivots(a):
+    """Pivot on ±1 entries of `a` with sparse column operations.
+
+    Once a pivot's row is cleared by column operations, the pivot's row and
+    column split off a diagonal 1, so both are dropped.  Each column pivots
+    on its unit entry in the row with the fewest remaining entries, which
+    keeps fill-in low.  Passes repeat until one eliminates nothing.  Returns
+    the number of pivots and the leftover block as a dense matrix; rows and
+    columns left all zero are not part of it.
+    """
+    cols = [{} for _ in range(a.cols)]
+    rows = []  # row -> columns with an entry there
+    for i, row in enumerate(a.entries):
+        support = set(compress(range(a.cols), row))
+        for j in support:
+            cols[j][i] = row[j]
+        rows.append(support)
+    count = 0
+    progress = True
+    while progress:
+        progress = False
+        for j, col in enumerate(cols):
+            best = None
+            for i, x in col.items():
+                if (x == 1 or x == -1) and (best is None or len(rows[i]) < len(rows[best])):
+                    best = i
+            if best is None:
+                continue
+            piv = col[best]
+            for k in list(rows[best]):
+                if k == j:
+                    continue
+                # col_k -= q * col_j clears col_k at the pivot row
+                target = cols[k]
+                q = target[best] * piv
+                for i, x in col.items():
+                    y = target.get(i, 0) - q * x
+                    if y:
+                        if i not in target:
+                            rows[i].add(k)
+                        target[i] = y
+                    else:
+                        del target[i]
+                        rows[i].discard(k)
+            for i in col:
+                rows[i].discard(j)
+            cols[j] = {}
+            count += 1
+            progress = True
+    live_rows = [i for i, r in enumerate(rows) if r]
+    live_cols = [col for col in cols if col]
+    block = [[col.get(i, 0) for col in live_cols] for i in live_rows]
+    return count, IntegerMatrix(len(live_rows), len(live_cols), block)
+
+
+def _dense_smith(s, m, n, transforms):
+    """Bring the m x n list of rows `s` to Smith normal form in place.
+
+    Pivots always take the smallest available absolute value, which keeps
+    coefficient growth tame at this scale.  With `transforms`, returns
+    (U, V, Uinv, Vinv) as lists of rows with U * A * V = S; otherwise None.
+    """
     if transforms:
         u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
         uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -234,8 +322,11 @@ def smith_normal_form(a, transforms=True):
                 s[k][j] for j in range(k + 1, n)
             ):
                 continue  # a remainder smaller than the pivot is promoted next
-            # pivot must divide the remaining block for the divisor chain
+            # pivot must divide the remaining block for the divisor chain;
+            # a unit pivot divides everything
             piv = s[k][k]
+            if piv == 1 or piv == -1:
+                break
             dirty = None
             for i in range(k + 1, m):
                 row = s[i]
@@ -251,20 +342,8 @@ def smith_normal_form(a, transforms=True):
         if s[k][k] < 0:
             negate_row(k)
         k += 1
-    rank = sum(1 for i in range(limit) if s[i][i])
-    mat_s = IntegerMatrix(m, n, s)
-    if not transforms:
-        ident_m = IntegerMatrix.identity(m)
-        ident_n = IntegerMatrix.identity(n)
-        return SnfDecomposition(ident_m, mat_s, ident_n, ident_m, ident_n, rank)
-    return SnfDecomposition(
-        IntegerMatrix(m, m, u),
-        mat_s,
-        IntegerMatrix(n, n, v),
-        IntegerMatrix(m, m, uinv),
-        IntegerMatrix(n, n, vinv),
-        rank,
-    )
+    if transforms:
+        return u, v, uinv, vinv
 
 
 def determinant(a):
@@ -462,7 +541,7 @@ def lattice_contains(gens, vec):
     snf = smith_normal_form(a)
     w = snf.U.times_vector(vec)
     for i, x in enumerate(w):
-        d = snf.S.entries[i][i] if i < min(a.rows, a.cols) else 0
+        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
         if d == 0:
             if x != 0:
                 return False

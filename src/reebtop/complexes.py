@@ -19,6 +19,7 @@ from .errors import (
     BadNameError,
     InvariantViolationError,
     MalformedFacetError,
+    MalformedFieldError,
     MissingSimplexError,
     NotAnInclusionError,
     NothingToDoubleError,
@@ -598,28 +599,46 @@ def complex_from_json(data):
     ):
         raise MalformedFacetError('complex needs a "vertices" list and a "facets" list')
     order = list(data["vertices"])
+    if any(isinstance(v, (list, dict)) for v in order):
+        raise MalformedFacetError("a vertex label is a list or an object")
     index = {v: i for i, v in enumerate(order)}
     if len(index) != len(order):
         raise MalformedFacetError("duplicate vertex in file")
 
-    def decode(f):
+    def decode(f, unlisted=MalformedFacetError):
+        if not isinstance(f, list):
+            raise MalformedFacetError(f"facet {f!r} is not a list of vertices")
+        for v in f:
+            if isinstance(v, (list, dict)) or v not in index:
+                raise unlisted(f"facet {f!r} names {v!r}, not a listed vertex")
         t = tuple(sorted(f, key=index.__getitem__))
         if len(set(t)) != len(t):
             raise MalformedFacetError(f"facet {f!r} repeats a vertex")
         return t
 
+    def table(key):
+        value = data.get(key, {})
+        if not isinstance(value, dict):
+            raise MalformedFacetError(f'"{key}" must be an object')
+        return value
+
     simplices = closure(decode(f) for f in data["facets"])
     named = {}
-    for name, fs in data.get("named", {}).items():
-        part = closure(decode(f) for f in fs)
+    for name, fs in table("named").items():
+        if not isinstance(fs, list):
+            raise MalformedFacetError(f"named part {name!r} is not a list of facets")
+        part = closure(decode(f, BadNameError) for f in fs)
         if not part <= simplices:
             raise BadNameError(f"named part {name!r} leaves the complex")
         named[name] = part
     assets = {}
-    for name, values in data.get("assets", {}).items():
-        if len(values) != len(order):
+    for name, values in table("assets").items():
+        if not isinstance(values, list) or len(values) != len(order):
             raise MalformedFacetError(f"asset {name!r} has wrong length")
-        assets[name] = {v: Fraction(values[i]) for i, v in enumerate(order)}
+        try:
+            assets[name] = {v: Fraction(values[i]) for i, v in enumerate(order)}
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise MalformedFieldError(f"asset {name!r} value is not rational: {exc}") from None
     return SimplicialComplex(order, simplices, named, assets)
 
 

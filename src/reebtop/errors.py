@@ -7,7 +7,8 @@ class ToolkitError(Exception):
 
 class MalformedFacetError(ToolkitError):
     """A facet repeats a vertex or uses unorderable vertex identifiers, or a
-    complex file lacks its vertex or facet list."""
+    complex file lacks its vertex or facet list, names a vertex it does not
+    list, or holds named parts or assets of the wrong shape."""
 
 
 class BadNameError(ToolkitError):

@@ -173,9 +173,10 @@ def test_criterion_10_global_consistency():
             ok &= boundary_matrix(c, p).mul(boundary_matrix(c, p + 1)).is_zero()
         sd = barycentric_subdivision(c)
         ok &= sd.euler_characteristic() == c.euler_characteristic()
-        # exact subdivision-invariance of homology, kept inside the time
-        # budget by skipping subdivisions too large for dense elimination
-        if len(sd.simplices) <= 2000:
+        # exact subdivision-invariance of homology; the cap covers every
+        # complex above (the largest, the subdivided solid torus, has 8652
+        # simplices) and only bounds the time of complexes added later
+        if len(sd.simplices) <= 10000:
             ok &= homology(sd) == homology(c)
         assert ok, name
     report("global-consistency", ok)

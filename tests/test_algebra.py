@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import run_optimized
 
@@ -20,7 +20,14 @@ from reebtop.algebra import (
     rank_mod2,
     smith_normal_form,
 )
-from reebtop.complexes import closure, double, from_facets, wedge
+from reebtop.complexes import (
+    barycentric_subdivision,
+    closure,
+    double,
+    from_facets,
+    product,
+    wedge,
+)
 from reebtop.errors import BadCoverError, IncompatibleCochainError
 from reebtop.models import standard_model
 
@@ -80,6 +87,130 @@ def test_snf_property(m, n, data):
         m, n, [[data.draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(m)]
     )
     assert_snf_contract(a)
+
+
+# entry pools: sparse with unit entries, sparse with non-unit entries, dense,
+# and without any unit entry, which leaves the whole matrix to the dense step
+ENTRY_POOLS = (
+    (0, 0, 0, 0, 1, -1),
+    (0, 0, 0, 1, -1, 2, -3),
+    tuple(range(-3, 5)),
+    (0, 2, -2, 4, 6),
+)
+
+
+@st.composite
+def integer_matrices(draw):
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    pool = draw(st.sampled_from(ENTRY_POOLS))
+    entries = [[draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(m)]
+    if m and n:
+        for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+            entries[i] = [0] * n
+        for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            for row in entries:
+                row[j] = 0
+    return IntegerMatrix(m, n, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+@example(IntegerMatrix(0, 5))
+@example(IntegerMatrix(4, 0))
+@example(IntegerMatrix(0, 0))
+@example(IntegerMatrix(3, 3, [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
+def test_invariant_factors_match_the_dense_path(a):
+    before = [row[:] for row in a.entries]
+    fast = smith_normal_form(a, transforms=False)
+    assert a.entries == before
+    dense = smith_normal_form(a, transforms=True)
+    assert len(fast.diagonal) == min(a.rows, a.cols)
+    assert (fast.rank, fast.diagonal) == (dense.rank, dense.diagonal)
+
+
+def dense_homology(c):
+    """Integral homology read off the S diagonals of the transforms path."""
+    snfs = [smith_normal_form(boundary_matrix(c, p)) for p in range(c.dim + 2)]
+
+    def diagonal(snf):
+        return [snf.S.entries[i][i] for i in range(min(snf.S.rows, snf.S.cols))]
+
+    return [
+        HomologyGroup(
+            p,
+            len(c.simplices_of_dim(p)) - snfs[p].rank - snfs[p + 1].rank,
+            tuple(d for d in diagonal(snfs[p + 1]) if d > 1),
+        )
+        for p in range(c.dim + 1)
+    ]
+
+
+RP2_FACETS = [
+    [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
+    [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
+]
+
+
+def klein_bottle(a=4, b=4):
+    """An a x b grid glued straight along its columns and with a flip along its rows."""
+
+    def label(i, j):
+        if i == a:
+            i, j = 0, -j
+        return i * b + j % b
+
+    facets = []
+    for i in range(a):
+        for j in range(b):
+            p00, p01 = label(i, j), label(i, j + 1)
+            p10, p11 = label(i + 1, j), label(i + 1, j + 1)
+            facets += [[p00, p10, p01], [p10, p01, p11]]
+    return from_facets(facets)
+
+
+random_facets = st.lists(
+    st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_facets, random_facets, st.integers(0, 2))
+def test_homology_matches_the_dense_path_on_random_complexes(facets, other, how):
+    c = from_facets(facets)
+    if how == 1:
+        c = barycentric_subdivision(c)
+    elif how == 2 and c.dim + from_facets(other).dim <= 3:
+        c = product(c, from_facets(other))[0]
+    assert homology(c) == dense_homology(c)
+
+
+@pytest.mark.parametrize(
+    "build, torsion",
+    [
+        (lambda: from_facets(RP2_FACETS), [(), (2,), ()]),
+        (lambda: barycentric_subdivision(from_facets(RP2_FACETS)), [(), (2,), ()]),
+        (klein_bottle, [(), (2,), ()]),
+        (
+            lambda: product(from_facets(RP2_FACETS), standard_model("circle", k=3))[0],
+            [(), (2,), (2,), ()],
+        ),
+    ],
+    ids=["rp2", "rp2_subdivided", "klein_bottle", "rp2_x_circle"],
+)
+def test_homology_matches_the_dense_path_with_torsion(build, torsion):
+    c = build()
+    groups = homology(c)
+    assert groups == dense_homology(c)
+    assert [g.torsion for g in groups] == torsion
+
+
+def test_invariant_factors_build_no_transforms():
+    c = standard_model("solid_torus", k=3)
+    snf = smith_normal_form(boundary_matrix(c, 3), transforms=False)
+    assert snf.U is None and snf.V is None and snf.S is None
+    assert snf.Uinv is None and snf.Vinv is None
 
 
 def test_boundary_edge():

@@ -335,6 +335,29 @@ def test_cli_reeb_field_complex_missing_a_list_exits_two(tmp_path, capsys, drop)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"facets": [[0, 5]]},
+        {"vertices": [0, [1], 2]},
+        {"facets": [[0, [1]]]},
+        {"facets": [3]},
+        {"named": []},
+        {"named": {"a": 3}},
+        {"named": {"a": [[0, 7]]}},
+        {"named": {"a": [0]}},
+        {"assets": []},
+        {"assets": {"h": 4}},
+        {"assets": {"h": ["abc", 1, 2]}},
+    ],
+)
+def test_cli_reeb_field_complex_malformed_exits_two(tmp_path, capsys, extra):
+    complex_ = {"vertices": [0, 1, 2], "facets": [[0, 1], [1, 2]], **extra}
+    field = write_json(tmp_path / "f.json", {"complex": complex_, "values": [0, 1, 2]})
+    assert main(["reeb", "--field", field]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_reeb_field_carrying_its_complex(tmp_path):
     complex_ = {"vertices": [0, 1, 2], "facets": [[0, 1], [1, 2]]}
     field = write_json(tmp_path / "f.json", {"complex": complex_, "values": [0, 2, 1]})
