@@ -1,7 +1,7 @@
 """Exact integer linear algebra for chain complexes.
 
-Boundary operators, Smith normal form with unimodular transforms (and,
-for invariant factors alone, sparse unit-pivot elimination first), integral
+Sparse boundary operators, Smith normal form with unimodular transforms
+(and, for invariant factors alone, sparse unit-pivot elimination first), integral
 and mod-2 homology, homology generators with a projection onto chosen
 coordinates, and a chain-level Mayer-Vietoris exactness checker.  All
 arithmetic is over Python's arbitrary-precision integers; nothing here may
@@ -32,14 +32,13 @@ class IntegerMatrix:
     def identity(cls, n):
         return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def copy(self):
-        return IntegerMatrix(self.rows, self.cols, [row[:] for row in self.entries])
-
-    def transpose(self):
-        return IntegerMatrix(
-            self.cols, self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+    @property
+    def columns(self):
+        """One {row: nonzero} dict per column, as `SparseMatrix` stores them."""
+        return [
+            {i: row[j] for i, row in enumerate(self.entries) if row[j]}
+            for j in range(self.cols)
+        ]
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -67,9 +66,6 @@ class IntegerMatrix:
     def is_zero(self):
         return all(all(a == 0 for a in row) for row in self.entries)
 
-    def to_json(self):
-        return {"rows": self.rows, "cols": self.cols, "entries": self.entries}
-
     def __eq__(self, other):
         return (
             isinstance(other, IntegerMatrix)
@@ -82,28 +78,51 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}x{self.cols})"
 
 
+class SparseMatrix:
+    """Integer matrix stored as one {row: nonzero} dict per column."""
+
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows, cols, columns):
+        self.rows = rows
+        self.cols = cols
+        self.columns = columns
+
+    def transpose(self):
+        out = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return SparseMatrix(self.cols, self.rows, out)
+
+    def apply(self, x):
+        """The product with a vector given as {index: value}, as {row: nonzero}."""
+        out = {}
+        for j, xj in x.items():
+            for i, a in self.columns[j].items():
+                out[i] = out.get(i, 0) + a * xj
+        return {i: y for i, y in out.items() if y}
+
+
 def boundary_matrix(c, p):
     """Boundary operator from p-chains to (p-1)-chains, signs by omitted vertex.
 
     Out-of-range degrees give an empty matrix of the correct shape.
     """
-    rows = c.simplices_of_dim(p - 1) if p >= 1 else []
     cols = c.simplices_of_dim(p) if p >= 0 else []
-    m = IntegerMatrix(len(rows), len(cols))
-    row_index = {s: i for i, s in enumerate(rows)}
-    for j, s in enumerate(cols):
-        if len(s) == 1:
-            continue
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            m.entries[row_index[face]][j] = -1 if i % 2 else 1
-    return m
+    if p < 1:
+        return SparseMatrix(0, len(cols), [{} for _ in cols])
+    rows = c.simplices_of_dim(p - 1)
+    index = {s: i for i, s in enumerate(rows)}
+    return SparseMatrix(len(rows), len(cols), [
+        {index[s[:i] + s[i + 1:]]: -1 if i % 2 else 1 for i in range(len(s))} for s in cols
+    ])
 
 
 def augmentation_matrix(c):
     """The map sending every vertex to 1; replaces the degree-0 boundary."""
     n = len(c.simplices_of_dim(0))
-    return IntegerMatrix(1, n, [[1] * n])
+    return SparseMatrix(1, n, [{0: 1} for _ in range(n)])
 
 
 @dataclass
@@ -128,20 +147,23 @@ class SnfDecomposition:
 def smith_normal_form(a, transforms=True):
     """Diagonalize by unimodular row and column operations.
 
-    With `transforms`, a dense elimination also records U, V and their
-    inverses.  Without, only the invariant factors are computed: unit pivots
-    are eliminated sparsely first and the dense elimination runs on the
-    leftover block alone.  `a` is never modified.
+    `a` is read through its `columns` and never modified.  With `transforms`,
+    a dense elimination also records U, V and their inverses.  Without, only
+    the invariant factors are computed: unit pivots are eliminated sparsely
+    first and the dense elimination runs on the leftover block alone.
     """
     m, n = a.rows, a.cols
     if not transforms:
-        count, rest = _eliminate_unit_pivots(a)
+        count, rest = _eliminate_unit_pivots(a.columns, m)
         _dense_smith(rest.entries, rest.rows, rest.cols, False)
         tail = [rest.entries[i][i] for i in range(min(rest.rows, rest.cols))]
         diagonal = [1] * count + tail + [0] * (min(m, n) - count - len(tail))
         rank = sum(1 for d in diagonal if d)
         return SnfDecomposition(None, None, None, None, None, rank, diagonal)
-    s = [row[:] for row in a.entries]
+    s = [[0] * n for _ in range(m)]
+    for j, col in enumerate(a.columns):
+        for i, x in col.items():
+            s[i][j] = x
     u, v, uinv, vinv = _dense_smith(s, m, n, True)
     diagonal = [s[i][i] for i in range(min(m, n))]
     return SnfDecomposition(
@@ -155,9 +177,10 @@ def smith_normal_form(a, transforms=True):
     )
 
 
-def _eliminate_unit_pivots(a):
-    """Pivot on ±1 entries of `a` with sparse column operations.
+def _eliminate_unit_pivots(columns, m):
+    """Pivot on ±1 entries of an m-row matrix by sparse column operations.
 
+    `columns` holds one {row: nonzero} dict per column and is not modified.
     Once a pivot's row is cleared by column operations, the pivot's row and
     column split off a diagonal 1, so both are dropped.  Each column pivots
     on its unit entry in the row with the fewest remaining entries, which
@@ -165,13 +188,11 @@ def _eliminate_unit_pivots(a):
     the number of pivots and the leftover block as a dense matrix; rows and
     columns left all zero are not part of it.
     """
-    cols = [{} for _ in range(a.cols)]
-    rows = []  # row -> columns with an entry there
-    for i, row in enumerate(a.entries):
-        support = set(compress(range(a.cols), row))
-        for j in support:
-            cols[j][i] = row[j]
-        rows.append(support)
+    cols = [dict(col) for col in columns]
+    rows = [set() for _ in range(m)]  # row -> columns with an entry there
+    for j, col in enumerate(cols):
+        for i in col:
+            rows[i].add(j)
     count = 0
     progress = True
     while progress:
@@ -372,13 +393,13 @@ def determinant(a):
 
 
 def rank_mod2(a):
-    """Rank over the field with two elements via bitset elimination."""
+    """Rank over Z/2 by bitset elimination on the columns (rank A = rank Aᵀ)."""
     rows = []
-    for row in a.entries:
+    for col in a.columns:
         bits = 0
-        for j, x in enumerate(row):
+        for i, x in col.items():
             if x & 1:
-                bits |= 1 << j
+                bits |= 1 << i
         if bits:
             rows.append(bits)
     rank = 0
@@ -411,12 +432,8 @@ def homology(c, coefficients="Z", reduced=False):
     dim = c.dim
     if dim < 0:
         return []
-    mats = {}
-    for p in range(dim + 2):
-        if p == 0:
-            mats[0] = augmentation_matrix(c) if reduced else boundary_matrix(c, 0)
-        else:
-            mats[p] = boundary_matrix(c, p)
+    mats = {p: boundary_matrix(c, p) for p in range(1, dim + 2)}
+    mats[0] = augmentation_matrix(c) if reduced else boundary_matrix(c, 0)
     out = []
     if coefficients == "Z":
         snfs = {p: smith_normal_form(m, transforms=False) for p, m in mats.items()}
@@ -458,54 +475,43 @@ def chain_basis(c, p, reduced=False, dual=False):
 
 
 class ChainBasis:
-    """ker(a) / im(b) with generators expressed over the ambient chain basis."""
+    """ker(a) / im(b) with generators expressed over the ambient chain basis.
+
+    `a` and `b` are `SparseMatrix`es; x is a cycle when `a.apply(x)` is empty.
+    The rows of Vinv past rank(a) then write x in kernel coordinates.
+    """
 
     def __init__(self, basis, a, b):
         n = a.cols
+        for col in b.columns:
+            if a.apply(col):
+                raise IncompatibleCochainError("boundary column is not a cycle")
         snf_a = smith_normal_form(a)
         r = snf_a.rank
         vinv_tail = snf_a.Vinv.entries[r:]
-        kernel_cols = [snf_a.V.column(j) for j in range(r, n)]
-        k = len(kernel_cols)
-        # boundaries written in kernel coordinates
-        y = IntegerMatrix(
-            k, b.cols, [[sum(row[i] * b.entries[i][j] for i in range(n) if row[i])
-                         for j in range(b.cols)] for row in vinv_tail],
-        )
-        head = snf_a.Vinv.entries[:r]
-        for j in range(b.cols):
-            col = b.column(j)
-            for row in head:
-                if sum(x * w for x, w in zip(row, col)) != 0:
-                    raise IncompatibleCochainError("boundary column is not a cycle")
+        k = n - r
+        # boundaries written in kernel coordinates, y = Vinv[r:]·b, built as
+        # its transpose: column t of yᵀ is bᵀ·(row t of Vinv[r:])
+        bt = b.transpose()
+        y = SparseMatrix(b.cols, k, [
+            bt.apply({i: row[i] for i in compress(range(n), row)}) for row in vinv_tail
+        ]).transpose()
         snf_y = smith_normal_form(y)
-        diag = snf_y.diagonal
-        orders = []
-        kept = []
-        for i in range(k):
-            d = diag[i] if i < len(diag) else 0
-            if d == 1:
-                continue
-            kept.append(i)
-            orders.append(d if d else 0)
+        diag = snf_y.diagonal + [0] * (k - len(snf_y.diagonal))
+        kept = [i for i in range(k) if diag[i] != 1]
         generators = []
         for i in kept:
-            coef = snf_y.Uinv.column(i)
-            vec = [0] * n
-            for col, cval in zip(kernel_cols, coef):
-                if cval:
-                    for t in range(n):
-                        if col[t]:
-                            vec[t] += cval * col[t]
-            generators.append(vec)
+            # the kernel basis (columns r.. of V) times column i of Uinv
+            coef = [(r + t, cval) for t, cval in enumerate(snf_y.Uinv.column(i)) if cval]
+            generators.append([sum(row[j] * cval for j, cval in coef) for row in snf_a.V.entries])
         self.basis = basis
         self.generators = generators
-        self.orders = orders
-        self._vinv_head = head
+        self.orders = [diag[i] for i in kept]
+        self._a = a
         self._vinv_tail = vinv_tail
         self._uy = snf_y.U
         self._kept = kept
-        self._diag = [diag[i] if i < len(diag) else 0 for i in range(k)]
+        self._diag = diag
 
     def group(self, degree):
         rank = sum(1 for d in self.orders if d == 0)
@@ -513,12 +519,12 @@ class ChainBasis:
         return HomologyGroup(degree, rank, torsion)
 
     def project(self, vec):
-        for row in self._vinv_head:
-            if sum(a * x for a, x in zip(row, vec) if a and x):
-                raise IncompatibleCochainError("vector is not a cycle")
-        y = [
-            sum(a * x for a, x in zip(row, vec) if a and x) for row in self._vinv_tail
-        ]
+        if len(vec) != self._a.cols:
+            raise IncompatibleCochainError("vector length does not fit")
+        x = {i: v for i, v in enumerate(vec) if v}
+        if self._a.apply(x):
+            raise IncompatibleCochainError("vector is not a cycle")
+        y = [sum(row[i] * v for i, v in x.items()) for row in self._vinv_tail]
         u = self._uy.times_vector(y)
         coords = []
         for i in self._kept:
@@ -558,16 +564,14 @@ def lattices_equal(gens1, gens2):
     return lattice_subset(gens1, gens2) and lattice_subset(gens2, gens1)
 
 
-def kernel_generators(columns, n_cols_total=None):
+def kernel_generators(columns):
     """Generators of {x : M x = 0} for M given by columns over Z."""
-    if n_cols_total is None:
-        n_cols_total = len(columns)
-    if n_cols_total == 0:
+    if not columns:
         return []
-    dim = len(columns[0]) if columns else 0
-    a = IntegerMatrix(dim, n_cols_total, [[col[i] for col in columns] for i in range(dim)])
+    dim = len(columns[0])
+    a = IntegerMatrix(dim, len(columns), [[col[i] for col in columns] for i in range(dim)])
     snf = smith_normal_form(a)
-    return [snf.V.column(j) for j in range(snf.rank, n_cols_total)]
+    return [snf.V.column(j) for j in range(snf.rank, len(columns))]
 
 
 def relation_vectors(orders):
@@ -675,11 +679,11 @@ def mayer_vietoris_check(w, a_name, b_name):
         cols = []
         in_a = set(part_a)
         bmat = boundary_matrix(w, p)
+        simps = w.simplices_of_dim(p)
         for gen in bases["W", p].generators:
-            simps = w.simplices_of_dim(p)
-            a_half = [x if s in in_a else 0 for x, s in zip(gen, simps)]
-            da = bmat.times_vector(a_half)
-            y_vec = _restrict_chain(da, w, sub_y, p - 1)
+            a_half = {i: x for i, (x, s) in enumerate(zip(gen, simps)) if x and s in in_a}
+            da = bmat.apply(a_half)
+            y_vec = _restrict_chain([da.get(i, 0) for i in range(bmat.rows)], w, sub_y, p - 1)
             cols.append(bases["Y", p - 1].project(y_vec))
         return cols
 

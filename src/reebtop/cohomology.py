@@ -12,7 +12,6 @@ from __future__ import annotations
 from .algebra import (
     IntegerMatrix,
     _restrict_chain,
-    boundary_matrix,
     chain_basis,
     smith_normal_form,
 )
@@ -45,21 +44,9 @@ class CochainClass:
         return f"CochainClass(degree={self.degree}, coords={self.coordinates})"
 
 
-def coboundary_matrix(c, p):
-    return boundary_matrix(c, p + 1).transpose()
-
-
-def is_cocycle(c, p, values):
-    return all(x == 0 for x in coboundary_matrix(c, p).times_vector(list(values)))
-
-
 def cochain_class(c, p, values):
-    """Wrap raw cochain values, checking the cocycle condition."""
+    """Wrap raw cochain values; projecting them refuses a non-cocycle."""
     values = list(values)
-    if len(values) != len(c.simplices_of_dim(p)):
-        raise IncompatibleCochainError("value vector has the wrong length")
-    if not is_cocycle(c, p, values):
-        raise IncompatibleCochainError("cochain is not a cocycle")
     coords = chain_basis(c, p, dual=True).project(values)
     return CochainClass(c, p, values, coords)
 

@@ -11,7 +11,6 @@ from fractions import Fraction
 from reebtop.algebra import (
     IntegerMatrix,
     betti_numbers,
-    boundary_matrix,
     determinant,
     homology,
     smith_normal_form,
@@ -33,6 +32,7 @@ from reebtop.verify import (
 )
 
 from conftest import claim_by_suffix
+from dense_oracle import dense_boundary_matrix
 
 
 def report(criterion, ok):
@@ -170,7 +170,7 @@ def test_criterion_10_global_consistency():
         betti = betti_numbers(c)
         ok &= sum((-1) ** p * b for p, b in enumerate(betti)) == c.euler_characteristic()
         for p in range(1, c.dim + 1):
-            ok &= boundary_matrix(c, p).mul(boundary_matrix(c, p + 1)).is_zero()
+            ok &= dense_boundary_matrix(c, p).mul(dense_boundary_matrix(c, p + 1)).is_zero()
         sd = barycentric_subdivision(c)
         ok &= sd.euler_characteristic() == c.euler_characteristic()
         # exact subdivision-invariance of homology; the cap covers every

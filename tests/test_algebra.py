@@ -4,6 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import run_optimized
+from dense_oracle import (
+    cells,
+    dense_augmentation_matrix,
+    dense_boundary_matrix,
+    dense_transpose,
+)
 
 from reebtop.algebra import (
     HomologyGroup,
@@ -215,7 +221,7 @@ def test_invariant_factors_build_no_transforms():
 
 def test_boundary_edge():
     c = from_facets([[0, 1]])
-    assert boundary_matrix(c, 1).entries == [[-1], [1]]
+    assert dense_boundary_matrix(c, 1).entries == [[-1], [1]]
 
 
 def test_boundary_rank_on_circle():
@@ -230,7 +236,7 @@ def test_boundary_squares_to_zero():
         standard_model("solid_torus", k=3),
     ):
         for p in range(1, c.dim + 1):
-            assert boundary_matrix(c, p).mul(boundary_matrix(c, p + 1)).is_zero()
+            assert dense_boundary_matrix(c, p).mul(dense_boundary_matrix(c, p + 1)).is_zero()
 
 
 def test_boundary_out_of_range_shapes():
@@ -239,6 +245,36 @@ def test_boundary_out_of_range_shapes():
     assert (m.rows, m.cols) == (0, 0)
     m0 = boundary_matrix(c, 0)
     assert (m0.rows, m0.cols) == (0, 3)
+
+
+def random_complex(facets, other, how):
+    c = from_facets(facets)
+    if how == 1:
+        return barycentric_subdivision(c)
+    if how == 2 and c.dim + from_facets(other).dim <= 3:
+        return product(c, from_facets(other))[0]
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_facets, random_facets, st.integers(0, 2))
+def test_sparse_boundaries_match_the_dense_oracle(facets, other, how):
+    c = random_complex(facets, other, how)
+    pairs = [(boundary_matrix(c, p), dense_boundary_matrix(c, p)) for p in range(-1, c.dim + 3)]
+    pairs.append((augmentation_matrix(c), dense_augmentation_matrix(c)))
+    for sparse, dense in pairs:
+        assert (sparse.rows, sparse.cols) == (dense.rows, dense.cols)
+        assert len(sparse.columns) == sparse.cols
+        assert all(x for col in sparse.columns for x in col.values())
+        assert cells(sparse) == dense.entries
+        flipped = sparse.transpose()
+        assert (flipped.rows, flipped.cols) == (dense.cols, dense.rows)
+        assert cells(flipped) == dense_transpose(dense).entries
+        for a, b in ((sparse, dense), (flipped, dense_transpose(dense))):
+            assert rank_mod2(a) == rank_mod2(b)
+            fast = smith_normal_form(a, transforms=False)
+            slow = smith_normal_form(b, transforms=False)
+            assert (fast.rank, fast.diagonal) == (slow.rank, slow.diagonal)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -320,6 +356,16 @@ def test_chain_basis_cycle_detection():
         basis.project([1, 0, 0])  # a single edge is not a cycle
 
 
+@pytest.mark.parametrize("dual", [False, True])
+def test_chain_basis_refuses_a_vector_of_the_wrong_length(dual):
+    basis = chain_basis(standard_model("torus_grid", a=3, b=3), 1, dual=dual)
+    gen = basis.generators[0]
+    assert basis.project(gen) == [1, 0]
+    for vec in (gen + [0, 0, 5], gen[:-1]):
+        with pytest.raises(IncompatibleCochainError, match="length does not fit"):
+            basis.project(vec)
+
+
 def test_chain_basis_cycle_detection_under_optimize():
     result = run_optimized(
         """
@@ -369,7 +415,7 @@ def test_restrict_chain_refuses_a_chain_leaving_the_subcomplex_under_optimize():
 
 def test_augmentation_matrix():
     c = from_facets([[0], [1], [2]])
-    assert augmentation_matrix(c).entries == [[1, 1, 1]]
+    assert dense_augmentation_matrix(c).entries == [[1, 1, 1]]
 
 
 def test_rank_mod2():

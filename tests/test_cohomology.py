@@ -2,20 +2,35 @@ import itertools
 
 import pytest
 
-from reebtop.algebra import chain_basis, homology
+from reebtop.algebra import (
+    IntegerMatrix,
+    chain_basis,
+    homology,
+    relation_vectors,
+    smith_normal_form,
+)
 from reebtop.cohomology import (
     cochain_class,
     cohomology_basis,
     cup_product,
+    cup_values,
     map_rank,
     restrict_class,
     restrict_to_part,
     restriction_columns,
     ring_report,
 )
-from reebtop.complexes import SimplicialComplex, SimplicialMap, from_facets, product
+from reebtop.complexes import (
+    SimplicialComplex,
+    SimplicialMap,
+    barycentric_subdivision,
+    from_facets,
+    product,
+)
 from reebtop.errors import IncompatibleCochainError, NotAnInclusionError
 from reebtop.models import standard_model
+
+from conftest import run_optimized
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +66,35 @@ def test_free_cohomology_matches_homology_rank(torus):
         for p in range(c.dim + 1):
             _, group = cohomology_basis(c, p)
             assert group.rank == hom[p].rank
+
+
+def test_cochain_class_refuses_a_non_cocycle(torus):
+    # the cochain dual to one edge has a nonzero coboundary
+    values = [1] + [0] * (len(torus.simplices_of_dim(1)) - 1)
+    with pytest.raises(IncompatibleCochainError, match="not a cycle"):
+        cochain_class(torus, 1, values)
+    with pytest.raises(IncompatibleCochainError, match="length does not fit"):
+        cochain_class(torus, 1, values[:-1])
+
+
+def test_cochain_class_refuses_a_non_cocycle_under_optimize():
+    result = run_optimized(
+        """
+        from reebtop.cohomology import cochain_class
+        from reebtop.errors import IncompatibleCochainError
+        from reebtop.models import standard_model
+
+        t = standard_model("torus_grid", a=3, b=3)
+        for p in (0, 1):
+            values = [1] + [0] * (len(t.simplices_of_dim(p)) - 1)
+            try:
+                cochain_class(t, p, values)
+            except IncompatibleCochainError as exc:
+                print("refused:", exc)
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["refused: vector is not a cycle"] * 2
 
 
 def test_unit_class_is_identity(torus):
@@ -209,3 +253,60 @@ def test_restriction_columns_match_restrict_to_part(torus, doubles_instances):
         cols, orders = restriction_columns(w, chain_basis(w, p, dual=True), sub, p)
         assert cols == _projected_restrictions(w, sub, p)
         assert orders == chain_basis(sub, p, dual=True).orders
+
+
+def _cokernel(columns, orders):
+    """Free rank and torsion of the target group modulo the image of `columns`."""
+    block = list(columns) + relation_vectors(orders)
+    k = len(orders)
+    a = IntegerMatrix(k, len(block), [[col[i] for col in block] for i in range(k)])
+    diagonal = smith_normal_form(a, transforms=False).diagonal
+    return k - sum(1 for d in diagonal if d), [d for d in diagonal if d > 1]
+
+
+def ring_invariants(c):
+    """Invariants of the cohomology ring that do not depend on the chosen bases."""
+    bases = {p: chain_basis(c, p, dual=True) for p in range(c.dim + 1)}
+    out = {"groups": [bases[p].group(p) for p in bases]}
+    for p in bases:
+        for q in range(p, c.dim + 1 - p):
+            target = bases[p + q]
+            cols = [
+                target.project(cup_values(c, p, q, x, y))
+                for x in bases[p].generators
+                for y in bases[q].generators
+            ]
+            out["cup", p, q] = (map_rank(cols, target.orders), _cokernel(cols, target.orders))
+    # the H^1 x H^1 pairing into the free part of H^2, which is Z or 0 here
+    free = [i for i, d in enumerate(bases[2].orders) if d == 0]
+    assert len(free) <= 1
+    gens = bases[1].generators
+    pairing = [
+        [sum(bases[2].project(cup_values(c, 1, 1, x, y))[i] for i in free) for y in gens]
+        for x in gens
+    ]
+    a = IntegerMatrix(len(gens), len(gens), pairing)
+    out["pairing"] = smith_normal_form(a, transforms=False).diagonal
+    return out
+
+
+@pytest.mark.parametrize(
+    "build, pairing",
+    [
+        (
+            lambda: from_facets(
+                [[0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
+                 [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5]]
+            ),
+            [],
+        ),
+        (lambda: standard_model("torus_grid", a=3, b=3), [1, 1]),
+        (lambda: standard_model("surface", genus=2, boundary=0), [1, 1, 1, 1]),
+    ],
+    ids=["rp2", "torus", "genus2"],
+)
+def test_cohomology_rings_are_invariant_under_subdivision(build, pairing):
+    c = build()
+    ring = ring_invariants(c)
+    assert ring["pairing"] == pairing
+    assert ring_invariants(barycentric_subdivision(c)) == ring

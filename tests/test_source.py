@@ -1,9 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import reebtop
+from reebtop.algebra import augmentation_matrix, boundary_matrix, smith_normal_form
+from reebtop.models import standard_model
 
 
 def test_no_assert_in_the_package():
@@ -19,3 +22,19 @@ def test_no_assert_in_the_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_what_the_benchmark_trace_reads():
+    # perfbench/tracing.py binds the arguments of every `smith_normal_form`
+    # call by name and reads `a.rows`, `a.cols` and `transforms` from them
+    assert list(inspect.signature(smith_normal_form).parameters) == ["a", "transforms"]
+    c = standard_model("solid_torus", k=3)
+
+    def size(p):
+        return len(c.simplices_of_dim(p)) if p >= 0 else 0
+
+    for p in range(-1, c.dim + 3):
+        m = boundary_matrix(c, p)
+        assert (m.rows, m.cols) == (size(p - 1) if p >= 1 else 0, size(p))
+    m = augmentation_matrix(c)
+    assert (m.rows, m.cols) == (1, size(0))

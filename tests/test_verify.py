@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from reebtop.branched import BranchedModel
+from reebtop.complexes import barycentric_subdivision
 from reebtop.errors import InconsistentHandleDataError
 from reebtop.models import concentric_disc, standard_model
 from reebtop.verify import (
+    DoublesInstance,
     HandleData,
     handle_predictions,
     build_instance,
@@ -14,6 +17,7 @@ from reebtop.verify import (
     verify_bouquet_assembly,
     verify_contractible_candidate,
     verify_contractible_suite,
+    verify_double_attachment,
 )
 
 from conftest import claim_by_suffix
@@ -97,6 +101,18 @@ def test_cup_vanishing_has_content(doubles_reports):
     claim = claim_by_suffix(doubles_reports["pants_band"], ":cup-vanishing")
     assert claim["computed"]["1+1"]["pairs"] >= 1
     assert claim["expected"] == claim["computed"]
+
+
+@pytest.mark.parametrize("name", ["disc_in_disc", "annulus_core"])
+def test_instances_pass_after_subdivision(name):
+    # named parts survive subdivision, so the loci and the handle data carry over
+    inst = build_instance(name)
+    sd = barycentric_subdivision(inst.model.complex)
+    report = verify_double_attachment(
+        DoublesInstance(name, inst.data, BranchedModel(sd, inst.model.loci))
+    )
+    assert len(report["claims"]) == 7
+    assert report["pass"], [c["claim_id"] for c in report["claims"] if not c["pass"]]
 
 
 def test_bouquet_default_suite():
