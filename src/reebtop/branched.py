@@ -100,15 +100,16 @@ def _check_flap_locus(base, sigma_name, taken):
         raise InvalidBranchLocusError(f"{sigma_name!r} has boundary")
     if any(not sigma.isdisjoint(base.named_part(t)) for t in taken):
         raise InvalidBranchLocusError(f"{sigma_name!r} meets an existing locus")
-    # the locus must be interior and two-sided: each top simplex of sigma
-    # sits in exactly two top simplices of the ambient complex
-    tops = base.simplices_of_dim(d)
+    # the locus must be interior: each top simplex of sigma sits in exactly
+    # two top simplices, and no vertex of sigma lies on the boundary
     for f in sub.facets():
-        owners = sum(1 for t in tops if set(f) <= set(t))
-        if owners != 2:
+        if len(base.cofaces(f)) != 2:
             raise InvalidBranchLocusError(
                 f"{sigma_name!r} has no product neighborhood at {f!r}"
             )
+    for v in sub.vertices:
+        if any(len(f) == d and len(base.cofaces(f)) < 2 for f in base.open_star(v)):
+            raise InvalidBranchLocusError(f"{sigma_name!r} touches the boundary at {v!r}")
     return sub
 
 
@@ -298,19 +299,14 @@ class CollapseFailure:
     reason: str = "inconclusive"
 
 
-def _coface_table(simplices):
-    table = {s: set() for s in simplices}
-    for s in simplices:
-        if len(s) > 1:
-            for k in range(1, len(s)):
-                for f in itertools.combinations(s, k):
-                    table[f].add(s)
-    return table
+def _coface_table(c):
+    """A mutable copy of every simplex's cofaces, for one collapse run."""
+    return {s: set(c.cofaces(s)) for s in c.simplices}
 
 
-def _greedy_collapse(simplices, protected, point_goal, rng, budget, sort_key):
-    alive = set(simplices)
-    cofaces = _coface_table(simplices)
+def _greedy_collapse(c, protected, point_goal, rng, budget):
+    alive = set(c.simplices)
+    cofaces = _coface_table(c)
     by_dim = {}
 
     def consider(f):
@@ -330,7 +326,7 @@ def _greedy_collapse(simplices, protected, point_goal, rng, budget, sort_key):
             pool = by_dim[d]
             while pool:
                 # lazy validation of staged candidates
-                candidates = sorted(pool, key=sort_key)
+                candidates = sorted(pool, key=c.sort_key)
                 f = candidates[rng.randrange(len(candidates))]
                 if f in alive and len(cofaces[f]) == 1:
                     tau = next(iter(cofaces[f]))
@@ -385,9 +381,7 @@ def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
         return CollapseCertificate((), "subcomplex", seed, 0)
     for attempt in range(max(1, restarts)):
         rng = random.Random(seed + attempt)
-        steps, _ = _greedy_collapse(
-            c.simplices, protected, point_goal, rng, budget, c.sort_key
-        )
+        steps, _ = _greedy_collapse(c, protected, point_goal, rng, budget)
         if steps is not None:
             return CollapseCertificate(
                 tuple(steps), "point" if point_goal else "subcomplex", seed + attempt, attempt
@@ -398,7 +392,7 @@ def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
 def replay_certificate(c, certificate):
     """Re-run the steps, checking the free-face condition at every stage."""
     alive = set(c.simplices)
-    cofaces = _coface_table(c.simplices)
+    cofaces = _coface_table(c)
     for f, tau in certificate.steps:
         if f not in alive or tau not in alive:
             raise InvalidCertificateError("stale step")

@@ -5,7 +5,8 @@ every simplex is a tuple of vertices sorted by that order, and the simplex
 set is closed under taking nonempty subsets.  Named subcomplexes are plain
 downward-closed subsets of the ambient simplex set and are how callers
 designate seams, cores, loci and covers.  All values are immutable after
-construction.
+construction.  Incidence queries (cofaces, stars, links, facets, boundary)
+read one vertex-to-star index, built in a single pass on the first query.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
 class SimplicialComplex:
     """Immutable abstract simplicial complex with ordered vertices."""
 
-    __slots__ = ("vertices", "simplices", "named", "assets", "_index", "_by_dim")
+    __slots__ = ("vertices", "simplices", "named", "assets", "_index", "_by_dim", "_stars")
 
     def __init__(self, vertices, simplices, named=None, assets=None):
         self.vertices = tuple(vertices)
@@ -51,6 +52,7 @@ class SimplicialComplex:
         self._by_dim = {
             d: sorted(group, key=self.sort_key) for d, group in by_dim.items()
         }
+        self._stars = None  # derived: {vertex: simplices containing it}
 
     # -- basic queries -------------------------------------------------
 
@@ -85,12 +87,8 @@ class SimplicialComplex:
 
     def facets(self):
         """Maximal simplices, canonically ordered."""
-        proper = set()
-        for s in self.simplices:
-            if len(s) > 1:
-                for k in range(1, len(s)):
-                    proper.update(itertools.combinations(s, k))
-        return sorted(self.simplices - proper, key=lambda s: (len(s), self.sort_key(s)))
+        top = (s for s in self.simplices if not self.cofaces(s))
+        return sorted(top, key=lambda s: (len(s), self.sort_key(s)))
 
     def vertex_set(self, simplices=None):
         pool = self.simplices if simplices is None else simplices
@@ -128,8 +126,28 @@ class SimplicialComplex:
 
     # -- stars, links, connectivity --------------------------------------
 
+    def _star(self, vertex):
+        if self._stars is None:
+            stars = {}
+            for s in self.simplices:
+                for v in s:
+                    stars.setdefault(v, []).append(s)
+            self._stars = {v: tuple(group) for v, group in stars.items()}
+        try:
+            return self._stars[vertex]
+        except KeyError:
+            raise MissingSimplexError(f"{vertex!r} is not a vertex") from None
+
+    def cofaces(self, simplex):
+        """Simplices properly containing `simplex`, read from its first vertex's star."""
+        s = tuple(simplex)
+        if s not in self.simplices:
+            raise MissingSimplexError(f"{s!r} is not a simplex of the complex")
+        sset = set(s)
+        return tuple(t for t in self._star(s[0]) if len(t) > len(s) and sset.issubset(t))
+
     def open_star(self, vertex):
-        return frozenset(s for s in self.simplices if vertex in s)
+        return frozenset(self._star(vertex))
 
     def closed_star(self, vertex):
         return closure(self.open_star(vertex))
@@ -375,16 +393,13 @@ def boundary_subcomplex(a):
         return SimplicialComplex((), ())
     if any(len(f) - 1 != d for f in a.facets()):
         raise NotManifoldLikeError("complex is not pure")
-    count = {}
-    for top in a.simplices_of_dim(d):
-        if d == 0:
-            continue
-        for f in itertools.combinations(top, d):
-            count[f] = count.get(f, 0) + 1
-    if any(c > 2 for c in count.values()):
-        bad = next(f for f, c in count.items() if c > 2)
-        raise NotManifoldLikeError(f"face {bad!r} lies in more than two facets")
-    rim = [f for f, c in count.items() if c == 1]
+    rim = []
+    for f in a.simplices_of_dim(d - 1):
+        owners = len(a.cofaces(f))
+        if owners > 2:
+            raise NotManifoldLikeError(f"face {f!r} lies in more than two facets")
+        if owners == 1:
+            rim.append(f)
     part = closure(rim)
     verts = {v for s in part for v in s}
     return SimplicialComplex([v for v in a.vertices if v in verts], part)
@@ -393,13 +408,7 @@ def boundary_subcomplex(a):
 def link(a, simplex):
     """Standard link of a simplex, as a standalone complex."""
     s = tuple(simplex)
-    if s not in a.simplices:
-        raise MissingSimplexError(f"{s!r} is not a simplex of the complex")
-    sset = set(s)
-    part = set()
-    for t in a.simplices:
-        if sset.isdisjoint(t) and a.sorted_tuple(set(t) | sset) in a.simplices:
-            part.add(t)
+    part = {tuple(v for v in t if v not in s) for t in a.cofaces(s)}
     verts = {v for t in part for v in t}
     return SimplicialComplex([v for v in a.vertices if v in verts], part)
 
@@ -536,13 +545,9 @@ def remove_open_star(a, vertex, boundary_name=None):
     Optionally names the rim.  The vertex must be interior in the sense that
     its link survives as the new boundary piece.
     """
-    if (vertex,) not in a.simplices:
-        raise MissingSimplexError(f"{vertex!r} is not a vertex")
-    keep = frozenset(s for s in a.simplices if vertex not in s)
+    star = a.open_star(vertex)
     order = [v for v in a.vertices if v != vertex]
-    named = {
-        n: frozenset(s for s in part if vertex not in s) for n, part in a.named.items()
-    }
+    named = {n: part - star for n, part in a.named.items()}
     if boundary_name is not None:
         rim = link(a, (vertex,))
         named[boundary_name] = rim.simplices
@@ -550,7 +555,7 @@ def remove_open_star(a, vertex, boundary_name=None):
         n: {v: val for v, val in values.items() if v != vertex}
         for n, values in a.assets.items()
     }
-    return SimplicialComplex(order, keep, named, assets)
+    return SimplicialComplex(order, a.simplices - star, named, assets)
 
 
 # ---------------------------------------------------------------------------

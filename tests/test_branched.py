@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from conftest import run_optimized
 
@@ -13,7 +16,7 @@ from reebtop.branched import (
     collapse_to,
     replay_certificate,
 )
-from reebtop.complexes import boundary_subcomplex, cone, from_facets
+from reebtop.complexes import boundary_subcomplex, closure, cone, from_facets, product
 from reebtop.errors import (
     BadBasepointError,
     InvalidBranchLocusError,
@@ -56,6 +59,15 @@ def test_flap_rejects_boundary_circle():
     ann = standard_model("annulus", k=4)
     with pytest.raises(InvalidBranchLocusError):
         attach_flap(ann, "boundary_0")
+
+
+def test_flap_rejects_a_locus_touching_the_boundary_at_a_vertex():
+    # every edge of the loop is interior, but its vertex (0, 1) is on the rim
+    square, _, _ = product(standard_model("interval", k=3), standard_model("interval", k=3))
+    a, b, d = (0, 1), (1, 1), (1, 2)
+    square = square.with_named("loop", closure([(a, b), (b, d), (a, d)]))
+    with pytest.raises(InvalidBranchLocusError, match="boundary"):
+        attach_flap(square, "loop")
 
 
 def test_flap_rejects_wrong_codimension():
@@ -189,6 +201,21 @@ def test_collapse_deterministic_per_seed():
     b = collapse_to(disc, "point", seed=7)
     assert a.steps == b.steps
     assert a.seed == b.seed
+
+
+def test_certificates_are_pinned():
+    # the same certificates and report in every version and every process
+    m = concentric_disc(12, 12)
+    for r in (2, 5, 8):
+        m = attach_flap(m, f"ring_{r}")
+    h = hashlib.sha256()
+    for name, cert in m.certificates:
+        h.update(repr((name, cert.steps, cert.target, cert.seed, cert.restarts_used)).encode())
+    h.update(json.dumps(check_local_structure_dim2(m), sort_keys=True).encode())
+    for seed in (1, 2, 3):
+        cert = collapse_to(m.complex, "point", seed=seed)
+        h.update(repr((cert.steps, cert.target, cert.seed, cert.restarts_used)).encode())
+    assert h.hexdigest() == "5868c6742f158b11aff006792660c5c18c81389824738bfc0d40c533167a5e55"
 
 
 def test_collapse_to_subcomplex_protects_target():

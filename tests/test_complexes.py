@@ -1,11 +1,21 @@
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import run_optimized
+from scan_oracle import (
+    scan_boundary_subcomplex,
+    scan_coface_table,
+    scan_face_counts,
+    scan_facets,
+    scan_link,
+    scan_open_star,
+)
 
+from reebtop.branched import _coface_table, attach_flap
 from reebtop.complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -32,7 +42,7 @@ from reebtop.errors import (
     UnsupportedModelError,
 )
 from reebtop.graphs import classify_link
-from reebtop.models import standard_model
+from reebtop.models import concentric_disc, standard_model
 
 
 def test_from_facets_full_triangle():
@@ -257,6 +267,16 @@ def test_link_missing_simplex():
         link(from_facets([[0, 1]]), (5,))
 
 
+def test_stars_refuse_a_non_vertex():
+    # naming `closed_star(typo)` used to name an empty part without complaint
+    c = standard_model("disc", n=2)
+    for typo in ("nope", (0, 1)):
+        with pytest.raises(MissingSimplexError):
+            c.open_star(typo)
+        with pytest.raises(MissingSimplexError):
+            c.with_named("patch", c.closed_star(typo))
+
+
 def test_sphere_and_torus_links_are_circles():
     for c in (standard_model("sphere", n=2), standard_model("torus_grid", a=3, b=3)):
         for v in c.vertices:
@@ -404,3 +424,72 @@ def test_links_are_subcomplexes(fa):
         lk.check_invariants()
         for s in lk.simplices:
             assert a.sorted_tuple(set(s) | {v}) in a.simplices
+
+
+def assert_incidence_matches_scans(c):
+    """Every star-index query on `c` against the scan it replaced."""
+    table = scan_coface_table(c.simplices)
+    for s in c.simplices:
+        assert link(c, s) == scan_link(c, s)
+        assert set(c.cofaces(s)) == table[s]
+    for v in c.vertex_set():
+        assert c.open_star(v) == scan_open_star(c, v)
+    assert c.facets() == scan_facets(c)
+    try:
+        expected = scan_boundary_subcomplex(c)
+    except NotManifoldLikeError as exc:
+        with pytest.raises(NotManifoldLikeError) as caught:
+            boundary_subcomplex(c)
+        assert str(caught.value) == str(exc)
+    else:
+        assert boundary_subcomplex(c) == expected
+    assert _coface_table(c) == table
+
+
+solid_facet_lists = st.lists(
+    st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4).map(
+        lambda f: sorted(set(f))
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(solid_facet_lists, facet_lists)
+def test_star_index_matches_scans(fa, fb):
+    a = from_facets(fa)
+    b = from_facets(fb)
+    pr, _, _ = product(b, from_facets(fa[:2]))
+    for c in (a, b, pr, barycentric_subdivision(b), barycentric_subdivision(from_facets(fa[:1]))):
+        assert_incidence_matches_scans(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), min_size=1, max_size=8))
+def test_boundary_names_the_first_crowded_face(triangles):
+    # several triangles on few vertices often share an edge three or more times
+    c = from_facets([t for t in triangles if len(set(t)) == 3] or [[0, 1, 2]])
+    crowded = sorted((f for f, n in scan_face_counts(c).items() if n > 2), key=c.sort_key)
+    assert_incidence_matches_scans(c)
+    if crowded:
+        with pytest.raises(NotManifoldLikeError, match=re.escape(repr(crowded[0]))):
+            boundary_subcomplex(c)
+
+
+def test_star_index_matches_scans_on_the_catalog():
+    flapped = attach_flap(concentric_disc(6, 4), "ring_2")
+    for c in (
+        standard_model("simplex", n=3),
+        standard_model("sphere", n=2),
+        standard_model("disc", n=2),
+        standard_model("circle", k=5),
+        standard_model("tripod"),
+        standard_model("annulus", k=4),
+        standard_model("torus_grid", a=3, b=3),
+        standard_model("solid_torus", k=3),
+        standard_model("surface", genus=1, boundary=2),
+        cone("apex", standard_model("circle", k=4)),
+        flapped.complex,
+    ):
+        assert_incidence_matches_scans(c)

@@ -5,7 +5,10 @@ import inspect
 from pathlib import Path
 
 import reebtop
+from reebtop import complexes
 from reebtop.algebra import augmentation_matrix, boundary_matrix, smith_normal_form
+from reebtop.branched import collapse_to
+from reebtop.complexes import SimplicialComplex
 from reebtop.models import standard_model
 
 
@@ -38,3 +41,20 @@ def test_what_the_benchmark_trace_reads():
         assert (m.rows, m.cols) == (size(p - 1) if p >= 1 else 0, size(p))
     m = augmentation_matrix(c)
     assert (m.rows, m.cols) == (1, size(0))
+
+
+def test_what_the_benchmark_trace_reads_of_complexes_and_collapses():
+    # the trace wraps every public function defined in a layer module, and
+    # counts `complexes.link` calls by that name; methods are not wrapped,
+    # so `cofaces` and `open_star` are timed inside their callers
+    assert inspect.isfunction(complexes.link)
+    assert complexes.link.__module__ == "reebtop.complexes"
+    for method in ("cofaces", "open_star"):
+        assert inspect.isfunction(vars(SimplicialComplex)[method])
+        assert not hasattr(complexes, method)
+    # a collapse is read through `steps` and `restarts_used`, a failure
+    # (which has no `steps`) through `restarts`
+    done = collapse_to(standard_model("disc", n=2), "point")
+    assert done.steps and done.restarts_used >= 0
+    failed = collapse_to(standard_model("sphere", n=2), "point", restarts=2, budget=100)
+    assert not hasattr(failed, "steps") and failed.restarts == 2
