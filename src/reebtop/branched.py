@@ -10,6 +10,7 @@ recognized by the link check but no constructor emits it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -307,14 +308,27 @@ def _coface_table(c):
 def _greedy_collapse(c, protected, point_goal, rng, budget):
     alive = set(c.simplices)
     cofaces = _coface_table(c)
+    # staged candidates per dimension: a list sorted by `c.sort_key`, from
+    # which `rng` draws an index, and the set of the faces in it
     by_dim = {}
+
+    def stage(f):
+        pool, staged = by_dim.setdefault(len(f) - 1, ([], set()))
+        if f not in staged:
+            staged.add(f)
+            bisect.insort(pool, (c.sort_key(f), f))
+
+    def unstage(f):
+        pool, staged = by_dim[len(f) - 1]
+        staged.remove(f)
+        del pool[bisect.bisect_left(pool, (c.sort_key(f),))]
 
     def consider(f):
         if f in protected or f not in alive:
             return
         cf = cofaces[f]
         if len(cf) == 1 and next(iter(cf)) not in protected:
-            by_dim.setdefault(len(f) - 1, set()).add(f)
+            stage(f)
 
     for f in alive:
         consider(f)
@@ -323,24 +337,23 @@ def _greedy_collapse(c, protected, point_goal, rng, budget):
     while done < budget:
         free = None
         for d in sorted(by_dim, reverse=True):
-            pool = by_dim[d]
+            pool = by_dim[d][0]
             while pool:
                 # lazy validation of staged candidates
-                candidates = sorted(pool, key=c.sort_key)
-                f = candidates[rng.randrange(len(candidates))]
+                f = pool[rng.randrange(len(pool))][1]
                 if f in alive and len(cofaces[f]) == 1:
                     tau = next(iter(cofaces[f]))
                     if tau not in protected:
                         free = (f, tau)
                         break
-                pool.discard(f)
+                unstage(f)
             if free:
                 break
             by_dim.pop(d, None)
         if free is None:
             break
         f, tau = free
-        by_dim[len(f) - 1].discard(f)
+        unstage(f)
         for gone in (tau, f):
             alive.discard(gone)
             for k in range(1, len(gone)):

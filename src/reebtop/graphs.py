@@ -7,23 +7,28 @@ degree of their node.
 
 from __future__ import annotations
 
+from collections import Counter
+
 
 class Multigraph:
     def __init__(self, nodes=(), edges=()):
         self.nodes = list(nodes)
         self.edges = list(tuple(e) for e in edges)
 
-    def degree(self, node):
-        d = 0
+    def degrees(self):
+        """Degree of every edge end, counted in one pass; 0 for any other node."""
+        count = Counter()
         for u, v in self.edges:
-            if u == node:
-                d += 1
-            if v == node:
-                d += 1
-        return d
+            count[u] += 1
+            count[v] += 1
+        return count
+
+    def degree(self, node):
+        return self.degrees()[node]
 
     def degree_multiset(self):
-        return sorted(self.degree(n) for n in self.nodes)
+        degree = self.degrees()
+        return sorted(degree[n] for n in self.nodes)
 
     def betti0(self):
         parent = {n: n for n in self.nodes}

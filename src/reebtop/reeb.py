@@ -6,13 +6,40 @@ are the connected components of the level set at each vertex value; edges
 are the components of the slab between consecutive values, which contain no
 vertex and therefore fiber as products.  Smoothing contracts degree-two
 nodes to recover the Morse-style picture.
+
+`reeb_graph` finds both kinds of component in one sweep over the vertices
+in value order v_0, v_1, ....  A simplex is active at level i when its
+lowest vertex is no later than v_i and its highest no earlier, and on slab
+i (between v_i and v_(i+1)) when it is active at both ends.  Two active
+simplices are joined when one is a facet of the other.  Write A_i and S_i
+for the simplices active at level i and on slab i.  Then
+
+    A_i = S_(i-1) + born_i,    S_i = A_i - dies_i,
+
+where born_i holds the simplices whose lowest vertex is v_i and dies_i
+those whose highest vertex is v_i.  Both lie in the star of v_i, and every
+simplex of that star is active at level i, so all of it lies in the one
+level component K_i through v_i.  Every other component of S_(i-1) is a
+component of A_i and of S_i with the same members: it passes through the
+level untouched.  The sweep therefore keeps one union-find over the
+active simplices, joins the facets of the star of v_i into it, and on
+leaving the level rebuilds only the members of K_i.  Simplices are named
+by their rank in the canonical order, so a component's least simplex is
+the least rank among its members and the sweep compares no `Fraction`.
+With d the dimension, the work is O(S·d + Σ|K_i|) for S simplices, where
+rescanning every simplex at every level cost O(V·S).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvariantViolationError, MalformedFieldError, NonInjectiveFieldError
+from .errors import (
+    InvariantViolationError,
+    MalformedFieldError,
+    MissingSimplexError,
+    NonInjectiveFieldError,
+)
 from .graphs import Multigraph
 
 
@@ -85,11 +112,12 @@ class ReebGraph:
 
     def to_json(self):
         label = {n: i for i, n in enumerate(self.graph.nodes)}
+        degree = self.graph.degrees()
         nodes = [
             {
                 "id": label[n],
                 "value": f"{self.values[n].numerator}/{self.values[n].denominator}",
-                "degree": self.graph.degree(n),
+                "degree": degree[n],
             }
             for n in self.graph.nodes
         ]
@@ -97,74 +125,113 @@ class ReebGraph:
         return {"smoothed": self.is_smoothed, "nodes": nodes, "edges": edges}
 
 
-def _component_map(active, c):
-    """Roots of the face-adjacency relation restricted to `active`."""
-    parent = {s: s for s in active}
-
-    def find(s):
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    for s in active:
-        if len(s) > 1:
-            for i in range(len(s)):
-                f = s[:i] + s[i + 1 :]
-                if f in parent:
-                    a, b = find(s), find(f)
-                    if a != b:
-                        parent[a] = b
-    groups = {}
-    for s in active:
-        groups.setdefault(find(s), []).append(s)
-    out = {}
-    for members in groups.values():
-        rep = min(members, key=c.sort_key)
-        for s in members:
-            out[s] = rep
-    return out
-
-
 def reeb_graph(field):
-    """Raw Reeb graph of the field: one node per level-set component."""
+    """Raw Reeb graph of the field: one node per level-set component.
+
+    Nodes of a level come in the order of their component's least simplex
+    (`c.sort_key`), and the edges of a slab in the order of their slab
+    component's least simplex; a node is `(level, least simplex)`.
+    """
     c = field.complex
     if not c.vertices:
         return ReebGraph(Multigraph(), {})
     vals = field.values
-    order = sorted(c.vertices, key=lambda v: vals[v])
-    levels = [vals[v] for v in order]
-    spans = {
-        s: (min(vals[v] for v in s), max(vals[v] for v in s)) for s in c.simplices
-    }
-    level_comp = []
+    order = sorted(c.vertices, key=vals.__getitem__)
+    pos = {v: i for i, v in enumerate(order)}
+    # simplices are named by their rank in the canonical order, so the
+    # least member of a component is the least rank
+    simplices = sorted(c.simplices, key=c.sort_key)
+    rank = {s: r for r, s in enumerate(simplices)}
+    lo = [min(pos[v] for v in s) for s in simplices]
+    hi = [max(pos[v] for v in s) for s in simplices]
+    faces = [
+        [rank[f] for f in (s[:j] + s[j + 1 :] for j in range(len(s))) if f in rank]
+        if len(s) > 1
+        else []
+        for s in simplices
+    ]
+    parent = list(range(len(simplices)))
+    comps = {}  # root -> [least member, members] of each active component
+
+    def find(r):
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    def join(a, b):
+        a, b = find(a), find(b)
+        if a != b:
+            if len(comps[a][1]) < len(comps[b][1]):
+                a, b = b, a
+            parent[b] = a
+            rep, members = comps.pop(b)
+            comps[a][1].extend(members)
+            comps[a][0] = min(comps[a][0], rep)
+
+    def single(r):
+        parent[r] = r
+        comps[r] = [r, [r]]
+
     nodes = []
     values = {}
-    for i, t in enumerate(levels):
-        active = [s for s, (lo, hi) in spans.items() if lo <= t <= hi]
-        comp = _component_map(active, c)
-        level_comp.append(comp)
-        for rep in sorted(set(comp.values()), key=c.sort_key):
-            node = (i, rep)
-            nodes.append(node)
-            values[node] = t
     edges = []
-    for i in range(len(levels) - 1):
-        lo_t, hi_t = levels[i], levels[i + 1]
-        active = [s for s, (lo, hi) in spans.items() if lo <= lo_t and hi >= hi_t]
-        comp = _component_map(active, c)
-        groups = {}
-        for s, rep in comp.items():
-            groups.setdefault(rep, []).append(s)
-        for rep in sorted(groups, key=c.sort_key):
-            members = groups[rep]
-            below = {level_comp[i][s] for s in members}
-            above = {level_comp[i + 1][s] for s in members}
-            if len(below) != 1 or len(above) != 1:
+    pending = []  # (member, node below, rebuilt members or None) per slab component
+    for i, v in enumerate(order):
+        try:
+            star = [rank[s] for s in c.open_star(v)]
+        except MissingSimplexError:
+            star = []  # a listed vertex that spans no simplex
+        # level i: the slab below plus the simplices whose lowest vertex is v
+        for r in star:
+            if lo[r] == i:
+                single(r)
+        for r in star:
+            for f in faces[r]:
+                if lo[f] <= i <= hi[f]:
+                    join(r, f)
+        for a in sorted(comps, key=lambda a: comps[a][0]):
+            node = (i, simplices[comps[a][0]])
+            nodes.append(node)
+            values[node] = vals[v]
+        for member, below, rebuilt in pending:
+            a = find(member)
+            if rebuilt is not None and any(find(m) != a for m in rebuilt):
                 raise InvariantViolationError(
                     "slab component meets a level in more than one piece"
                 )
-            edges.append(((i, below.pop()), (i + 1, above.pop())))
+            edges.append((below, (i, simplices[comps[a][0]])))
+        if i == len(order) - 1:
+            break
+        # slab i: drop the simplices whose highest vertex is v; only the
+        # level components through v change, and they are rebuilt whole
+        level_node = {}
+        level_root = {}
+        for a in {find(r) for r in star}:
+            level_node[a] = (i, simplices[comps[a][0]])
+            for m in comps.pop(a)[1]:
+                if hi[m] > i:
+                    level_root[m] = a
+        for m in level_root:
+            single(m)
+        for m in level_root:
+            for f in faces[m]:
+                if lo[f] <= i < hi[f]:
+                    join(m, f)
+        rebuilt = {find(m) for m in level_root}
+        pending = []
+        for a in sorted(comps, key=lambda a: comps[a][0]):
+            if a in rebuilt:
+                members = tuple(comps[a][1])
+                if any(level_root[m] != level_root[a] for m in members):
+                    raise InvariantViolationError(
+                        "slab component meets a level in more than one piece"
+                    )
+                below = level_node[level_root[a]]
+            else:
+                members = None
+                below = (i, simplices[comps[a][0]])
+            pending.append((a, below, members))
     return ReebGraph(Multigraph(nodes, edges), values)
 
 

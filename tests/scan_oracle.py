@@ -3,7 +3,9 @@
 These are the queries `reebtop.complexes` and `reebtop.branched` answered
 by scanning every simplex (or enumerating every proper face) before
 `SimplicialComplex` kept a vertex-to-star index; they share no code with
-`SimplicialComplex.cofaces`.
+`SimplicialComplex.cofaces`.  `scan_greedy_collapse` is the collapse search
+as it was before its candidate pools were kept sorted: it sorts the whole
+pool before every draw.
 """
 
 import itertools
@@ -81,3 +83,59 @@ def scan_coface_table(simplices):
                 for f in itertools.combinations(s, k):
                     table[f].add(s)
     return table
+
+
+def scan_greedy_collapse(c, protected, point_goal, rng, budget):
+    """One greedy collapse attempt, re-sorting the candidate pool at each draw."""
+    alive = set(c.simplices)
+    cofaces = scan_coface_table(c.simplices)
+    by_dim = {}
+
+    def consider(f):
+        if f in protected or f not in alive:
+            return
+        cf = cofaces[f]
+        if len(cf) == 1 and next(iter(cf)) not in protected:
+            by_dim.setdefault(len(f) - 1, set()).add(f)
+
+    for f in alive:
+        consider(f)
+    steps = []
+    done = 0
+    while done < budget:
+        free = None
+        for d in sorted(by_dim, reverse=True):
+            pool = by_dim[d]
+            while pool:
+                # lazy validation of staged candidates
+                candidates = sorted(pool, key=c.sort_key)
+                f = candidates[rng.randrange(len(candidates))]
+                if f in alive and len(cofaces[f]) == 1:
+                    tau = next(iter(cofaces[f]))
+                    if tau not in protected:
+                        free = (f, tau)
+                        break
+                pool.discard(f)
+            if free:
+                break
+            by_dim.pop(d, None)
+        if free is None:
+            break
+        f, tau = free
+        by_dim[len(f) - 1].discard(f)
+        for gone in (tau, f):
+            alive.discard(gone)
+            for k in range(1, len(gone)):
+                for g in itertools.combinations(gone, k):
+                    if g in cofaces:
+                        cofaces[g].discard(tau)
+                        cofaces[g].discard(f)
+                        consider(g)
+        steps.append((f, tau))
+        done += 1
+        if point_goal:
+            if len(alive) == 1 and len(next(iter(alive))) == 1:
+                return steps, alive
+        elif alive == protected:
+            return steps, alive
+    return None, alive

@@ -3,7 +3,9 @@ import json
 
 import pytest
 from conftest import run_optimized
+from scan_oracle import scan_greedy_collapse
 
+from reebtop import branched
 from reebtop.algebra import betti_numbers, homology, mayer_vietoris_check
 from reebtop.branched import (
     BranchedModel,
@@ -271,3 +273,32 @@ def test_forged_certificates_are_refused_under_optimize():
         "refused: face is not free at this stage",
         "refused: stale step",
     ]
+
+
+def flapped_and_cones():
+    """(model, flap ring) pairs: flapped concentric discs and cones on them."""
+    m = attach_flap(concentric_disc(7, 5), "ring_2")
+    return [
+        (concentric_disc(6, 4), "ring_2"),
+        (m, "ring_4"),
+        (cone("apex", m.complex), None),
+        (cone("apex", standard_model("annulus", k=4)), None),
+    ]
+
+
+def test_collapse_pools_draw_as_the_resorting_search(monkeypatch):
+    def certificates():
+        out = []
+        for model, ring in flapped_and_cones():
+            c = getattr(model, "complex", model)
+            for seed in range(5):
+                out.append(collapse_to(c, "point", seed=seed))
+                if ring is not None:
+                    out.append(attach_flap(model, ring, seed=seed).certificates[-1][1])
+        out.append(collapse_to(standard_model("sphere", n=2), "point", restarts=3))
+        return out
+
+    fast = certificates()
+    assert sum(isinstance(x, CollapseCertificate) for x in fast) == 30
+    monkeypatch.setattr(branched, "_greedy_collapse", scan_greedy_collapse)
+    assert certificates() == fast

@@ -1,9 +1,20 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reeb_oracle import scan_reeb_graph
 
-from reebtop.complexes import disjoint_union, from_facets, wedge
+from reebtop.complexes import (
+    barycentric_subdivision,
+    complex_from_json,
+    disjoint_union,
+    from_facets,
+    product,
+    wedge,
+)
 from reebtop.errors import NonInjectiveFieldError
 from reebtop.graphs import Multigraph, from_one_complex
 from reebtop.models import perturb_values, standard_model
@@ -168,3 +179,85 @@ def test_graph_json_shape():
     assert data["smoothed"] is True
     assert len(data["nodes"]) == 2 and len(data["edges"]) == 1
     assert all("/" in n["value"] for n in data["nodes"])
+
+
+def random_field(c, rng):
+    """Pairwise distinct rationals in a random order."""
+    picks = rng.sample(range(-(10**4), 10**4), len(c.vertices))
+    return VertexField(c, {v: Fraction(x, 7) for v, x in zip(c.vertices, picks)})
+
+
+def assert_same_sweep(field):
+    fast, slow = reeb_graph(field), scan_reeb_graph(field)
+    assert fast.graph.nodes == slow.graph.nodes
+    assert fast.graph.edges == slow.graph.edges
+    assert fast.values == slow.values
+    for a, b in ((fast, slow), (fast.smoothed(), slow.smoothed())):
+        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+
+
+small_facet_lists = st.lists(
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=4).map(
+        lambda f: sorted(set(f))
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_facet_lists, small_facet_lists, st.randoms(use_true_random=False))
+def test_sweep_matches_rescan_on_random_complexes(fa, fb, rng):
+    a = from_facets(fa)
+    b = from_facets(fb)
+    pr, _, _ = product(a, from_facets([fb[0][:2]]))
+    for c in (a, b, pr, barycentric_subdivision(from_facets(fb[:3]))):
+        assert_same_sweep(random_field(c, rng))
+
+
+def test_sweep_matches_rescan_on_the_catalog():
+    rng = random.Random(5)
+    models = [standard_model("torus_grid", a=a, b=b) for a, b in ((3, 3), (4, 6), (8, 8))]
+    models += [standard_model("surface", genus=g, boundary=0) for g in range(4)]
+    models += [
+        standard_model("surface", genus=1, boundary=2),
+        standard_model("solid_torus", k=3),
+        standard_model("sphere", n=3),
+        standard_model("tripod"),
+        disjoint_union(standard_model("circle", k=4), standard_model("disc", n=2))[0],
+    ]
+    for c in models:
+        if "height" in c.assets:
+            assert_same_sweep(VertexField.from_asset(c, "height"))
+        for _ in range(3):
+            assert_same_sweep(random_field(c, rng))
+
+
+def test_sweep_matches_rescan_with_a_vertex_in_no_simplex():
+    # a file may list a vertex that no facet names; its level is the slab
+    c = complex_from_json({"vertices": [0, 1, 2, 3], "facets": [[0, 1], [1, 3]]})
+    for values in ([0, 1, 2, 3], [3, 0, 1, 2], [1, 3, 2, 0]):
+        assert_same_sweep(VertexField.from_array(c, values))
+
+
+multigraphs = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(list(range(n))),
+        st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=16),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs)
+def test_degrees_match_the_per_node_count(graph):
+    # edges may be loops, repeat, or end at node n, which is not listed
+    nodes, edges = graph
+    g = Multigraph(nodes, edges)
+
+    def per_node(node):
+        return sum((u == node) + (v == node) for u, v in edges)
+
+    assert all(g.degree(n) == per_node(n) for n in nodes + [len(nodes), -1])
+    assert g.degrees() == {n: d for n in range(len(nodes) + 1) if (d := per_node(n))}
+    assert g.degree_multiset() == sorted(per_node(n) for n in nodes)

@@ -5,10 +5,11 @@ import inspect
 from pathlib import Path
 
 import reebtop
-from reebtop import complexes
+from reebtop import complexes, reeb
 from reebtop.algebra import augmentation_matrix, boundary_matrix, smith_normal_form
 from reebtop.branched import collapse_to
 from reebtop.complexes import SimplicialComplex
+from reebtop.graphs import Multigraph
 from reebtop.models import standard_model
 
 
@@ -58,3 +59,23 @@ def test_what_the_benchmark_trace_reads_of_complexes_and_collapses():
     assert done.steps and done.restarts_used >= 0
     failed = collapse_to(standard_model("sphere", n=2), "point", restarts=2, budget=100)
     assert not hasattr(failed, "steps") and failed.restarts == 2
+
+
+def test_what_the_benchmark_trace_reads_of_reeb_graphs_and_collapses():
+    # the trace times `reeb.reeb_graph` by that name and counts the raw
+    # graph through `node_count()` and `edge_count()`; it wraps the method
+    # `Multigraph.smoothed` on the class
+    assert inspect.isfunction(reeb.reeb_graph)
+    assert reeb.reeb_graph.__module__ == "reebtop.reeb"
+    assert inspect.isfunction(vars(Multigraph)["smoothed"])
+    t = standard_model("torus_grid", a=4, b=4)
+    g = reeb.reeb_graph(reeb.VertexField.from_asset(t, "height"))
+    assert (g.node_count(), g.edge_count()) == (len(g.graph.nodes), len(g.graph.edges))
+    assert g.node_count() > 0 and g.edge_count() > 0
+    # a collapse onto a subcomplex is read like one to a point: `steps`
+    # and `restarts_used`, or `restarts` when the search fails
+    disc = standard_model("disc", n=2)
+    done = collapse_to(disc, disc.subcomplex("core"))
+    assert done.steps and done.restarts_used >= 0
+    failed = collapse_to(disc, disc.subcomplex("core"), restarts=3, budget=1)
+    assert not hasattr(failed, "steps") and failed.restarts == 3
