@@ -112,9 +112,8 @@ def boundary_matrix(c, p):
     cols = c.simplices_of_dim(p) if p >= 0 else []
     if p < 1:
         return SparseMatrix(0, len(cols), [{} for _ in cols])
-    rows = c.simplices_of_dim(p - 1)
-    index = {s: i for i, s in enumerate(rows)}
-    return SparseMatrix(len(rows), len(cols), [
+    index = c.positions(p - 1)
+    return SparseMatrix(len(index), len(cols), [
         {index[s[:i] + s[i + 1:]]: -1 if i % 2 else 1 for i in range(len(s))} for s in cols
     ])
 
@@ -471,7 +470,7 @@ def chain_basis(c, p, reduced=False, dual=False):
     else:
         a = augmentation_matrix(c) if (p == 0 and reduced) else boundary_matrix(c, p)
         b = boundary_matrix(c, p + 1)
-    return ChainBasis(c.simplices_of_dim(p), a, b)
+    return ChainBasis(a, b)
 
 
 class ChainBasis:
@@ -481,7 +480,7 @@ class ChainBasis:
     The rows of Vinv past rank(a) then write x in kernel coordinates.
     """
 
-    def __init__(self, basis, a, b):
+    def __init__(self, a, b):
         n = a.cols
         for col in b.columns:
             if a.apply(col):
@@ -504,7 +503,6 @@ class ChainBasis:
             # the kernel basis (columns r.. of V) times column i of Uinv
             coef = [(r + t, cval) for t, cval in enumerate(snf_y.Uinv.column(i)) if cval]
             generators.append([sum(row[j] * cval for j, cval in coef) for row in snf_a.V.entries])
-        self.basis = basis
         self.generators = generators
         self.orders = [diag[i] for i in kept]
         self._a = a
@@ -610,27 +608,25 @@ def map_is_injective(matrix_cols, src_orders, dst_orders):
 # ---------------------------------------------------------------------------
 
 
-def _transport(vec, child, parent, p):
-    """Re-index a chain vector from a subcomplex into the ambient complex."""
-    out = [0] * len(parent.simplices_of_dim(p))
-    if not vec:
-        return out
-    index = {s: i for i, s in enumerate(parent.simplices_of_dim(p))}
-    for val, s in zip(vec, child.simplices_of_dim(p)):
-        if val:
-            out[index[s]] = val
-    return out
-
-
 def _restrict_chain(vec, parent, child, p, strict=True):
-    """Chain vector of the subcomplex from one over the ambient complex."""
-    index = {s: i for i, s in enumerate(parent.simplices_of_dim(p))}
-    own = child.simplices_of_dim(p)
-    out = [vec[index[s]] for s in own]
-    if strict:
-        covered = {index[s] for s in own}
-        if any(x for i, x in enumerate(vec) if i not in covered):
-            raise IncompatibleCochainError("chain leaves the subcomplex")
+    """Re-index a p-chain over `parent` onto `child`, which shares its simplex tuples.
+
+    Either complex may be the subcomplex of the other.  A p-simplex of
+    `child` missing from `parent` reads 0; a nonzero on one missing from
+    `child` is dropped, or refused when `strict`.
+    """
+    source = parent.positions(p)
+    if len(vec) != len(source):
+        raise IncompatibleCochainError("vector length does not fit")
+    target = child.positions(p)
+    out = [0] * len(target)
+    for s, x in zip(source, vec):
+        if x:
+            j = target.get(s)
+            if j is not None:
+                out[j] = x
+            elif strict:
+                raise IncompatibleCochainError("chain leaves the subcomplex")
     return out
 
 
@@ -659,17 +655,17 @@ def mayer_vietoris_check(w, a_name, b_name):
     def alpha_columns(p):
         cols = []
         for gen in bases["Y", p].generators:
-            in_a = bases["A", p].project(_transport(gen, sub_y, sub_a, p))
-            in_b = bases["B", p].project(_transport(gen, sub_y, sub_b, p))
+            in_a = bases["A", p].project(_restrict_chain(gen, sub_y, sub_a, p))
+            in_b = bases["B", p].project(_restrict_chain(gen, sub_y, sub_b, p))
             cols.append(in_a + [-x for x in in_b])
         return cols
 
     def beta_columns(p):
         cols = []
         for gen in bases["A", p].generators:
-            cols.append(bases["W", p].project(_transport(gen, sub_a, w, p)))
+            cols.append(bases["W", p].project(_restrict_chain(gen, sub_a, w, p)))
         for gen in bases["B", p].generators:
-            cols.append(bases["W", p].project(_transport(gen, sub_b, w, p)))
+            cols.append(bases["W", p].project(_restrict_chain(gen, sub_b, w, p)))
         return cols
 
     def connecting_columns(p):
@@ -677,16 +673,20 @@ def mayer_vietoris_check(w, a_name, b_name):
         if p == 0:
             return [[] for _ in bases["W", 0].generators]
         cols = []
-        in_a = set(part_a)
         bmat = boundary_matrix(w, p)
         simps = w.simplices_of_dim(p)
         for gen in bases["W", p].generators:
-            a_half = {i: x for i, (x, s) in enumerate(zip(gen, simps)) if x and s in in_a}
+            a_half = {i: x for i, x in enumerate(gen) if x and simps[i] in part_a}
             da = bmat.apply(a_half)
             y_vec = _restrict_chain([da.get(i, 0) for i in range(bmat.rows)], w, sub_y, p - 1)
             cols.append(bases["Y", p - 1].project(y_vec))
         return cols
 
+    def exact(f, g, mid, dst):
+        """Is the image of f the kernel of g, in the group of orders `mid`?"""
+        return lattices_equal(image_lattice(f, mid), image_lattice(preimage_kernel(g, dst), mid))
+
+    m_conn = [connecting_columns(p) for p in range(n + 2)]
     report = {"cover": [a_name, b_name], "degrees": {}, "pass": True}
     for p in range(n + 1):
         oy = bases["Y", p].orders
@@ -695,25 +695,14 @@ def mayer_vietoris_check(w, a_name, b_name):
         oy_prev = bases["Y", p - 1].orders if p else []
         m_alpha = alpha_columns(p)
         m_beta = beta_columns(p)
-        m_conn = connecting_columns(p)
-        m_conn_up = connecting_columns(p + 1)
-        exact_sum = lattices_equal(
-            image_lattice(m_alpha, oa), image_lattice(preimage_kernel(m_beta, ow), oa)
-        )
-        exact_total = lattices_equal(
-            image_lattice(m_beta, ow),
-            image_lattice(preimage_kernel(m_conn, oy_prev), ow),
-        )
-        exact_inter = lattices_equal(
-            image_lattice(m_conn_up, oy),
-            image_lattice(preimage_kernel(m_alpha, oa), oy),
-        )
-        injective = map_is_injective(m_alpha, oy, oa)
+        exact_sum = exact(m_alpha, m_beta, oa, ow)
+        exact_total = exact(m_beta, m_conn[p], ow, oy_prev)
+        exact_inter = exact(m_conn[p + 1], m_alpha, oy, oa)
         report["degrees"][p] = {
             "exact_at_pair": exact_sum,
             "exact_at_total": exact_total,
             "exact_at_intersection": exact_inter,
-            "injective": injective,
+            "injective": map_is_injective(m_alpha, oy, oa),
         }
         if not (exact_sum and exact_total and exact_inter):
             report["pass"] = False

@@ -300,9 +300,18 @@ class CollapseFailure:
     reason: str = "inconclusive"
 
 
+def _proper_faces(s):
+    """The nonempty proper faces of a simplex."""
+    return itertools.chain.from_iterable(itertools.combinations(s, k) for k in range(1, len(s)))
+
+
 def _coface_table(c):
-    """A mutable copy of every simplex's cofaces, for one collapse run."""
-    return {s: set(c.cofaces(s)) for s in c.simplices}
+    """Every simplex's set of cofaces, built in one pass for one collapse run."""
+    table = {s: set() for s in c.simplices}
+    for s in c.simplices:
+        for g in _proper_faces(s):
+            table[g].add(s)
+    return table
 
 
 def _greedy_collapse(c, protected, point_goal, rng, budget):
@@ -356,12 +365,10 @@ def _greedy_collapse(c, protected, point_goal, rng, budget):
         unstage(f)
         for gone in (tau, f):
             alive.discard(gone)
-            for k in range(1, len(gone)):
-                for g in itertools.combinations(gone, k):
-                    if g in cofaces:
-                        cofaces[g].discard(tau)
-                        cofaces[g].discard(f)
-                        consider(g)
+            for g in _proper_faces(gone):
+                cofaces[g].discard(tau)
+                cofaces[g].discard(f)
+                consider(g)
         steps.append((f, tau))
         done += 1
         if point_goal:
@@ -413,8 +420,6 @@ def replay_certificate(c, certificate):
             raise InvalidCertificateError("face is not free at this stage")
         for gone in (tau, f):
             alive.discard(gone)
-            for k in range(1, len(gone)):
-                for g in itertools.combinations(gone, k):
-                    if g in cofaces:
-                        cofaces[g].discard(gone)
+            for g in _proper_faces(gone):
+                cofaces[g].discard(gone)
     return frozenset(alive)

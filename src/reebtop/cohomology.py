@@ -31,11 +31,8 @@ class CochainClass:
         self.coordinates = tuple(coordinates)
 
     def value(self, simplex):
-        basis = self.complex.simplices_of_dim(self.degree)
-        try:
-            return self.values[basis.index(tuple(simplex))]
-        except ValueError:
-            return 0
+        i = self.complex.positions(self.degree).get(tuple(simplex))
+        return 0 if i is None else self.values[i]
 
     def is_zero_class(self):
         return all(x == 0 for x in self.coordinates)
@@ -68,10 +65,11 @@ def cohomology_basis(c, p):
 
 def cup_values(c, p, q, a_values, b_values):
     """Front-face times back-face cochain values on the sorted vertex order."""
-    front = dict(zip(c.simplices_of_dim(p), a_values))
-    back = dict(zip(c.simplices_of_dim(q), b_values))
+    front, back = c.positions(p), c.positions(q)
+    if len(a_values) != len(front) or len(b_values) != len(back):
+        raise IncompatibleCochainError("cochain length does not fit")
     return [
-        front.get(s[: p + 1], 0) * back.get(s[p:], 0)
+        a_values[front[s[: p + 1]]] * b_values[back[s[p:]]]
         for s in c.simplices_of_dim(p + q)
     ]
 
@@ -113,13 +111,13 @@ def restrict_class(a, inclusion):
         raise NotAnInclusionError("vertex assignment is not injective")
     sub = inclusion.source
     p = a.degree
-    ambient = {s: v for s, v in zip(a.complex.simplices_of_dim(p), a.values)}
+    index = a.complex.positions(p)
     key = a.complex._index
     values = []
     for t in sub.simplices_of_dim(p):
         images = [inclusion.assignment[v] for v in t]
         sign = _sort_parity(images, lambda v: key[v])
-        values.append(sign * ambient[a.complex.sorted_tuple(images)])
+        values.append(sign * a.values[index[a.complex.sorted_tuple(images)]])
     return cochain_class(sub, p, values)
 
 

@@ -31,7 +31,9 @@ from .errors import (
 class SimplicialComplex:
     """Immutable abstract simplicial complex with ordered vertices."""
 
-    __slots__ = ("vertices", "simplices", "named", "assets", "_index", "_by_dim", "_stars")
+    __slots__ = (
+        "vertices", "simplices", "named", "assets", "_index", "_by_dim", "_stars", "_positions",
+    )
 
     def __init__(self, vertices, simplices, named=None, assets=None):
         self.vertices = tuple(vertices)
@@ -53,6 +55,7 @@ class SimplicialComplex:
             d: sorted(group, key=self.sort_key) for d, group in by_dim.items()
         }
         self._stars = None  # derived: {vertex: simplices containing it}
+        self._positions = {}  # derived: {p: {p-simplex: index in simplices_of_dim(p)}}
 
     # -- basic queries -------------------------------------------------
 
@@ -76,14 +79,22 @@ class SimplicialComplex:
         """Canonically ordered list of p-simplices."""
         return list(self._by_dim.get(p, []))
 
+    def positions(self, p):
+        """Read-only {p-simplex: its index in `simplices_of_dim(p)`}, the chain coordinate.
+
+        Built once per degree on first use; callers must not modify it.
+        """
+        index = self._positions.get(p)
+        if index is None:
+            index = {s: i for i, s in enumerate(self._by_dim.get(p, ()))}
+            self._positions[p] = index
+        return index
+
     def f_vector(self):
         return tuple(len(self._by_dim.get(p, [])) for p in range(self.dim + 1))
 
     def euler_characteristic(self):
         return sum((-1) ** p * n for p, n in enumerate(self.f_vector()))
-
-    def has(self, simplex):
-        return tuple(simplex) in self.simplices
 
     def facets(self):
         """Maximal simplices, canonically ordered."""
@@ -170,9 +181,6 @@ class SimplicialComplex:
         for v in self.vertices:
             groups.setdefault(find(v), []).append(v)
         return list(groups.values())
-
-    def is_connected(self):
-        return len(self.components()) <= 1
 
     # -- relabeling -------------------------------------------------------
 

@@ -150,65 +150,34 @@ def _pair_of_pants():
     return c
 
 
-def _instance_disc_in_disc():
-    x = standard_model("disc", n=2)
-    return DoublesInstance(
-        "disc_in_disc",
-        HandleData(2, 1, (0,), ((0,),)),
-        attach_double(x, ["core"]),
-    )
-
-
-def _instance_annulus_core():
-    x = standard_model("annulus", k=4)
-    return DoublesInstance(
-        "annulus_core",
-        HandleData(2, 1, (1,), ((1,),)),
-        attach_double(x, ["core"]),
-    )
-
-
-def _instance_pants_band():
-    x = _pair_of_pants()
-    return DoublesInstance(
-        "pants_band",
-        HandleData(2, 1, (2,), ((1,),)),
-        attach_double(x, ["band"]),
-    )
-
-
-def _instance_pants_two_discs():
-    x = _pair_of_pants()
-    return DoublesInstance(
-        "pants_two_discs",
-        HandleData(2, 2, (3,), ((0,), (0,))),
-        attach_double(x, ["patch_1", "patch_2"]),
-    )
-
-
-def _instance_solid_torus_core():
-    x = standard_model("solid_torus", k=3)
-    return DoublesInstance(
-        "solid_torus_core",
-        HandleData(3, 1, (1, 0), ((1, 0),)),
-        attach_double(x, ["core"]),
-    )
-
-
+# name -> (base builder, handle data, pieces to double); the lambdas look
+# `standard_model` up at call time, so a rebinding of it (as the benchmark
+# trace makes) is seen
 INSTANCE_BUILDERS = {
-    "disc_in_disc": _instance_disc_in_disc,
-    "annulus_core": _instance_annulus_core,
-    "pants_band": _instance_pants_band,
-    "pants_two_discs": _instance_pants_two_discs,
-    "solid_torus_core": _instance_solid_torus_core,
+    "disc_in_disc": (
+        lambda: standard_model("disc", n=2), HandleData(2, 1, (0,), ((0,),)), ("core",)
+    ),
+    "annulus_core": (
+        lambda: standard_model("annulus", k=4), HandleData(2, 1, (1,), ((1,),)), ("core",)
+    ),
+    "pants_band": (_pair_of_pants, HandleData(2, 1, (2,), ((1,),)), ("band",)),
+    "pants_two_discs": (
+        _pair_of_pants, HandleData(2, 2, (3,), ((0,), (0,))), ("patch_1", "patch_2")
+    ),
+    "solid_torus_core": (
+        lambda: standard_model("solid_torus", k=3),
+        HandleData(3, 1, (1, 0), ((1, 0),)),
+        ("core",),
+    ),
 }
 
 
 def build_instance(name):
     try:
-        return INSTANCE_BUILDERS[name]()
+        base, data, pieces = INSTANCE_BUILDERS[name]
     except KeyError:
         raise InconsistentHandleDataError(f"unknown instance {name!r}") from None
+    return DoublesInstance(name, data, attach_double(base(), pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from dense_oracle import (
     dense_transpose,
 )
 
+from reebtop import algebra
 from reebtop.algebra import (
     HomologyGroup,
     _restrict_chain,
@@ -413,6 +414,25 @@ def test_restrict_chain_refuses_a_chain_leaving_the_subcomplex_under_optimize():
     assert result.stdout.splitlines() == ["refused: chain leaves the subcomplex"]
 
 
+def test_restrict_chain_carries_a_subcomplex_chain_into_the_ambient_complex():
+    path, edge = from_facets([[0, 1], [1, 2]]), from_facets([[1, 2]])
+    # the ambient edge (0, 1) is missing from the source and reads 0
+    assert _restrict_chain([5], edge, path, 1) == [0, 5]
+    assert _restrict_chain([2, 3], edge, path, 0) == [0, 2, 3]
+    assert _restrict_chain([], from_facets([[0]]), path, 1) == [0, 0]
+
+
+@pytest.mark.parametrize("vec", [[], [3], [3, 0, 0]])
+def test_restrict_chain_refuses_a_vector_of_the_wrong_length(vec):
+    path, edge = from_facets([[0, 1], [1, 2]]), from_facets([[0, 1]])
+    for strict in (True, False):
+        with pytest.raises(IncompatibleCochainError, match="length"):
+            _restrict_chain(vec, path, edge, 1, strict=strict)
+    # the length is that of the source, also when the source is the subcomplex
+    with pytest.raises(IncompatibleCochainError, match="length"):
+        _restrict_chain([3, 0], edge, path, 1)
+
+
 def test_augmentation_matrix():
     c = from_facets([[0], [1], [2]])
     assert dense_augmentation_matrix(c).entries == [[1, 1, 1]]
@@ -445,6 +465,26 @@ def test_mayer_vietoris_sphere():
     # the equator circle dies in both discs, so degree one is not injective
     assert not rep["degrees"][1]["injective"]
     assert rep["degrees"][0]["injective"] and rep["degrees"][2]["injective"]
+
+
+def test_mayer_vietoris_reports_a_zero_connecting_map(monkeypatch):
+    # the connecting map is the only re-indexing that starts on the total
+    # space; forcing its output to zero breaks exactness on both sides of it
+    w = hemisphere_cover()
+    restrict = algebra._restrict_chain
+
+    def zero_from_total(vec, parent, child, p, strict=True):
+        out = restrict(vec, parent, child, p, strict)
+        return [0] * len(out) if parent is w else out
+
+    monkeypatch.setattr(algebra, "_restrict_chain", zero_from_total)
+    rep = mayer_vietoris_check(w, "up", "lo")
+    assert not rep["pass"]
+    assert not rep["degrees"][2]["exact_at_total"]
+    assert not rep["degrees"][1]["exact_at_intersection"]
+    # the maps between the cover and the total space are untouched
+    assert all(rep["degrees"][p]["exact_at_pair"] for p in range(3))
+    assert rep["degrees"][0]["exact_at_total"] and rep["degrees"][1]["exact_at_total"]
 
 
 def test_mayer_vietoris_wedge_of_circles():

@@ -156,6 +156,27 @@ def test_cup_degree_limit():
         cup_product(a, a)
 
 
+def test_cup_values_refuse_a_cochain_of_the_wrong_length(torus):
+    x = cohomology_basis(torus, 1)[0][0].values
+    n = len(torus.simplices_of_dim(1))
+    assert len(cup_values(torus, 1, 1, x, x)) == len(torus.simplices_of_dim(2))
+    for short in (x[:-1], x + (0,)):
+        with pytest.raises(IncompatibleCochainError, match="length"):
+            cup_values(torus, 1, 1, short, x)
+        with pytest.raises(IncompatibleCochainError, match="length"):
+            cup_values(torus, 1, 1, x, short)
+    with pytest.raises(IncompatibleCochainError, match="length"):
+        cup_values(torus, 0, 1, [1] * n, x)
+
+
+def test_cochain_value_reads_the_canonical_simplex_list(torus):
+    a = cohomology_basis(torus, 1)[0][0]
+    for s, v in zip(torus.simplices_of_dim(1), a.values):
+        assert a.value(s) == v and a.value(list(s)) == v
+    assert a.value(torus.simplices_of_dim(0)[0]) == 0
+    assert a.value(("no", "such")) == 0
+
+
 def test_restrict_to_empty_is_zero(torus):
     a = cohomology_basis(torus, 1)[0][0]
     z = restrict_to_part(a, SimplicialComplex((), ()))

@@ -277,6 +277,17 @@ def test_stars_refuse_a_non_vertex():
             c.with_named("patch", c.closed_star(typo))
 
 
+def test_positions_index_the_canonical_simplex_lists():
+    c = standard_model("solid_torus", k=3)
+    for p in range(-1, c.dim + 2):
+        index = c.positions(p)
+        assert list(index) == c.simplices_of_dim(p)
+        assert [index[s] for s in c.simplices_of_dim(p)] == list(range(len(index)))
+        assert c.positions(p) is index  # built once per degree
+    # the kept maps are derived data: equality does not see them
+    assert SimplicialComplex(c.vertices, c.simplices, c.named, c.assets) == c
+
+
 def test_sphere_and_torus_links_are_circles():
     for c in (standard_model("sphere", n=2), standard_model("torus_grid", a=3, b=3)):
         for v in c.vertices:

@@ -79,3 +79,88 @@ def test_what_the_benchmark_trace_reads_of_reeb_graphs_and_collapses():
     assert done.steps and done.restarts_used >= 0
     failed = collapse_to(disc, disc.subcomplex("core"), restarts=3, budget=1)
     assert not hasattr(failed, "steps") and failed.restarts == 3
+
+
+def test_positions_is_a_method_the_trace_leaves_unwrapped():
+    # the trace wraps module functions of `complexes`, not methods, so the
+    # position maps are timed inside their callers
+    assert inspect.isfunction(vars(SimplicialComplex)["positions"])
+    assert not hasattr(complexes, "positions")
+
+
+def _is_simplex_list(node):
+    """A `simplices_of_dim(...)` call, possibly one branch of a conditional."""
+    if isinstance(node, ast.IfExp):
+        return _is_simplex_list(node.body) or _is_simplex_list(node.orelse)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "simplices_of_dim"
+    )
+
+
+def simplex_position_maps(source):
+    """Places in `source` that build a map out of a canonical simplex list.
+
+    Flags a dict comprehension or a `dict(...)` call reading a
+    `simplices_of_dim(...)` call, or a name bound to one, and `.index(` on
+    such a list.  List comprehensions over the lists are fine.
+    """
+    tree = ast.parse(source)
+    lists = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _is_simplex_list(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def reads_list(node):
+        return any(
+            _is_simplex_list(sub) or (isinstance(sub, ast.Name) and sub.id in lists)
+            for sub in ast.walk(node)
+        )
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.DictComp):
+            hit = any(reads_list(g.iter) for g in node.generators)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            hit = node.func.id == "dict" and any(reads_list(a) for a in node.args)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            hit = node.func.attr == "index" and reads_list(node.func.value)
+        else:
+            hit = False
+        if hit:
+            found.append(node.lineno)
+    return found
+
+
+def test_simplex_position_maps_are_detected():
+    bad = [
+        "index = {s: i for i, s in enumerate(c.simplices_of_dim(p))}",
+        "front = dict(zip(c.simplices_of_dim(p), values))",
+        "basis = c.simplices_of_dim(p)\ni = basis.index(s)",
+        "rows = c.simplices_of_dim(p) if p else []\nm = {s: i for i, s in enumerate(rows)}",
+    ]
+    for text in bad:
+        assert simplex_position_maps(text), text
+    fine = [
+        "out = [f(s) for s in c.simplices_of_dim(p)]",
+        "index = c.positions(p)",
+        "simps = c.simplices_of_dim(p)\nx = {i: v for i, v in enumerate(gen) if simps[i]}",
+    ]
+    for text in fine:
+        assert simplex_position_maps(text) == [], text
+
+
+def test_only_complexes_builds_a_simplex_position_map():
+    # `SimplicialComplex.positions` is the one simplex -> chain coordinate map
+    paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+    found = [
+        f"{path.name}:{line}"
+        for path in paths
+        if path.name != "complexes.py"
+        for line in simplex_position_maps(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
