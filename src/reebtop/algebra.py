@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import prod
 
-from .errors import BadCoverError, IncompatibleCochainError
+from .errors import BadCoverError, IncompatibleCochainError, InvariantViolationError
 
 
 class IntegerMatrix:
@@ -113,9 +114,12 @@ def boundary_matrix(c, p):
     if p < 1:
         return SparseMatrix(0, len(cols), [{} for _ in cols])
     index = c.positions(p - 1)
-    return SparseMatrix(len(index), len(cols), [
-        {index[s[:i] + s[i + 1:]]: -1 if i % 2 else 1 for i in range(len(s))} for s in cols
-    ])
+    try:
+        return SparseMatrix(len(index), len(cols), [
+            {index[s[:i] + s[i + 1:]]: -1 if i % 2 else 1 for i in range(len(s))} for s in cols
+        ])
+    except KeyError as exc:
+        raise InvariantViolationError.missing_face(exc.args[0], cols) from None
 
 
 def augmentation_matrix(c):
@@ -149,12 +153,13 @@ def smith_normal_form(a, transforms=True):
     `a` is read through its `columns` and never modified.  With `transforms`,
     a dense elimination also records U, V and their inverses.  Without, only
     the invariant factors are computed: unit pivots are eliminated sparsely
-    first and the dense elimination runs on the leftover block alone.
+    first and the dense elimination runs on the leftover block alone, whose
+    transforms are discarded.
     """
     m, n = a.rows, a.cols
     if not transforms:
         count, rest = _eliminate_unit_pivots(a.columns, m)
-        _dense_smith(rest.entries, rest.rows, rest.cols, False)
+        _dense_smith(rest.entries, rest.rows, rest.cols)
         tail = [rest.entries[i][i] for i in range(min(rest.rows, rest.cols))]
         diagonal = [1] * count + tail + [0] * (min(m, n) - count - len(tail))
         rank = sum(1 for d in diagonal if d)
@@ -163,7 +168,7 @@ def smith_normal_form(a, transforms=True):
     for j, col in enumerate(a.columns):
         for i, x in col.items():
             s[i][j] = x
-    u, v, uinv, vinv = _dense_smith(s, m, n, True)
+    u, v, uinv, vinv = _dense_smith(s, m, n)
     diagonal = [s[i][i] for i in range(min(m, n))]
     return SnfDecomposition(
         IntegerMatrix(m, m, u),
@@ -230,40 +235,36 @@ def _eliminate_unit_pivots(columns, m):
     return count, IntegerMatrix(len(live_rows), len(live_cols), block)
 
 
-def _dense_smith(s, m, n, transforms):
+def _dense_smith(s, m, n):
     """Bring the m x n list of rows `s` to Smith normal form in place.
 
     Pivots always take the smallest available absolute value, which keeps
-    coefficient growth tame at this scale.  With `transforms`, returns
-    (U, V, Uinv, Vinv) as lists of rows with U * A * V = S; otherwise None.
+    coefficient growth tame at this scale.  Returns (U, V, Uinv, Vinv) as
+    lists of rows with U * A * V = S.
     """
-    if transforms:
-        u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
-        if transforms:
-            u[i], u[j] = u[j], u[i]
-            for row in uinv:
-                row[i], row[j] = row[j], row[i]
+        u[i], u[j] = u[j], u[i]
+        for row in uinv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
-        if transforms:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-            vinv[i], vinv[j] = vinv[j], vinv[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def negate_row(i):
         s[i] = [-x for x in s[i]]
-        if transforms:
-            u[i] = [-x for x in u[i]]
-            for row in uinv:
-                row[i] = -row[i]
+        u[i] = [-x for x in u[i]]
+        for row in uinv:
+            row[i] = -row[i]
 
     def add_row(i, j, coef):
         # row_i += coef * row_j
@@ -271,28 +272,26 @@ def _dense_smith(s, m, n, transforms):
         for k in range(n):
             if sj[k]:
                 si[k] += coef * sj[k]
-        if transforms:
-            ui, uj = u[i], u[j]
-            for k in range(m):
-                if uj[k]:
-                    ui[k] += coef * uj[k]
-            for row in uinv:
-                if row[i]:
-                    row[j] -= coef * row[i]
+        ui, uj = u[i], u[j]
+        for k in range(m):
+            if uj[k]:
+                ui[k] += coef * uj[k]
+        for row in uinv:
+            if row[i]:
+                row[j] -= coef * row[i]
 
     def add_col(i, j, coef):
         # col_i += coef * col_j
         for row in s:
             if row[j]:
                 row[i] += coef * row[j]
-        if transforms:
-            for row in v:
-                if row[j]:
-                    row[i] += coef * row[j]
-            vi, vj = vinv[i], vinv[j]
-            for k in range(n):
-                if vi[k]:
-                    vj[k] -= coef * vi[k]
+        for row in v:
+            if row[j]:
+                row[i] += coef * row[j]
+        vi, vj = vinv[i], vinv[j]
+        for k in range(n):
+            if vi[k]:
+                vj[k] -= coef * vi[k]
 
     def pivot_search(k):
         best = None
@@ -362,8 +361,7 @@ def _dense_smith(s, m, n, transforms):
         if s[k][k] < 0:
             negate_row(k)
         k += 1
-    if transforms:
-        return u, v, uinv, vinv
+    return u, v, uinv, vinv
 
 
 def determinant(a):
@@ -536,39 +534,49 @@ class ChainBasis:
 # ---------------------------------------------------------------------------
 
 
+def _column_matrix(vectors, dim):
+    """The vectors as the columns of a `dim`-row `SparseMatrix`."""
+    if any(len(vec) != dim for vec in vectors):
+        raise IncompatibleCochainError("vector length does not fit")
+    return SparseMatrix(dim, len(vectors), [{i: x for i, x in enumerate(v) if x} for v in vectors])
+
+
+def _lattice_index(columns, rows):
+    """Rank of the lattice the columns span, and its index in its saturation.
+
+    The index is the product of the nonzero invariant factors.  Lattices
+    L ⊆ L' of the same rank share their saturation, so L = L' exactly when
+    both numbers agree.
+    """
+    snf = smith_normal_form(SparseMatrix(rows, len(columns), columns), transforms=False)
+    return snf.rank, prod(d for d in snf.diagonal if d)
+
+
 def lattice_contains(gens, vec):
     """Is `vec` an integer combination of `gens`?"""
-    dim = len(vec)
-    if not gens:
-        return all(x == 0 for x in vec)
-    a = IntegerMatrix(dim, len(gens), [[g[i] for g in gens] for i in range(dim)])
-    snf = smith_normal_form(a)
-    w = snf.U.times_vector(vec)
-    for i, x in enumerate(w):
-        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
-        if d == 0:
-            if x != 0:
-                return False
-        elif x % d:
-            return False
-    return True
+    return lattice_subset([vec], gens)
 
 
 def lattice_subset(gens1, gens2):
-    return all(lattice_contains(gens2, v) for v in gens1)
+    """Does `gens2` span a lattice containing every vector of `gens1`?"""
+    a = _column_matrix([*gens2, *gens1], len((gens1 or gens2 or [()])[0]))
+    k = len(gens2)
+    return _lattice_index(a.columns[:k], a.rows) == _lattice_index(a.columns, a.rows)
 
 
 def lattices_equal(gens1, gens2):
-    return lattice_subset(gens1, gens2) and lattice_subset(gens2, gens1)
+    """Do `gens1` and `gens2` span the same lattice?"""
+    a = _column_matrix([*gens1, *gens2], len((gens1 or gens2 or [()])[0]))
+    k = len(gens1)
+    whole = _lattice_index(a.columns, a.rows)
+    return _lattice_index(a.columns[:k], a.rows) == whole == _lattice_index(a.columns[k:], a.rows)
 
 
 def kernel_generators(columns):
     """Generators of {x : M x = 0} for M given by columns over Z."""
     if not columns:
         return []
-    dim = len(columns[0])
-    a = IntegerMatrix(dim, len(columns), [[col[i] for col in columns] for i in range(dim)])
-    snf = smith_normal_form(a)
+    snf = smith_normal_form(_column_matrix(columns, len(columns[0])))
     return [snf.V.column(j) for j in range(snf.rank, len(columns))]
 
 
@@ -592,10 +600,6 @@ def preimage_kernel(matrix_cols, dst_orders):
     block = list(matrix_cols) + rels
     gens = kernel_generators(block)
     return [g[:k] for g in gens]
-
-
-def image_lattice(matrix_cols, dst_orders):
-    return list(matrix_cols) + relation_vectors(dst_orders)
 
 
 def map_is_injective(matrix_cols, src_orders, dst_orders):
@@ -684,7 +688,8 @@ def mayer_vietoris_check(w, a_name, b_name):
 
     def exact(f, g, mid, dst):
         """Is the image of f the kernel of g, in the group of orders `mid`?"""
-        return lattices_equal(image_lattice(f, mid), image_lattice(preimage_kernel(g, dst), mid))
+        rels = relation_vectors(mid)
+        return lattices_equal(f + rels, preimage_kernel(g, dst) + rels)
 
     m_conn = [connecting_columns(p) for p in range(n + 2)]
     report = {"cover": [a_name, b_name], "degrees": {}, "pass": True}

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .complexes import (
     SimplicialComplex,
     _mirror_copy,
+    _one_point_union,
     boundary_subcomplex,
     from_facets,
     link,
@@ -211,22 +212,12 @@ def bouquet(models, basepoints):
             raise BadBasepointError(f"{bp!r} is not a vertex")
         if bp in m.locus_vertices():
             raise BadBasepointError(f"{bp!r} sits on a branch locus")
-    joint = (0, basepoints[0])
-    vertices = []
-    simplex_sets = []
-    named = {}
-    loci = []
-    for i, (m, bp) in enumerate(zip(models, basepoints)):
-        tagged = m.complex.relabeled(
-            lambda v, i=i, bp=bp: joint if v == bp else (i, v)
-        )
-        vertices += [v for v in tagged.vertices if v != joint or i == 0]
-        simplex_sets.append(tagged.simplices)
-        for n, part in tagged.named.items():
-            named[f"{i}:{n}"] = part
-        for locus in m.loci:
-            loci.append(BranchLocus(f"{i}:{locus.name}", locus.kind, locus.monodromy))
-    out = union_on(vertices, *simplex_sets, named=named)
+    out = _one_point_union([m.complex for m in models], basepoints)
+    loci = [
+        BranchLocus(f"{i}:{locus.name}", locus.kind, locus.monodromy)
+        for i, m in enumerate(models)
+        for locus in m.loci
+    ]
     return BranchedModel(out, loci)
 
 
@@ -308,9 +299,12 @@ def _proper_faces(s):
 def _coface_table(c):
     """Every simplex's set of cofaces, built in one pass for one collapse run."""
     table = {s: set() for s in c.simplices}
-    for s in c.simplices:
-        for g in _proper_faces(s):
-            table[g].add(s)
+    try:
+        for s in c.simplices:
+            for g in _proper_faces(s):
+                table[g].add(s)
+    except KeyError as exc:
+        raise InvariantViolationError.missing_face(exc.args[0], c.simplices) from None
     return table
 
 

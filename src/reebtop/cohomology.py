@@ -9,12 +9,7 @@ cohomology basis.
 
 from __future__ import annotations
 
-from .algebra import (
-    IntegerMatrix,
-    _restrict_chain,
-    chain_basis,
-    smith_normal_form,
-)
+from .algebra import _column_matrix, _restrict_chain, chain_basis, smith_normal_form
 from .complexes import SimplicialMap
 from .errors import IncompatibleCochainError, NotAnInclusionError
 
@@ -146,9 +141,7 @@ def map_rank(columns, dst_orders):
     free_rows = [i for i, d in enumerate(dst_orders) if d == 0]
     if not columns or not free_rows:
         return 0
-    mat = IntegerMatrix(
-        len(free_rows), len(columns), [[col[i] for col in columns] for i in free_rows]
-    )
+    mat = _column_matrix([[col[i] for i in free_rows] for col in columns], len(free_rows))
     return smith_normal_form(mat, transforms=False).rank
 
 

@@ -353,13 +353,25 @@ def wedge(a, basepoint_a, b, basepoint_b):
         raise BadBasepointError(f"{basepoint_a!r} is not a vertex of the first complex")
     if basepoint_b not in b._index:
         raise BadBasepointError(f"{basepoint_b!r} is not a vertex of the second complex")
-    ta = a.relabeled(lambda v: (0, v))
-    joint = (0, basepoint_a)
-    tb = b.relabeled(lambda v: joint if v == basepoint_b else (1, v))
-    order = list(ta.vertices) + [v for v in tb.vertices if v != joint]
-    named = {f"0:{n}": p for n, p in ta.named.items()}
-    named.update({f"1:{n}": p for n, p in tb.named.items()})
-    return union_on(order, ta.simplices, tb.simplices, named=named)
+    return _one_point_union((a, b), (basepoint_a, basepoint_b))
+
+
+def _one_point_union(pieces, basepoints):
+    """The pieces glued at their basepoints, one joint vertex in all.
+
+    Piece i's vertex v is renamed `(i, v)`, every basepoint becomes the joint
+    `(0, basepoints[0])`, and a named part `name` of piece i becomes `i:name`.
+    """
+    joint = (0, basepoints[0])
+    order = []
+    simplex_sets = []
+    named = {}
+    for i, (piece, bp) in enumerate(zip(pieces, basepoints)):
+        tagged = piece.relabeled(lambda v, i=i, bp=bp: joint if v == bp else (i, v))
+        order += [v for v in tagged.vertices if v != joint or i == 0]
+        simplex_sets.append(tagged.simplices)
+        named.update((f"{i}:{n}", part) for n, part in tagged.named.items())
+    return union_on(order, *simplex_sets, named=named)
 
 
 def _monotone_paths(p, q):
@@ -408,17 +420,13 @@ def boundary_subcomplex(a):
             raise NotManifoldLikeError(f"face {f!r} lies in more than two facets")
         if owners == 1:
             rim.append(f)
-    part = closure(rim)
-    verts = {v for s in part for v in s}
-    return SimplicialComplex([v for v in a.vertices if v in verts], part)
+    return a.subcomplex(closure(rim))
 
 
 def link(a, simplex):
     """Standard link of a simplex, as a standalone complex."""
     s = tuple(simplex)
-    part = {tuple(v for v in t if v not in s) for t in a.cofaces(s)}
-    verts = {v for t in part for v in t}
-    return SimplicialComplex([v for v in a.vertices if v in verts], part)
+    return a.subcomplex({tuple(v for v in t if v not in s) for t in a.cofaces(s)})
 
 
 # ---------------------------------------------------------------------------

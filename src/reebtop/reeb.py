@@ -50,9 +50,12 @@ class VertexField:
 
     def __init__(self, complex_, values):
         self.complex = complex_
-        self.values = {v: Fraction(values[v]) for v in complex_.vertices}
-        if len(self.values) != len(complex_.vertices):
+        if any(v not in values for v in complex_.vertices):
             raise NonInjectiveFieldError("field misses vertices")
+        try:
+            self.values = {v: Fraction(values[v]) for v in complex_.vertices}
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise MalformedFieldError(f"field value is not rational: {exc}") from None
         if len(set(self.values.values())) != len(complex_.vertices):
             raise NonInjectiveFieldError("field values are not pairwise distinct")
 
@@ -67,11 +70,7 @@ class VertexField:
         """Values given in vertex order, as Fractions or 'p/q' strings."""
         if len(values) != len(complex_.vertices):
             raise NonInjectiveFieldError("value array has the wrong length")
-        try:
-            fractions = [Fraction(x) for x in values]
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise MalformedFieldError(f"field value is not rational: {exc}") from None
-        return cls(complex_, dict(zip(complex_.vertices, fractions)))
+        return cls(complex_, dict(zip(complex_.vertices, values)))
 
     def relabeled_monotone(self, fn):
         """Compose with a strictly increasing rational map (for tests)."""
@@ -144,12 +143,13 @@ def reeb_graph(field):
     rank = {s: r for r, s in enumerate(simplices)}
     lo = [min(pos[v] for v in s) for s in simplices]
     hi = [max(pos[v] for v in s) for s in simplices]
-    faces = [
-        [rank[f] for f in (s[:j] + s[j + 1 :] for j in range(len(s))) if f in rank]
-        if len(s) > 1
-        else []
-        for s in simplices
-    ]
+    try:
+        faces = [
+            [rank[s[:j] + s[j + 1 :]] for j in range(len(s))] if len(s) > 1 else []
+            for s in simplices
+        ]
+    except KeyError as exc:
+        raise InvariantViolationError.missing_face(exc.args[0], simplices) from None
     parent = list(range(len(simplices)))
     comps = {}  # root -> [least member, members] of each active component
 

@@ -1,10 +1,13 @@
-"""Dense boundary operators, kept as the oracle for the sparse ones.
+"""Dense boundary operators and lattice tests, kept as oracles for the sparse ones.
 
-These are the dense builders that `reebtop.algebra` used before boundary
+The boundary builders are the ones `reebtop.algebra` used before boundary
 operators became `SparseMatrix`es; they share no code with the sparse path.
+The lattice tests are the ones it used before lattices were compared by
+invariant factors: they read U and V of a dense Smith decomposition with
+transforms, where the package reads only the diagonal of sparse ones.
 """
 
-from reebtop.algebra import IntegerMatrix
+from reebtop.algebra import IntegerMatrix, smith_normal_form
 
 
 def dense_boundary_matrix(c, p):
@@ -40,3 +43,32 @@ def dense_transpose(a):
 def cells(a):
     """The rows of a sparse matrix, written out densely."""
     return [[col.get(i, 0) for col in a.columns] for i in range(a.rows)]
+
+
+def dense_lattice_contains(gens, vec):
+    """Is `vec` an integer combination of `gens`? Read in the U coordinates
+    of one Smith decomposition with transforms."""
+    dim = len(vec)
+    if not gens:
+        return all(x == 0 for x in vec)
+    a = IntegerMatrix(dim, len(gens), [[g[i] for g in gens] for i in range(dim)])
+    snf = smith_normal_form(a)
+    w = snf.U.times_vector(vec)
+    for i, x in enumerate(w):
+        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
+        if d == 0:
+            if x != 0:
+                return False
+        elif x % d:
+            return False
+    return True
+
+
+def dense_kernel_generators(columns):
+    """Generators of {x : M x = 0}: the columns of V past the rank."""
+    if not columns:
+        return []
+    dim = len(columns[0])
+    a = IntegerMatrix(dim, len(columns), [[col[i] for col in columns] for i in range(dim)])
+    snf = smith_normal_form(a)
+    return [snf.V.column(j) for j in range(snf.rank, len(columns))]

@@ -8,6 +8,8 @@ from dense_oracle import (
     cells,
     dense_augmentation_matrix,
     dense_boundary_matrix,
+    dense_kernel_generators,
+    dense_lattice_contains,
     dense_transpose,
 )
 
@@ -22,11 +24,16 @@ from reebtop.algebra import (
     chain_basis,
     determinant,
     homology,
+    kernel_generators,
     lattice_contains,
+    lattice_subset,
+    lattices_equal,
     mayer_vietoris_check,
     rank_mod2,
+    relation_vectors,
     smith_normal_form,
 )
+from reebtop.cohomology import map_rank
 from reebtop.complexes import (
     barycentric_subdivision,
     closure,
@@ -35,7 +42,8 @@ from reebtop.complexes import (
     product,
     wedge,
 )
-from reebtop.errors import BadCoverError, IncompatibleCochainError
+from reebtop.complexes import SimplicialComplex
+from reebtop.errors import BadCoverError, IncompatibleCochainError, InvariantViolationError
 from reebtop.models import standard_model
 
 
@@ -449,6 +457,109 @@ def test_lattice_membership():
     assert not lattice_contains(gens, [1, 0])
     assert lattice_contains([], [0, 0])
     assert not lattice_contains([], [1, 0])
+
+
+@st.composite
+def generator_lists(draw, dim, like=None):
+    """Vectors of length `dim` with entries -3..3, some of them zero or repeated,
+    plus the relation vectors of orders drawn from 0 and 2..6.  With `like`,
+    sometimes a list spanning the same lattice: `like` shuffled, with each
+    vector plus a multiple of another and a few integer combinations added."""
+    vector = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    if like is not None and draw(st.booleans()):
+        gens = list(draw(st.permutations(like)))
+        if len(gens) > 1:
+            i, j = draw(st.permutations(range(len(gens))))[:2]
+            k = draw(st.integers(-2, 2))
+            gens[i] = [x + k * y for x, y in zip(gens[i], gens[j])]
+        for _ in range(draw(st.integers(0, 2))):
+            coef = [draw(st.integers(-2, 2)) for _ in like]
+            gens.append([sum(c * g[t] for c, g in zip(coef, like)) for t in range(dim)])
+        return gens
+    gens = draw(st.lists(vector, max_size=4))
+    if draw(st.booleans()):
+        gens.append([0] * dim)
+    if gens and draw(st.booleans()):
+        gens.append(list(draw(st.sampled_from(gens))))
+    orders = draw(st.lists(st.sampled_from([0, 2, 3, 4, 5, 6]), min_size=dim, max_size=dim))
+    return draw(st.permutations(gens + relation_vectors(orders)))
+
+
+@st.composite
+def lattice_cases(draw):
+    dim = draw(st.integers(0, 6))
+    gens1 = draw(generator_lists(dim))
+    gens2 = draw(generator_lists(dim, like=gens1))
+    coef = [draw(st.integers(-2, 2)) for _ in gens1]
+    vec = [sum(c * g[t] for c, g in zip(coef, gens1)) for t in range(dim)]
+    if draw(st.booleans()):
+        vec = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+    orders = draw(st.lists(st.sampled_from([0, 2, 3, 4, 5, 6]), min_size=dim, max_size=dim))
+    return gens1, gens2, vec, orders
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_cases())
+@example(([], [], [], []))
+@example(([[0, 0]], [], [0, 0], [0, 0]))
+@example(([[2, 0], [0, 3]], [[2, 3], [0, 3]], [4, 3], [2, 0]))
+@example(([[2, 4]], [[2, 4], [4, 8]], [1, 2], [0, 0]))
+def test_lattice_tests_match_the_transforms_oracle(case):
+    gens1, gens2, vec, orders = case
+    assert lattice_contains(gens1, vec) == dense_lattice_contains(gens1, vec)
+    one_in_two = all(dense_lattice_contains(gens2, v) for v in gens1)
+    two_in_one = all(dense_lattice_contains(gens1, v) for v in gens2)
+    assert lattice_subset(gens1, gens2) == one_in_two
+    assert lattice_subset(gens2, gens1) == two_in_one
+    assert lattices_equal(gens1, gens2) == (one_in_two and two_in_one)
+    assert lattices_equal(gens2, gens1) == (one_in_two and two_in_one)
+    assert kernel_generators(gens1) == dense_kernel_generators(gens1)
+    free = [i for i, d in enumerate(orders) if d == 0]
+    dense = IntegerMatrix(len(free), len(gens1), [[g[i] for g in gens1] for i in free])
+    assert map_rank(gens1, orders) == smith_normal_form(dense).rank
+
+
+def test_lattice_tests_refuse_vectors_of_the_wrong_length():
+    with pytest.raises(IncompatibleCochainError):
+        lattice_contains([[1, 2]], [1, 2, 3])
+    with pytest.raises(IncompatibleCochainError):
+        lattice_contains([[1, 2, 3]], [1, 2])
+    with pytest.raises(IncompatibleCochainError):
+        lattice_subset([[1, 2]], [[1, 2, 3]])
+    with pytest.raises(IncompatibleCochainError):
+        lattice_subset([[1, 2], [1]], [])
+
+
+def not_closed():
+    """A triangle stored without its edges and vertices."""
+    return SimplicialComplex([0, 1, 2], [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("compute", [
+    lambda c: homology(c),
+    lambda c: homology(c, "Z2"),
+    lambda c: chain_basis(c, 1),
+], ids=["homology", "homology_z2", "chain_basis"])
+def test_boundaries_refuse_a_complex_not_closed_under_faces(compute):
+    with pytest.raises(InvariantViolationError, match=r"closure misses \(1, 2\) < \(0, 1, 2\)"):
+        compute(not_closed())
+
+
+def test_boundaries_refuse_a_complex_not_closed_under_faces_under_optimize():
+    result = run_optimized(
+        """
+        from reebtop.algebra import homology
+        from reebtop.errors import InvariantViolationError
+        from test_algebra import not_closed
+
+        try:
+            homology(not_closed())
+        except InvariantViolationError as exc:
+            print("refused:", exc)
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["refused: closure misses (1, 2) < (0, 1, 2)"]
 
 
 def hemisphere_cover():

@@ -18,12 +18,21 @@ from reebtop.branched import (
     collapse_to,
     replay_certificate,
 )
-from reebtop.complexes import boundary_subcomplex, closure, cone, from_facets, product
+from reebtop.complexes import (
+    SimplicialComplex,
+    boundary_subcomplex,
+    closure,
+    cone,
+    from_facets,
+    product,
+    wedge,
+)
 from reebtop.errors import (
     BadBasepointError,
     InvalidBranchLocusError,
     InvalidCertificateError,
     InvalidSubmanifoldError,
+    InvariantViolationError,
 )
 from reebtop.models import concentric_disc, standard_model
 
@@ -153,6 +162,23 @@ def test_bouquet_flapped_sphere_and_disc():
     tri = from_facets([[0, 1, 2]])
     w = bouquet([s, BranchedModel(tri)], [default_regular_vertex(s), 0])
     assert betti_numbers(w.complex) == [1, 0, 1]
+
+
+@pytest.mark.parametrize("a, b", [
+    (standard_model("torus_grid", a=3, b=3), standard_model("disc", n=2)),
+    (standard_model("disc", n=2), standard_model("torus_grid", a=3, b=3)),
+])
+def test_bouquet_of_two_complexes_is_their_wedge(a, b):
+    p, q = a.vertices[-1], b.vertices[1]
+    assert bouquet([a, b], [p, q]).complex == wedge(a, p, b, q)
+
+
+def test_collapse_refuses_a_complex_not_closed_under_faces():
+    c = SimplicialComplex([0, 1, 2], [(0, 1, 2)])
+    with pytest.raises(InvariantViolationError, match=r"closure misses \(0,\) < \(0, 1, 2\)"):
+        collapse_to(c, "point")
+    with pytest.raises(InvariantViolationError, match="closure misses"):
+        replay_certificate(c, CollapseCertificate((), "point", 0, 0))
 
 
 def test_bouquet_rejects_basepoint_on_locus():

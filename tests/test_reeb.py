@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from reeb_oracle import scan_reeb_graph
 
 from reebtop.complexes import (
+    SimplicialComplex,
     barycentric_subdivision,
     complex_from_json,
     disjoint_union,
@@ -15,7 +16,11 @@ from reebtop.complexes import (
     product,
     wedge,
 )
-from reebtop.errors import NonInjectiveFieldError
+from reebtop.errors import (
+    InvariantViolationError,
+    MalformedFieldError,
+    NonInjectiveFieldError,
+)
 from reebtop.graphs import Multigraph, from_one_complex
 from reebtop.models import perturb_values, standard_model
 from reebtop.reeb import (
@@ -50,6 +55,30 @@ def test_monotone_field_on_interval():
     iv = standard_model("interval", k=6)
     inv = graph_invariants(reeb_graph(heights(iv)))
     assert inv["nodes"] == 2 and inv["edges"] == 1
+
+
+def test_field_missing_a_vertex_rejected():
+    c = standard_model("circle", k=3)
+    values = {v: Fraction(i) for i, v in enumerate(c.vertices[1:])}
+    with pytest.raises(NonInjectiveFieldError, match="field misses vertices"):
+        VertexField(c, values)
+
+
+def test_field_value_that_is_not_rational_rejected():
+    c = standard_model("circle", k=3)
+    values = {v: Fraction(i) for i, v in enumerate(c.vertices)}
+    values[c.vertices[0]] = "x"
+    with pytest.raises(MalformedFieldError, match="field value is not rational"):
+        VertexField(c, values)
+    with pytest.raises(MalformedFieldError, match="field value is not rational"):
+        VertexField.from_array(c, ["x", 1, 2])
+
+
+def test_reeb_graph_refuses_a_complex_not_closed_under_faces():
+    c = SimplicialComplex([0, 1, 2], [(0, 1, 2)])
+    field = VertexField(c, {0: 0, 1: 1, 2: 2})
+    with pytest.raises(InvariantViolationError, match=r"closure misses \(1, 2\) < \(0, 1, 2\)"):
+        reeb_graph(field)
 
 
 def test_duplicate_values_rejected():

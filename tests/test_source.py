@@ -164,3 +164,41 @@ def test_only_complexes_builds_a_simplex_position_map():
         for line in simplex_position_maps(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+SMITH_TRANSFORMS = {"U", "V", "Uinv", "Vinv", "S"}
+
+
+def smith_transform_reads(source):
+    """(top-level definition, attribute) for each read of a Smith transform."""
+    tree = ast.parse(source)
+    return {
+        (top.name, node.attr)
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr in SMITH_TRANSFORMS
+    }
+
+
+def test_smith_transform_reads_are_detected():
+    found = smith_transform_reads(
+        "def f(a):\n    return smith_normal_form(a).U.times_vector([1])\n"
+        "class C:\n    def g(self, snf):\n        self.x = snf.Vinv.entries\n"
+    )
+    assert found == {("f", "U"), ("C", "Vinv")}
+    assert smith_transform_reads("def f(snf):\n    return snf.rank, snf.diagonal\n") == set()
+
+
+def test_only_the_basis_builders_read_smith_transforms():
+    # a lattice question is answered by invariant factors; U, V and their
+    # inverses are read only where a basis is built
+    paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+    owners = {
+        (path.name, name)
+        for path in paths
+        for name, _ in smith_transform_reads(path.read_text(encoding="utf-8"))
+    }
+    assert owners == {("algebra.py", "ChainBasis"), ("algebra.py", "kernel_generators")}
