@@ -1,9 +1,10 @@
 """Exact integer linear algebra for chain complexes.
 
-Sparse boundary operators, Smith normal form with unimodular transforms
-(and, for invariant factors alone, sparse unit-pivot elimination first), integral
-and mod-2 homology, homology generators with a projection onto chosen
-coordinates, and a chain-level Mayer-Vietoris exactness checker.  All
+Sparse boundary operators, Smith normal form with unimodular transforms,
+integral and mod-2 homology, homology generators with a projection onto
+chosen coordinates, and a chain-level Mayer-Vietoris exactness checker.
+Invariant factors and bases both come from one sparse elimination of unit
+pivots, with the dense elimination run on the leftover block alone.  All
 arithmetic is over Python's arbitrary-precision integers; nothing here may
 touch floating point.
 """
@@ -11,7 +12,6 @@ touch floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from math import prod
 
 from .errors import BadCoverError, IncompatibleCochainError, InvariantViolationError
@@ -29,10 +29,6 @@ class IntegerMatrix:
             entries = [[0] * cols for _ in range(rows)]
         self.entries = entries
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def columns(self):
         """One {row: nonzero} dict per column, as `SparseMatrix` stores them."""
@@ -40,32 +36,6 @@ class IntegerMatrix:
             {i: row[j] for i, row in enumerate(self.entries) if row[j]}
             for j in range(self.cols)
         ]
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise IncompatibleCochainError("matrix shapes do not fit")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.entries[i]
-            acc = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    brow = other.entries[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
-        return IntegerMatrix(self.rows, other.cols, out)
-
-    def times_vector(self, v):
-        if self.cols != len(v):
-            raise IncompatibleCochainError("vector length does not fit")
-        return [sum(a * x for a, x in zip(row, v) if a and x) for row in self.entries]
-
-    def column(self, j):
-        return [row[j] for row in self.entries]
-
-    def is_zero(self):
-        return all(all(a == 0 for a in row) for row in self.entries)
 
     def __eq__(self, other):
         return (
@@ -158,10 +128,11 @@ def smith_normal_form(a, transforms=True):
     """
     m, n = a.rows, a.cols
     if not transforms:
-        count, rest = _eliminate_unit_pivots(a.columns, m)
-        _dense_smith(rest.entries, rest.rows, rest.cols)
-        tail = [rest.entries[i][i] for i in range(min(rest.rows, rest.cols))]
-        diagonal = [1] * count + tail + [0] * (min(m, n) - count - len(tail))
+        rest = _eliminate_unit_pivots(a.columns, m)
+        block, width = rest.block, len(rest.live)
+        _dense_smith(block, len(block), width)
+        tail = [block[i][i] for i in range(min(len(block), width))]
+        diagonal = [1] * rest.count + tail + [0] * (min(m, n) - rest.count - len(tail))
         rank = sum(1 for d in diagonal if d)
         return SnfDecomposition(None, None, None, None, None, rank, diagonal)
     s = [[0] * n for _ in range(m)]
@@ -181,22 +152,39 @@ def smith_normal_form(a, transforms=True):
     )
 
 
-def _eliminate_unit_pivots(columns, m):
+@dataclass
+class _Elimination:
+    """What `_eliminate_unit_pivots` leaves: the pivots it split off and the
+    non-pivot columns, split into those eliminated to zero (`free`) and those
+    of the leftover `block`, given densely as rows over `live`."""
+
+    count: int
+    free: list
+    live: list
+    block: list
+
+
+def _eliminate_unit_pivots(columns, m, tracked=None):
     """Pivot on ±1 entries of an m-row matrix by sparse column operations.
 
     `columns` holds one {row: nonzero} dict per column and is not modified.
     Once a pivot's row is cleared by column operations, the pivot's row and
     column split off a diagonal 1, so both are dropped.  Each column pivots
     on its unit entry in the row with the fewest remaining entries, which
-    keeps fill-in low.  Passes repeat until one eliminates nothing.  Returns
-    the number of pivots and the leftover block as a dense matrix; rows and
-    columns left all zero are not part of it.
+    keeps fill-in low.  Passes repeat until one eliminates nothing.  Rows
+    and columns left all zero are not part of the leftover block.
+
+    `tracked`, one {index: value} dict per column, undergoes the same column
+    operations in place; started at the identity, it ends as V with a·V the
+    eliminated matrix.  There the pivot columns carry a unit lower-triangular
+    block on the pivot rows, and every other column is zero on those rows.
     """
     cols = [dict(col) for col in columns]
     rows = [set() for _ in range(m)]  # row -> columns with an entry there
     for j, col in enumerate(cols):
         for i in col:
             rows[i].add(j)
+    pivot = [False] * len(cols)
     count = 0
     progress = True
     while progress:
@@ -224,15 +212,25 @@ def _eliminate_unit_pivots(columns, m):
                     else:
                         del target[i]
                         rows[i].discard(k)
+                if tracked is not None:
+                    target = tracked[k]
+                    for i, x in tracked[j].items():
+                        y = target.get(i, 0) - q * x
+                        if y:
+                            target[i] = y
+                        else:
+                            del target[i]
             for i in col:
                 rows[i].discard(j)
             cols[j] = {}
+            pivot[j] = True
             count += 1
             progress = True
     live_rows = [i for i, r in enumerate(rows) if r]
-    live_cols = [col for col in cols if col]
-    block = [[col.get(i, 0) for col in live_cols] for i in live_rows]
-    return count, IntegerMatrix(len(live_rows), len(live_cols), block)
+    live = [j for j, col in enumerate(cols) if col]
+    free = [j for j, col in enumerate(cols) if not col and not pivot[j]]
+    block = [[cols[j].get(i, 0) for j in live] for i in live_rows]
+    return _Elimination(count, free, live, block)
 
 
 def _dense_smith(s, m, n):
@@ -364,31 +362,6 @@ def _dense_smith(s, m, n):
     return u, v, uinv, vinv
 
 
-def determinant(a):
-    """Bareiss fraction-free determinant; exact."""
-    n = a.rows
-    if n != a.cols:
-        raise IncompatibleCochainError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    mat = [row[:] for row in a.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
-
-
 def rank_mod2(a):
     """Rank over Z/2 by bitset elimination on the columns (rank A = rank Aᵀ)."""
     rows = []
@@ -475,7 +448,15 @@ class ChainBasis:
     """ker(a) / im(b) with generators expressed over the ambient chain basis.
 
     `a` and `b` are `SparseMatrix`es; x is a cycle when `a.apply(x)` is empty.
-    The rows of Vinv past rank(a) then write x in kernel coordinates.
+    The cycles are read in the basis of `_kernel_basis`.  Row operations
+    that bring the boundaries y to Smith form are column operations on yᵀ,
+    so the same tracked elimination on yᵀ records W with U_y = Wᵀ on the
+    pivots, and the leftover block's dense Smith form finishes U_y.  Each
+    generator is thus a unit vector on a non-pivot coordinate of yᵀ, put
+    through the block's inverse transform, and each coordinate of a
+    projection is one functional: a column of W, put through the block's
+    transform and read through the kernel basis.  Torsion generators come
+    first, in divisor order, then the free ones.
     """
 
     def __init__(self, a, b):
@@ -483,31 +464,31 @@ class ChainBasis:
         for col in b.columns:
             if a.apply(col):
                 raise IncompatibleCochainError("boundary column is not a cycle")
-        snf_a = smith_normal_form(a)
-        r = snf_a.rank
-        vinv_tail = snf_a.Vinv.entries[r:]
-        k = n - r
-        # boundaries written in kernel coordinates, y = Vinv[r:]·b, built as
-        # its transpose: column t of yᵀ is bᵀ·(row t of Vinv[r:])
-        bt = b.transpose()
-        y = SparseMatrix(b.cols, k, [
-            bt.apply({i: row[i] for i in compress(range(n), row)}) for row in vinv_tail
-        ]).transpose()
-        snf_y = smith_normal_form(y)
-        diag = snf_y.diagonal + [0] * (k - len(snf_y.diagonal))
-        kept = [i for i in range(k) if diag[i] != 1]
-        generators = []
-        for i in kept:
-            # the kernel basis (columns r.. of V) times column i of Uinv
-            coef = [(r + t, cval) for t, cval in enumerate(snf_y.Uinv.column(i)) if cval]
-            generators.append([sum(row[j] * cval for j, cval in coef) for row in snf_a.V.entries])
-        self.generators = generators
-        self.orders = [diag[i] for i in kept]
+        basis, readers = _kernel_basis(a)
+        k = len(basis)
+        readers = SparseMatrix(n, k, readers)
+        # boundaries in kernel coordinates, as yᵀ: one column per coordinate
+        read = readers.transpose()
+        yt = SparseMatrix(k, b.cols, [read.apply(col) for col in b.columns]).transpose()
+        w = [{t: 1} for t in range(k)]
+        rest = _eliminate_unit_pivots(yt.columns, yt.rows, w)
+        block, live = rest.block, rest.live
+        # P·R·Q = D on the block R of yᵀ gives Qᵀ·Rᵀ·Pᵀ = Dᵀ: Qᵀ finishes U_y
+        _, q, _, qinv = _dense_smith(block, len(block), len(live))
+        w_live = SparseMatrix(k, len(live), [w[s] for s in live])
+        kept = []  # (order, generator, functional), both in kernel coordinates
+        for i in range(len(live)):
+            d = block[i][i] if i < len(block) else 0
+            if d != 1:
+                gen = {s: x for s, x in zip(live, qinv[i]) if x}
+                coef = {t: row[i] for t, row in enumerate(q) if row[i]}
+                kept.append((d, gen, w_live.apply(coef)))
+        kept += [(0, {s: 1}, w[s]) for s in rest.free]
+        basis = SparseMatrix(n, k, basis)
+        self.orders = [d for d, _, _ in kept]
+        self.generators = [_dense(basis.apply(gen), n) for _, gen, _ in kept]
+        self._functionals = [readers.apply(f) for _, _, f in kept]
         self._a = a
-        self._vinv_tail = vinv_tail
-        self._uy = snf_y.U
-        self._kept = kept
-        self._diag = diag
 
     def group(self, degree):
         rank = sum(1 for d in self.orders if d == 0)
@@ -517,16 +498,44 @@ class ChainBasis:
     def project(self, vec):
         if len(vec) != self._a.cols:
             raise IncompatibleCochainError("vector length does not fit")
-        x = {i: v for i, v in enumerate(vec) if v}
-        if self._a.apply(x):
+        if self._a.apply({i: v for i, v in enumerate(vec) if v}):
             raise IncompatibleCochainError("vector is not a cycle")
-        y = [sum(row[i] * v for i, v in x.items()) for row in self._vinv_tail]
-        u = self._uy.times_vector(y)
         coords = []
-        for i in self._kept:
-            d = self._diag[i]
-            coords.append(u[i] % d if d >= 2 else u[i])
+        for d, f in zip(self.orders, self._functionals):
+            x = sum(c * vec[i] for i, c in f.items())
+            coords.append(x % d if d >= 2 else x)
         return coords
+
+
+def _kernel_basis(a):
+    """A Z-basis of ker(a) and the functionals that read a cycle in it.
+
+    Returns (basis, readers), lists of {index: nonzero} dicts with every x
+    in ker(a) equal to Σ_s (readers[s]·x) basis[s].  One tracked unit-pivot
+    elimination gives a·V = [[L, 0], [X, R]] with L unit lower-triangular,
+    so ker(a) = V·(0 ⊕ ker R).  An operation col_k -= q·col_j, j a pivot,
+    changes only column k of V and row j of V⁻¹, so V⁻¹ keeps the unit row
+    of every non-pivot column: x reads its V-coordinates off its own entries
+    there.  The free non-pivot columns of V are basis vectors as they stand;
+    the leftover block R adds V times its own kernel, from its dense Smith
+    form, and its coordinates come through that form's inverse transform.
+    """
+    v = [{j: 1} for j in range(a.cols)]
+    rest = _eliminate_unit_pivots(a.columns, a.rows, v)
+    block, live = rest.block, rest.live
+    _, q, _, qinv = _dense_smith(block, len(block), len(live))
+    rank = sum(1 for i in range(min(len(block), len(live))) if block[i][i])
+    basis = [v[j] for j in rest.free]
+    readers = [{j: 1} for j in rest.free]
+    v_live = SparseMatrix(a.cols, len(live), [v[j] for j in live])
+    for t in range(rank, len(live)):
+        basis.append(v_live.apply({c: row[t] for c, row in enumerate(q) if row[t]}))
+        readers.append({j: x for j, x in zip(live, qinv[t]) if x})
+    return basis, readers
+
+
+def _dense(vec, n):
+    return [vec.get(i, 0) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +582,14 @@ def lattices_equal(gens1, gens2):
 
 
 def kernel_generators(columns):
-    """Generators of {x : M x = 0} for M given by columns over Z."""
+    """A Z-basis of {x : M x = 0} for M given by columns over Z.
+
+    It has exactly len(columns) - rank(M) vectors.
+    """
     if not columns:
         return []
-    snf = smith_normal_form(_column_matrix(columns, len(columns[0])))
-    return [snf.V.column(j) for j in range(snf.rank, len(columns))]
+    basis, _ = _kernel_basis(_column_matrix(columns, len(columns[0])))
+    return [_dense(vec, len(columns)) for vec in basis]
 
 
 def relation_vectors(orders):

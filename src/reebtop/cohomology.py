@@ -46,7 +46,7 @@ def cochain_class(c, p, values):
 def cohomology_basis(c, p):
     """Cocycle representatives of a basis, plus the group they present.
 
-    Free generators come first in SNF order, then torsion generators; the
+    Torsion generators come first, in divisor order, then the free ones; the
     coordinates of the i-th representative are the i-th unit vector.
     """
     basis = chain_basis(c, p, dual=True)

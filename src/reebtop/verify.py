@@ -80,6 +80,7 @@ class Predictions:
     a_ranks: dict
     base_restriction_ranks: dict
     double_restriction_ranks: dict
+    cup_pairs: dict
 
 
 def handle_predictions(data):
@@ -88,7 +89,9 @@ def handle_predictions(data):
     Degree-p homology adds one mirror class per (n-p)-handle of each piece;
     the top group is free of rank l.  The ranks of the doubled-side summands
     use the dual handle counts h_{j,n-p}, which is what the top-degree and
-    universal-coefficient bookkeeping force.
+    universal-coefficient bookkeeping force.  So a_p classes of degree p die
+    on the doubles and Σ_j h_{j,n-p} die on the base, and the cup-vanishing
+    check pairs a_{p1} · Σ_j h_{j,n-p2} of them in degrees (p1, p2).
     """
     n, l = data.n, data.l
 
@@ -119,8 +122,14 @@ def handle_predictions(data):
         p: data.piece_sum(p) + data.piece_sum(n - p) for p in range(1, n)
     }
     double_restriction[n] = l
+    cup_pairs = {
+        (p1, p2): a_ranks[p1] * data.piece_sum(n - p2)
+        for p1 in range(1, n)
+        for p2 in range(1, n - p1 + 1)
+    }
     return Predictions(
-        tuple(groups), tuple(co_ranks), a_ranks, base_restriction, double_restriction
+        tuple(groups), tuple(co_ranks), a_ranks, base_restriction, double_restriction,
+        cup_pairs,
     )
 
 
@@ -301,8 +310,9 @@ def verify_double_attachment(inst):
                     checked += 1
                     if all(x == 0 for x in coords):
                         vanished += 1
+            pairs = pred.cup_pairs[p1, p2]
             cup_results[f"{p1}+{p2}"] = {"pairs": checked, "vanished": vanished}
-            cup_expected[f"{p1}+{p2}"] = {"pairs": checked, "vanished": checked}
+            cup_expected[f"{p1}+{p2}"] = {"pairs": pairs, "vanished": pairs}
     claims.append(
         _claim(
             f"{inst.name}:cup-vanishing",

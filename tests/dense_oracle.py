@@ -1,13 +1,87 @@
-"""Dense boundary operators and lattice tests, kept as oracles for the sparse ones.
+"""Dense boundary operators, lattice tests and homology bases, kept as
+oracles for the sparse ones.
 
 The boundary builders are the ones `reebtop.algebra` used before boundary
 operators became `SparseMatrix`es; they share no code with the sparse path.
 The lattice tests are the ones it used before lattices were compared by
-invariant factors: they read U and V of a dense Smith decomposition with
-transforms, where the package reads only the diagonal of sparse ones.
+invariant factors, and `DenseChainBasis` and `dense_kernel_generators` the
+ones it used before bases came from a tracked unit-pivot elimination: they
+read U and V of a dense Smith decomposition with transforms, where the
+package reads only the diagonal of sparse ones.  The dense matrix helpers
+(products, determinants, columns) serve these oracles and the Smith-form
+contract tests alone.
 """
 
-from reebtop.algebra import IntegerMatrix, smith_normal_form
+from itertools import compress
+
+from reebtop.algebra import (
+    HomologyGroup,
+    IntegerMatrix,
+    SparseMatrix,
+    augmentation_matrix,
+    boundary_matrix,
+    smith_normal_form,
+)
+from reebtop.errors import IncompatibleCochainError
+
+
+def identity(n):
+    return IntegerMatrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def mul(a, b):
+    if a.cols != b.rows:
+        raise IncompatibleCochainError("matrix shapes do not fit")
+    out = [[0] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        row = a.entries[i]
+        acc = out[i]
+        for k, x in enumerate(row):
+            if x:
+                brow = b.entries[k]
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+    return IntegerMatrix(a.rows, b.cols, out)
+
+
+def times_vector(a, v):
+    if a.cols != len(v):
+        raise IncompatibleCochainError("vector length does not fit")
+    return [sum(x * y for x, y in zip(row, v) if x and y) for row in a.entries]
+
+
+def column(a, j):
+    return [row[j] for row in a.entries]
+
+
+def is_zero(a):
+    return all(all(x == 0 for x in row) for row in a.entries)
+
+
+def determinant(a):
+    """Bareiss fraction-free determinant; exact."""
+    n = a.rows
+    if n != a.cols:
+        raise IncompatibleCochainError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    mat = [row[:] for row in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
+            if swap is None:
+                return 0
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+            mat[i][k] = 0
+        prev = mat[k][k]
+    return sign * mat[n - 1][n - 1]
 
 
 def dense_boundary_matrix(c, p):
@@ -53,7 +127,7 @@ def dense_lattice_contains(gens, vec):
         return all(x == 0 for x in vec)
     a = IntegerMatrix(dim, len(gens), [[g[i] for g in gens] for i in range(dim)])
     snf = smith_normal_form(a)
-    w = snf.U.times_vector(vec)
+    w = times_vector(snf.U, vec)
     for i, x in enumerate(w):
         d = snf.diagonal[i] if i < len(snf.diagonal) else 0
         if d == 0:
@@ -71,4 +145,73 @@ def dense_kernel_generators(columns):
     dim = len(columns[0])
     a = IntegerMatrix(dim, len(columns), [[col[i] for col in columns] for i in range(dim)])
     snf = smith_normal_form(a)
-    return [snf.V.column(j) for j in range(snf.rank, len(columns))]
+    return [column(snf.V, j) for j in range(snf.rank, len(columns))]
+
+
+def dense_chain_basis(c, p, reduced=False, dual=False):
+    """`chain_basis` on the dense transforms path."""
+    if dual:
+        a = boundary_matrix(c, p + 1).transpose()
+        b = boundary_matrix(c, p).transpose()
+    else:
+        a = augmentation_matrix(c) if (p == 0 and reduced) else boundary_matrix(c, p)
+        b = boundary_matrix(c, p + 1)
+    return DenseChainBasis(a, b)
+
+
+class DenseChainBasis:
+    """ker(a) / im(b) with generators expressed over the ambient chain basis.
+
+    `a` and `b` are `SparseMatrix`es; x is a cycle when `a.apply(x)` is empty.
+    The rows of Vinv past rank(a) then write x in kernel coordinates.
+    """
+
+    def __init__(self, a, b):
+        n = a.cols
+        for col in b.columns:
+            if a.apply(col):
+                raise IncompatibleCochainError("boundary column is not a cycle")
+        snf_a = smith_normal_form(a)
+        r = snf_a.rank
+        vinv_tail = snf_a.Vinv.entries[r:]
+        k = n - r
+        # boundaries written in kernel coordinates, y = Vinv[r:]·b, built as
+        # its transpose: column t of yᵀ is bᵀ·(row t of Vinv[r:])
+        bt = b.transpose()
+        y = SparseMatrix(b.cols, k, [
+            bt.apply({i: row[i] for i in compress(range(n), row)}) for row in vinv_tail
+        ]).transpose()
+        snf_y = smith_normal_form(y)
+        diag = snf_y.diagonal + [0] * (k - len(snf_y.diagonal))
+        kept = [i for i in range(k) if diag[i] != 1]
+        generators = []
+        for i in kept:
+            # the kernel basis (columns r.. of V) times column i of Uinv
+            coef = [(r + t, cval) for t, cval in enumerate(column(snf_y.Uinv, i)) if cval]
+            generators.append([sum(row[j] * cval for j, cval in coef) for row in snf_a.V.entries])
+        self.generators = generators
+        self.orders = [diag[i] for i in kept]
+        self._a = a
+        self._vinv_tail = vinv_tail
+        self._uy = snf_y.U
+        self._kept = kept
+        self._diag = diag
+
+    def group(self, degree):
+        rank = sum(1 for d in self.orders if d == 0)
+        torsion = tuple(d for d in self.orders if d >= 2)
+        return HomologyGroup(degree, rank, torsion)
+
+    def project(self, vec):
+        if len(vec) != self._a.cols:
+            raise IncompatibleCochainError("vector length does not fit")
+        x = {i: v for i, v in enumerate(vec) if v}
+        if self._a.apply(x):
+            raise IncompatibleCochainError("vector is not a cycle")
+        y = [sum(row[i] * v for i, v in x.items()) for row in self._vinv_tail]
+        u = times_vector(self._uy, y)
+        coords = []
+        for i in self._kept:
+            d = self._diag[i]
+            coords.append(u[i] % d if d >= 2 else u[i])
+        return coords

@@ -26,11 +26,13 @@ from reebtop.complexes import (
     barycentric_subdivision,
     from_facets,
     product,
+    wedge,
 )
 from reebtop.errors import IncompatibleCochainError, NotAnInclusionError
 from reebtop.models import standard_model
 
 from conftest import run_optimized
+from dense_oracle import dense_chain_basis
 
 
 @pytest.fixture(scope="module")
@@ -285,9 +287,9 @@ def _cokernel(columns, orders):
     return k - sum(1 for d in diagonal if d), [d for d in diagonal if d > 1]
 
 
-def ring_invariants(c):
+def ring_invariants(c, basis=chain_basis):
     """Invariants of the cohomology ring that do not depend on the chosen bases."""
-    bases = {p: chain_basis(c, p, dual=True) for p in range(c.dim + 1)}
+    bases = {p: basis(c, p, dual=True) for p in range(c.dim + 1)}
     out = {"groups": [bases[p].group(p) for p in bases]}
     for p in bases:
         for q in range(p, c.dim + 1 - p):
@@ -331,3 +333,36 @@ def test_cohomology_rings_are_invariant_under_subdivision(build, pairing):
     ring = ring_invariants(c)
     assert ring["pairing"] == pairing
     assert ring_invariants(barycentric_subdivision(c)) == ring
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: standard_model("surface", genus=2, boundary=0),
+        lambda: standard_model("torus_grid", a=5, b=5),
+        _rp2_times_circle,
+    ],
+    ids=["genus2", "torus_5x5", "rp2_x_circle"],
+)
+def test_ring_invariants_match_the_dense_bases(build):
+    # the generators differ from the dense transforms path's, so product
+    # coordinates do too; the groups, the rank and cokernel of every cup map
+    # and the Smith form of the H^1 x H^1 pairing do not
+    c = build()
+    assert ring_invariants(c) == ring_invariants(c, dense_chain_basis)
+
+
+def test_cohomology_basis_lists_torsion_first():
+    # H_1(RP^2 x S^1) is Z/2 + Z, and so is H^2 of RP^2 wedge S^2
+    assert chain_basis(_rp2_times_circle(), 1).orders == [2, 0]
+    rp2 = from_facets(
+        [[0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
+         [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5]]
+    )
+    c = wedge(rp2, 0, standard_model("sphere", n=2), 0)
+    classes, group = cohomology_basis(c, 2)
+    assert (group.rank, group.torsion) == (1, (2,))
+    assert chain_basis(c, 2, dual=True).orders == [2, 0]
+    assert [x.coordinates for x in classes] == [(1, 0), (0, 1)]
+    doubled = [cochain_class(c, 2, [2 * v for v in x.values]).coordinates for x in classes]
+    assert doubled == [(0, 0), (0, 2)]

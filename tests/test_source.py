@@ -193,12 +193,44 @@ def test_smith_transform_reads_are_detected():
 
 
 def test_only_the_basis_builders_read_smith_transforms():
-    # a lattice question is answered by invariant factors; U, V and their
-    # inverses are read only where a basis is built
+    # a lattice question is answered by invariant factors, and a basis by a
+    # tracked unit-pivot elimination; nothing in the package reads U, S, V
+    # or their inverses of a `smith_normal_form` result
     paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
     owners = {
         (path.name, name)
         for path in paths
         for name, _ in smith_transform_reads(path.read_text(encoding="utf-8"))
     }
-    assert owners == {("algebra.py", "ChainBasis"), ("algebra.py", "kernel_generators")}
+    assert owners == set()
+
+
+def dense_smith_callers(source):
+    """(top-level definition, first argument) of each `_dense_smith` call."""
+    tree = ast.parse(source)
+    return {
+        (top.name, ast.unparse(node.args[0]))
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_dense_smith"
+    }
+
+
+def test_the_dense_elimination_runs_on_leftover_blocks():
+    # besides the public transforms path of `smith_normal_form`, the dense
+    # elimination only finishes the block a unit-pivot elimination leaves
+    paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+    calls = {
+        (path.name, *call)
+        for path in paths
+        for call in dense_smith_callers(path.read_text(encoding="utf-8"))
+    }
+    assert calls == {
+        ("algebra.py", "smith_normal_form", "s"),
+        ("algebra.py", "smith_normal_form", "block"),
+        ("algebra.py", "ChainBasis", "block"),
+        ("algebra.py", "_kernel_basis", "block"),
+    }

@@ -6,7 +6,9 @@ from reebtop.branched import BranchedModel
 from reebtop.complexes import barycentric_subdivision
 from reebtop.errors import InconsistentHandleDataError
 from reebtop.models import concentric_disc, standard_model
+from reebtop import verify
 from reebtop.verify import (
+    INSTANCE_BUILDERS,
     DoublesInstance,
     HandleData,
     handle_predictions,
@@ -103,7 +105,39 @@ def test_cup_vanishing_has_content(doubles_reports):
     assert claim["expected"] == claim["computed"]
 
 
-@pytest.mark.parametrize("name", ["disc_in_disc", "annulus_core"])
+def test_predicted_cup_pairs():
+    # a_{p1} classes die on the doubles, sum_j h_{j,n-p2} on the base
+    assert handle_predictions(HandleData(2, 1, (2,), ((1,),))).cup_pairs == {(1, 1): 1}
+    assert handle_predictions(HandleData(2, 1, (1,), ((1,),))).cup_pairs == {(1, 1): 0}
+    solid = handle_predictions(HandleData(3, 1, (1, 0), ((1, 0),)))
+    assert solid.cup_pairs == {(1, 1): 0, (1, 2): 0, (2, 1): 0}
+    wide = handle_predictions(HandleData(3, 2, (4, 1), ((1, 0), (0, 1))))
+    assert wide.a_ranks == {1: 2, 2: 0}
+    assert wide.cup_pairs == {(1, 1): 2, (1, 2): 2, (2, 1): 0}
+
+
+def test_cup_vanishing_expects_the_predicted_count(doubles_reports):
+    for name, report in doubles_reports.items():
+        claim = claim_by_suffix(report, ":cup-vanishing")
+        pred = handle_predictions(INSTANCE_BUILDERS[name][1])
+        assert {k: v["pairs"] for k, v in claim["expected"].items()} == {
+            f"{p1}+{p2}": count for (p1, p2), count in pred.cup_pairs.items()
+        }, name
+
+
+def test_cup_vanishing_fails_when_a_class_is_lost(monkeypatch, doubles_instances):
+    # a kernel that drops a class checks one pair fewer than the handle data
+    # predicts; the expected count does not follow it
+    kernel = verify.preimage_kernel
+    monkeypatch.setattr(verify, "preimage_kernel", lambda cols, orders: kernel(cols, orders)[1:])
+    report = verify_double_attachment(doubles_instances["pants_band"])
+    claim = claim_by_suffix(report, ":cup-vanishing")
+    assert claim["expected"] == {"1+1": {"pairs": 1, "vanished": 1}}
+    assert claim["computed"] == {"1+1": {"pairs": 0, "vanished": 0}}
+    assert not claim["pass"] and not report["pass"]
+
+
+@pytest.mark.parametrize("name", list(INSTANCE_BUILDERS))
 def test_instances_pass_after_subdivision(name):
     # named parts survive subdivision, so the loci and the handle data carry over
     inst = build_instance(name)
