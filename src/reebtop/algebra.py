@@ -78,18 +78,27 @@ class SparseMatrix:
 def boundary_matrix(c, p):
     """Boundary operator from p-chains to (p-1)-chains, signs by omitted vertex.
 
-    Out-of-range degrees give an empty matrix of the correct shape.
+    Read-only: built once per complex and degree, like `c.positions(p)`,
+    and shared by every caller, who must not modify it.  Out-of-range
+    degrees give an empty matrix of the correct shape.
     """
+    matrix = c._boundaries.get(p)
+    if matrix is not None:
+        return matrix
     cols = c.simplices_of_dim(p) if p >= 0 else []
     if p < 1:
-        return SparseMatrix(0, len(cols), [{} for _ in cols])
-    index = c.positions(p - 1)
-    try:
-        return SparseMatrix(len(index), len(cols), [
-            {index[s[:i] + s[i + 1:]]: -1 if i % 2 else 1 for i in range(len(s))} for s in cols
-        ])
-    except KeyError as exc:
-        raise InvariantViolationError.missing_face(exc.args[0], cols) from None
+        matrix = SparseMatrix(0, len(cols), [{} for _ in cols])
+    else:
+        index = c.positions(p - 1)
+        try:
+            matrix = SparseMatrix(len(index), len(cols), [
+                {index[s[:i] + s[i + 1:]]: -1 if i % 2 else 1 for i in range(len(s))}
+                for s in cols
+            ])
+        except KeyError as exc:
+            raise InvariantViolationError.missing_face(exc.args[0], cols) from None
+    c._boundaries[p] = matrix
+    return matrix
 
 
 def augmentation_matrix(c):

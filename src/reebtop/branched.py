@@ -20,6 +20,7 @@ from .complexes import (
     _mirror_copy,
     _one_point_union,
     boundary_subcomplex,
+    codim_one_faces,
     from_facets,
     link,
     product,
@@ -297,7 +298,7 @@ def _proper_faces(s):
 
 
 def _coface_table(c):
-    """Every simplex's set of cofaces, built in one pass for one collapse run."""
+    """Every simplex's set of cofaces, built in one pass for one replay."""
     table = {s: set() for s in c.simplices}
     try:
         for s in c.simplices:
@@ -308,67 +309,97 @@ def _coface_table(c):
     return table
 
 
+def _check_closed(c, protected):
+    """Refuse `c` unless it is closed under faces, and `protected` unless it
+    is a subcomplex, in one pass over codimension-one faces.
+
+    A set of simplices is closed under faces when it holds every
+    codimension-one face of its members.  A missing face of `c` is named as
+    the all-faces enumeration of `_coface_table` would name it; one of
+    `protected` is the first in the canonical order of its owners.
+    """
+    kept = codim_one_faces(protected)
+    if not (kept | codim_one_faces(c.simplices - protected)) <= c.simplices:
+        face = next(g for s in c.simplices for g in _proper_faces(s) if g not in c.simplices)
+        raise InvariantViolationError.missing_face(face, c.simplices)
+    if not kept <= protected:
+        owners = sorted(protected, key=lambda s: (len(s), c.sort_key(s)))
+        face = next(
+            g for s in owners for g in itertools.combinations(s, len(s) - 1)
+            if g and g not in protected
+        )
+        exc = InvariantViolationError.missing_face(face, owners)
+        raise InvariantViolationError(f"target is not a subcomplex: {exc}")
+
+
 def _greedy_collapse(c, protected, point_goal, rng, budget):
-    alive = set(c.simplices)
-    cofaces = _coface_table(c)
-    # staged candidates per dimension: a list sorted by `c.sort_key`, from
-    # which `rng` draws an index, and the set of the faces in it
-    by_dim = {}
+    """One seeded greedy attempt to collapse `c` onto the subcomplex `protected`
+    (or, with `point_goal`, to one vertex).
+
+    Only the simplices outside `protected` can go, and every coface of one of
+    them lies outside too, so the search keeps to them.  The alive set stays
+    closed under faces, where a face has exactly one proper coface exactly
+    when it has one of codimension one; the table holds those only.
+    Candidates are staged per dimension as their ranks in `sort_key` order
+    among the removable simplices, and `rng` draws one.  Returns the steps
+    (None when the attempt gets stuck or runs out of budget) and the
+    simplices outside `protected` still alive.
+    """
+    alive = set(c.simplices - protected)
+    cofaces = {s: set() for s in alive}
+    for s in alive:
+        if len(s) > 1:
+            for g in itertools.combinations(s, len(s) - 1):
+                up = cofaces.get(g)
+                if up is not None:
+                    up.add(s)
+    order = {d: [s for s in c.simplices_of_dim(d) if s in alive] for d in range(c.dim + 1)}
+    rank = {s: r for group in order.values() for r, s in enumerate(group)}
+    pools = {}  # d -> sorted ranks of the staged d-simplices
 
     def stage(f):
-        pool, staged = by_dim.setdefault(len(f) - 1, ([], set()))
-        if f not in staged:
-            staged.add(f)
-            bisect.insort(pool, (c.sort_key(f), f))
+        pool = pools.setdefault(len(f) - 1, [])
+        r = rank[f]
+        i = bisect.bisect_left(pool, r)
+        if i == len(pool) or pool[i] != r:
+            pool.insert(i, r)
 
-    def unstage(f):
-        pool, staged = by_dim[len(f) - 1]
-        staged.remove(f)
-        del pool[bisect.bisect_left(pool, (c.sort_key(f),))]
-
-    def consider(f):
-        if f in protected or f not in alive:
-            return
-        cf = cofaces[f]
-        if len(cf) == 1 and next(iter(cf)) not in protected:
+    for f, up in cofaces.items():
+        if len(up) == 1:
             stage(f)
-
-    for f in alive:
-        consider(f)
     steps = []
     done = 0
     while done < budget:
         free = None
-        for d in sorted(by_dim, reverse=True):
-            pool = by_dim[d][0]
+        for d in sorted(pools, reverse=True):
+            pool = pools[d]
             while pool:
-                # lazy validation of staged candidates
-                f = pool[rng.randrange(len(pool))][1]
+                # a drawn candidate leaves the pool, removed or found stale
+                f = order[d][pool.pop(rng.randrange(len(pool)))]
                 if f in alive and len(cofaces[f]) == 1:
-                    tau = next(iter(cofaces[f]))
-                    if tau not in protected:
-                        free = (f, tau)
-                        break
-                unstage(f)
+                    free = (f, next(iter(cofaces[f])))
+                    break
             if free:
                 break
-            by_dim.pop(d, None)
+            del pools[d]
         if free is None:
             break
         f, tau = free
-        unstage(f)
         for gone in (tau, f):
             alive.discard(gone)
-            for g in _proper_faces(gone):
-                cofaces[g].discard(tau)
-                cofaces[g].discard(f)
-                consider(g)
+            for g in itertools.combinations(gone, len(gone) - 1):
+                up = cofaces.get(g)
+                if up is not None:
+                    up.discard(gone)
+                    # g keeps an alive coface, so g is alive too
+                    if len(up) == 1:
+                        stage(g)
         steps.append((f, tau))
         done += 1
         if point_goal:
             if len(alive) == 1 and len(next(iter(alive))) == 1:
                 return steps, alive
-        elif alive == protected:
+        elif not alive:
             return steps, alive
     return None, alive
 
@@ -378,7 +409,9 @@ def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
 
     `target` is a subcomplex (complex, or set of simplices) or the string
     "point".  Success returns a replayable certificate; running out of
-    free faces or budget is inconclusive, not a refutation.
+    free faces or budget is inconclusive, not a refutation.  A complex not
+    closed under faces, or a target that is not a subcomplex, is refused
+    with `InvariantViolationError`.
     """
     if isinstance(target, str):
         if target != "point":
@@ -391,6 +424,7 @@ def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
             raise ValueError("target is not a subcomplex")
         protected = frozenset(part)
         point_goal = False
+    _check_closed(c, protected)
     if not point_goal and protected == c.simplices:
         return CollapseCertificate((), "subcomplex", seed, 0)
     for attempt in range(max(1, restarts)):

@@ -5,14 +5,16 @@ every simplex is a tuple of vertices sorted by that order, and the simplex
 set is closed under taking nonempty subsets.  Named subcomplexes are plain
 downward-closed subsets of the ambient simplex set and are how callers
 designate seams, cores, loci and covers.  All values are immutable after
-construction.  Incidence queries (cofaces, stars, links, facets, boundary)
-read one vertex-to-star index, built in a single pass on the first query.
+construction.  Incidence queries (cofaces, stars, links) read one
+vertex-to-star index, built in a single pass on the first query; facets and
+boundaries come from one pass over codimension-one faces.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 from .errors import (
@@ -33,6 +35,7 @@ class SimplicialComplex:
 
     __slots__ = (
         "vertices", "simplices", "named", "assets", "_index", "_by_dim", "_stars", "_positions",
+        "_boundaries",
     )
 
     def __init__(self, vertices, simplices, named=None, assets=None):
@@ -56,6 +59,7 @@ class SimplicialComplex:
         }
         self._stars = None  # derived: {vertex: simplices containing it}
         self._positions = {}  # derived: {p: {p-simplex: index in simplices_of_dim(p)}}
+        self._boundaries = {}  # derived: {p: algebra.boundary_matrix(self, p)}
 
     # -- basic queries -------------------------------------------------
 
@@ -65,7 +69,7 @@ class SimplicialComplex:
         return max(self._by_dim, default=-1)
 
     def sort_key(self, simplex):
-        return tuple(self._index[v] for v in simplex)
+        return tuple(map(self._index.__getitem__, simplex))
 
     def sorted_tuple(self, vertices):
         """Vertices as a simplex tuple sorted by this complex's order."""
@@ -97,8 +101,12 @@ class SimplicialComplex:
         return sum((-1) ** p * n for p, n in enumerate(self.f_vector()))
 
     def facets(self):
-        """Maximal simplices, canonically ordered."""
-        top = (s for s in self.simplices if not self.cofaces(s))
+        """Maximal simplices, canonically ordered.
+
+        In a set closed under faces, a simplex is maximal exactly when it is
+        no codimension-one face of another.
+        """
+        top = self.simplices - codim_one_faces(self.simplices)
         return sorted(top, key=lambda s: (len(s), self.sort_key(s)))
 
     def vertex_set(self, simplices=None):
@@ -290,6 +298,15 @@ class SimplicialMap:
 # ---------------------------------------------------------------------------
 
 
+def codim_one_faces(simplices):
+    """The set of codimension-one faces of the given simplices, in one pass."""
+    out = set()
+    for s in simplices:
+        out.update(itertools.combinations(s, len(s) - 1))
+    out.discard(())
+    return out
+
+
 def closure(simplices):
     """Downward closure of a set of simplex tuples."""
     out = set()
@@ -413,9 +430,13 @@ def boundary_subcomplex(a):
         return SimplicialComplex((), ())
     if any(len(f) - 1 != d for f in a.facets()):
         raise NotManifoldLikeError("complex is not pure")
+    # the cofaces of a (d-1)-face are the d-simplices around it
+    count = Counter(
+        itertools.chain.from_iterable(itertools.combinations(s, d) for s in a._by_dim[d])
+    )
     rim = []
     for f in a.simplices_of_dim(d - 1):
-        owners = len(a.cofaces(f))
+        owners = count[f]
         if owners > 2:
             raise NotManifoldLikeError(f"face {f!r} lies in more than two facets")
         if owners == 1:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 from conftest import run_optimized
@@ -328,3 +329,59 @@ def test_collapse_pools_draw_as_the_resorting_search(monkeypatch):
     assert sum(isinstance(x, CollapseCertificate) for x in fast) == 30
     monkeypatch.setattr(branched, "_greedy_collapse", scan_greedy_collapse)
     assert certificates() == fast
+
+
+def relative_collapses():
+    """Collapses onto subcomplexes, two of them inconclusive, seeds 0 to 4.
+
+    The targets are the cores of a disc, an annulus and a solid torus, and the
+    cone on a disc inside the cone on that disc with two flaps attached.
+    """
+    out = []
+    for name, params in (("disc", {"n": 2}), ("annulus", {"k": 4}), ("solid_torus", {"k": 3})):
+        c = standard_model(name, **params)
+        for seed in range(5):
+            out.append(collapse_to(c, c.subcomplex("core"), seed=seed))
+    base = concentric_disc(7, 5)
+    flapped = cone("apex", attach_flap(attach_flap(base, "ring_2"), "ring_4").complex)
+    for seed in range(5):
+        out.append(collapse_to(flapped, cone("apex", base), seed=seed))
+    # out of budget, and a sphere without a free face
+    annulus = standard_model("annulus", k=4)
+    out.append(collapse_to(annulus, annulus.subcomplex("core"), restarts=3, budget=2))
+    sphere = standard_model("sphere", n=2)
+    out.append(collapse_to(sphere, closure(sphere.simplices_of_dim(0)[:1]), restarts=3))
+    return out
+
+
+def test_relative_collapses_draw_as_the_resorting_search(monkeypatch):
+    fast = relative_collapses()
+    assert [isinstance(x, CollapseCertificate) for x in fast] == [True] * 20 + [False] * 2
+    monkeypatch.setattr(branched, "_greedy_collapse", scan_greedy_collapse)
+    assert relative_collapses() == fast
+
+
+def test_collapse_refuses_a_target_that_is_not_a_subcomplex():
+    disc = standard_model("disc", n=2)
+    edge = disc.simplices_of_dim(1)[0]
+    message = re.escape(f"target is not a subcomplex: closure misses {edge[:1]!r} < {edge!r}")
+    with pytest.raises(InvariantViolationError, match=message):
+        collapse_to(disc, {edge})
+
+
+def test_collapse_refuses_a_target_that_is_not_a_subcomplex_under_optimize():
+    result = run_optimized(
+        """
+        from reebtop.branched import collapse_to
+        from reebtop.errors import InvariantViolationError
+        from reebtop.models import standard_model
+
+        disc = standard_model("disc", n=2)
+        try:
+            collapse_to(disc, {disc.simplices_of_dim(1)[0]})
+        except InvariantViolationError as exc:
+            print("refused:", exc)
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("refused: target is not a subcomplex: closure misses")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import run_optimized
 from dense_oracle import (
     DenseChainBasis,
+    dense_boundary_matrix,
     dense_chain_basis,
     dense_kernel_generators,
     dense_lattice_contains,
@@ -31,6 +32,7 @@ from reebtop.algebra import (
     augmentation_matrix,
     boundary_matrix,
     chain_basis,
+    homology,
     kernel_generators,
     lattices_equal,
 )
@@ -217,6 +219,28 @@ def test_chain_bases_match_the_dense_oracle_on_pinned_complexes(name):
 @pytest.mark.parametrize("name", list(INSTANCE_BUILDERS))
 def test_chain_bases_match_the_dense_oracle_on_the_doubles(name, doubles_instances):
     assert_complex_agrees(doubles_instances[name].model.complex)
+
+
+def answers(c):
+    """Homology over Z and Z/2, and every chain basis with its projections."""
+    out = [homology(c), homology(c, "Z2"), homology(c, reduced=True)]
+    for p, reduced, dual in cases(c):
+        basis = chain_basis(c, p, reduced, dual)
+        out.append((basis.orders, basis.generators, [basis.project(g) for g in basis.generators]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["rp2_x_circle", "genus2"])
+def test_boundary_matrices_are_built_once_per_complex(name):
+    c = PINNED[name]()
+    degrees = range(-1, c.dim + 3)
+    first = [boundary_matrix(c, p) for p in degrees]
+    assert all(boundary_matrix(c, p) is m for p, m in zip(degrees, first))
+    assert [m.columns for m in first] == [dense_boundary_matrix(c, p).columns for p in degrees]
+    # a second reading of the kept matrices answers as a complex read afresh
+    fresh = answers(PINNED[name]())
+    assert answers(c) == fresh
+    assert answers(c) == fresh
 
 
 def test_chain_basis_refuses_forged_input_under_optimize():
