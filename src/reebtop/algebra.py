@@ -459,13 +459,11 @@ class ChainBasis:
     `a` and `b` are `SparseMatrix`es; x is a cycle when `a.apply(x)` is empty.
     The cycles are read in the basis of `_kernel_basis`.  Row operations
     that bring the boundaries y to Smith form are column operations on yᵀ,
-    so the same tracked elimination on yᵀ records W with U_y = Wᵀ on the
-    pivots, and the leftover block's dense Smith form finishes U_y.  Each
-    generator is thus a unit vector on a non-pivot coordinate of yᵀ, put
-    through the block's inverse transform, and each coordinate of a
-    projection is one functional: a column of W, put through the block's
-    transform and read through the kernel basis.  Torsion generators come
-    first, in divisor order, then the free ones.
+    so the Smith columns of yᵀ, with transform M, give U_y = Mᵀ: each
+    generator is a row of M⁻¹ and each coordinate of a projection is a
+    column of M, read through the kernel basis.  Columns of divisor 1 are
+    boundaries and are dropped.  Torsion generators come first, in divisor
+    order, then the free ones.
     """
 
     def __init__(self, a, b):
@@ -479,24 +477,12 @@ class ChainBasis:
         # boundaries in kernel coordinates, as yᵀ: one column per coordinate
         read = readers.transpose()
         yt = SparseMatrix(k, b.cols, [read.apply(col) for col in b.columns]).transpose()
-        w = [{t: 1} for t in range(k)]
-        rest = _eliminate_unit_pivots(yt.columns, yt.rows, w)
-        block, live = rest.block, rest.live
-        # P·R·Q = D on the block R of yᵀ gives Qᵀ·Rᵀ·Pᵀ = Dᵀ: Qᵀ finishes U_y
-        _, q, _, qinv = _dense_smith(block, len(block), len(live))
-        w_live = SparseMatrix(k, len(live), [w[s] for s in live])
-        kept = []  # (order, generator, functional), both in kernel coordinates
-        for i in range(len(live)):
-            d = block[i][i] if i < len(block) else 0
-            if d != 1:
-                gen = {s: x for s, x in zip(live, qinv[i]) if x}
-                coef = {t: row[i] for t, row in enumerate(q) if row[i]}
-                kept.append((d, gen, w_live.apply(coef)))
-        kept += [(0, {s: 1}, w[s]) for s in rest.free]
+        block, free = _smith_columns(yt.columns, yt.rows)
+        kept = [t for t in block + free if t[0] != 1]  # (order, functional, generator)
         basis = SparseMatrix(n, k, basis)
         self.orders = [d for d, _, _ in kept]
-        self.generators = [_dense(basis.apply(gen), n) for _, gen, _ in kept]
-        self._functionals = [readers.apply(f) for _, _, f in kept]
+        self.generators = [_dense(basis.apply(gen), n) for _, _, gen in kept]
+        self._functionals = [readers.apply(f) for _, f, _ in kept]
         self._a = a
 
     def group(self, degree):
@@ -516,31 +502,42 @@ class ChainBasis:
         return coords
 
 
+def _smith_columns(columns, m):
+    """The non-pivot columns of an m-row matrix a in Smith form, as (block, free).
+
+    One tracked unit-pivot elimination gives a·V = [[L, 0], [X, R]], L unit
+    lower-triangular, and the dense P·R·Q = D of the leftover block R
+    finishes it: M = V·(1 ⊕ Q).  A step col_k -= q·col_j, j a pivot, changes
+    only column k of V and row j of V⁻¹, so on the non-pivot columns the
+    rows of M⁻¹ are those of Q⁻¹.  Each triple (d, v, r) holds a diagonal
+    entry of D, the column of M and the row of M⁻¹, so r_s·v_t = δ_st.
+    `block` lists R's columns in divisor order, zeros last; `free` those
+    eliminated to zero, where d = 0.
+    """
+    v = [{j: 1} for j in range(len(columns))]
+    rest = _eliminate_unit_pivots(columns, m, v)
+    block, live = rest.block, rest.live
+    _, q, _, qinv = _dense_smith(block, len(block), len(live))
+    v_live = SparseMatrix(len(columns), len(live), [v[j] for j in live])
+    out = [
+        (block[i][i] if i < len(block) else 0,
+         v_live.apply({t: row[i] for t, row in enumerate(q) if row[i]}),
+         {j: x for j, x in zip(live, qinv[i]) if x})
+        for i in range(len(live))
+    ]
+    return out, [(0, v[j], {j: 1}) for j in rest.free]
+
+
 def _kernel_basis(a):
     """A Z-basis of ker(a) and the functionals that read a cycle in it.
 
     Returns (basis, readers), lists of {index: nonzero} dicts with every x
-    in ker(a) equal to Σ_s (readers[s]·x) basis[s].  One tracked unit-pivot
-    elimination gives a·V = [[L, 0], [X, R]] with L unit lower-triangular,
-    so ker(a) = V·(0 ⊕ ker R).  An operation col_k -= q·col_j, j a pivot,
-    changes only column k of V and row j of V⁻¹, so V⁻¹ keeps the unit row
-    of every non-pivot column: x reads its V-coordinates off its own entries
-    there.  The free non-pivot columns of V are basis vectors as they stand;
-    the leftover block R adds V times its own kernel, from its dense Smith
-    form, and its coordinates come through that form's inverse transform.
+    in ker(a) equal to Σ_s (readers[s]·x) basis[s]: the Smith columns of a
+    with diagonal entry 0, the free ones first.
     """
-    v = [{j: 1} for j in range(a.cols)]
-    rest = _eliminate_unit_pivots(a.columns, a.rows, v)
-    block, live = rest.block, rest.live
-    _, q, _, qinv = _dense_smith(block, len(block), len(live))
-    rank = sum(1 for i in range(min(len(block), len(live))) if block[i][i])
-    basis = [v[j] for j in rest.free]
-    readers = [{j: 1} for j in rest.free]
-    v_live = SparseMatrix(a.cols, len(live), [v[j] for j in live])
-    for t in range(rank, len(live)):
-        basis.append(v_live.apply({c: row[t] for c, row in enumerate(q) if row[t]}))
-        readers.append({j: x for j, x in zip(live, qinv[t]) if x})
-    return basis, readers
+    block, free = _smith_columns(a.columns, a.rows)
+    kernel = free + [t for t in block if t[0] == 0]
+    return [v for _, v, _ in kernel], [r for _, _, r in kernel]
 
 
 def _dense(vec, n):

@@ -19,6 +19,7 @@ from .complexes import (
     SimplicialComplex,
     _mirror_copy,
     _one_point_union,
+    _ridge_count,
     boundary_subcomplex,
     codim_one_faces,
     from_facets,
@@ -105,13 +106,13 @@ def _check_flap_locus(base, sigma_name, taken):
         raise InvalidBranchLocusError(f"{sigma_name!r} meets an existing locus")
     # the locus must be interior: each top simplex of sigma sits in exactly
     # two top simplices, and no vertex of sigma lies on the boundary
+    owners = _ridge_count(base)
     for f in sub.facets():
-        if len(base.cofaces(f)) != 2:
-            raise InvalidBranchLocusError(
-                f"{sigma_name!r} has no product neighborhood at {f!r}"
-            )
+        if owners[f] != 2:
+            raise InvalidBranchLocusError(f"{sigma_name!r} has no product neighborhood at {f!r}")
+    rim = {v for f in base.simplices_of_dim(d - 1) if owners[f] < 2 for v in f}
     for v in sub.vertices:
-        if any(len(f) == d and len(base.cofaces(f)) < 2 for f in base.open_star(v)):
+        if v in rim:
             raise InvalidBranchLocusError(f"{sigma_name!r} touches the boundary at {v!r}")
     return sub
 
@@ -411,8 +412,11 @@ def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
     "point".  Success returns a replayable certificate; running out of
     free faces or budget is inconclusive, not a refutation.  A complex not
     closed under faces, or a target that is not a subcomplex, is refused
-    with `InvariantViolationError`.
+    with `InvariantViolationError`; fewer than one restart or a negative
+    budget with `ValueError`.
     """
+    if restarts < 1 or budget < 0:
+        raise ValueError(f"need restarts >= 1 and budget >= 0, got {restarts} and {budget}")
     if isinstance(target, str):
         if target != "point":
             raise ValueError("target must be a subcomplex or 'point'")
@@ -427,7 +431,7 @@ def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
     _check_closed(c, protected)
     if not point_goal and protected == c.simplices:
         return CollapseCertificate((), "subcomplex", seed, 0)
-    for attempt in range(max(1, restarts)):
+    for attempt in range(restarts):
         rng = random.Random(seed + attempt)
         steps, _ = _greedy_collapse(c, protected, point_goal, rng, budget)
         if steps is not None:

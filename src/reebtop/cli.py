@@ -134,6 +134,16 @@ def _verify_contractible(args):
     return report
 
 
+def _at_least(low):
+    """An argparse type: an integer no smaller than `low`."""
+    def count(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return count
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="reebtop",
@@ -167,8 +177,8 @@ def build_parser():
 
     p = command("collapse", _collapse, "greedy collapse search", True)
     p.add_argument("--target", default="point")
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--restarts", type=_at_least(1), default=32)
+    p.add_argument("--budget", type=_at_least(0), default=10**6)
 
     p = command("verify-doubles", _verify_doubles, "handle-formula suite on doubled models", None)
     p.add_argument("--instances", default="all", help="comma list or 'all'")
@@ -177,8 +187,8 @@ def build_parser():
     p.add_argument("--pieces", default=None, help="custom pieces JSON path")
 
     p = command("verify-contractible", _verify_contractible, "collapse-to-point suite", None)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--restarts", type=_at_least(1), default=32)
+    p.add_argument("--budget", type=_at_least(0), default=10**6)
     return parser
 
 

@@ -81,21 +81,10 @@ def cup_product(a, b):
 
 
 def _sort_parity(items, key):
-    order = sorted(range(len(items)), key=lambda i: key(items[i]))
-    seen = [False] * len(order)
-    sign = 1
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = order[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """The sign of the permutation that sorts `items` by `key`: -1 per inversion."""
+    keys = [key(x) for x in items]
+    inversions = sum(x > y for i, x in enumerate(keys) for y in keys[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
 def restrict_class(a, inclusion):

@@ -423,6 +423,13 @@ def product(a, b):
     return c, proj_a, proj_b
 
 
+def _ridge_count(a):
+    """{(d-1)-face: number of d-simplices around it}, d the dimension of `a`."""
+    d = a.dim
+    faces = (itertools.combinations(s, d) for s in a._by_dim[d])
+    return Counter(itertools.chain.from_iterable(faces))
+
+
 def boundary_subcomplex(a):
     """Closure of the codimension-one faces lying in exactly one facet."""
     d = a.dim
@@ -430,10 +437,7 @@ def boundary_subcomplex(a):
         return SimplicialComplex((), ())
     if any(len(f) - 1 != d for f in a.facets()):
         raise NotManifoldLikeError("complex is not pure")
-    # the cofaces of a (d-1)-face are the d-simplices around it
-    count = Counter(
-        itertools.chain.from_iterable(itertools.combinations(s, d) for s in a._by_dim[d])
-    )
+    count = _ridge_count(a)
     rim = []
     for f in a.simplices_of_dim(d - 1):
         owners = count[f]

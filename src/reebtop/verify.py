@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 from .algebra import (
     HomologyGroup,
+    _column_matrix,
+    _dense,
     chain_basis,
     homology,
     mayer_vietoris_check,
@@ -284,18 +286,11 @@ def verify_double_attachment(inst):
     away_from_base = {}
     for p in range(1, n):
         for label, store in (("DY", away_from_doubles), ("X", away_from_base)):
-            cols, orders = restriction_cols[label, p]
-            kernel = preimage_kernel(cols, orders)
-            reps = []
-            for coef in kernel:
-                vec = [0] * len(w.simplices_of_dim(p))
-                for cval, gen in zip(coef, w_dual[p].generators):
-                    if cval:
-                        for i, x in enumerate(gen):
-                            if x:
-                                vec[i] += cval * x
-                reps.append(vec)
-            store[p] = reps
+            gens = _column_matrix(w_dual[p].generators, len(w.simplices_of_dim(p)))
+            store[p] = [
+                _dense(gens.apply(dict(enumerate(coef))), gens.rows)
+                for coef in preimage_kernel(*restriction_cols[label, p])
+            ]
     cup_results = {}
     cup_expected = {}
     for p1 in range(1, n):

@@ -78,7 +78,7 @@ def test_flap_rejects_a_locus_touching_the_boundary_at_a_vertex():
     square, _, _ = product(standard_model("interval", k=3), standard_model("interval", k=3))
     a, b, d = (0, 1), (1, 1), (1, 2)
     square = square.with_named("loop", closure([(a, b), (b, d), (a, d)]))
-    with pytest.raises(InvalidBranchLocusError, match="boundary"):
+    with pytest.raises(InvalidBranchLocusError, match=r"'loop' touches the boundary at \(0, 1\)"):
         attach_flap(square, "loop")
 
 
@@ -385,3 +385,23 @@ def test_collapse_refuses_a_target_that_is_not_a_subcomplex_under_optimize():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("refused: target is not a subcomplex: closure misses")
+
+
+@pytest.mark.parametrize(
+    "restarts, budget",
+    [(0, 100), (-4, 100), (1, -1)],
+    ids=["no_restart", "negative_restarts", "negative_budget"],
+)
+def test_collapse_refuses_bad_search_limits(restarts, budget):
+    # a search that cannot run is bad input, not an inconclusive answer
+    disc = standard_model("disc", n=2)
+    with pytest.raises(ValueError, match="need restarts >= 1 and budget >= 0"):
+        collapse_to(disc, "point", restarts=restarts, budget=budget)
+
+
+def test_collapse_runs_the_smallest_search_limits():
+    disc = standard_model("disc", n=2)
+    failed = collapse_to(disc, "point", restarts=1, budget=0)
+    assert not hasattr(failed, "steps") and (failed.restarts, failed.budget) == (1, 0)
+    done = collapse_to(disc, disc.simplices, restarts=1, budget=0)
+    assert done.steps == ()

@@ -29,12 +29,14 @@ from reebtop.algebra import (
     ChainBasis,
     IntegerMatrix,
     SparseMatrix,
+    _smith_columns,
     augmentation_matrix,
     boundary_matrix,
     chain_basis,
     homology,
     kernel_generators,
     lattices_equal,
+    smith_normal_form,
 )
 from reebtop.complexes import barycentric_subdivision, from_facets, product
 from reebtop.models import standard_model
@@ -219,6 +221,40 @@ def test_chain_bases_match_the_dense_oracle_on_pinned_complexes(name):
 @pytest.mark.parametrize("name", list(INSTANCE_BUILDERS))
 def test_chain_bases_match_the_dense_oracle_on_the_doubles(name, doubles_instances):
     assert_complex_agrees(doubles_instances[name].model.complex)
+
+
+def smith_column_matrices():
+    """Seeded random sparse matrices, with empty and torsion cases, and the
+    boundary matrices of the 3x3 torus and of sd(annulus), each also transposed."""
+    rng = random.Random(13)
+    out = [SparseMatrix(0, 4, [{}] * 4), SparseMatrix(3, 0, []), SparseMatrix(0, 0, [])]
+    out += [SparseMatrix(2, 2, [{0: 2}, {1: 2}]), SparseMatrix(2, 3, [{0: 4, 1: 6}, {0: 6}, {1: 10}])]
+    for _ in range(160):
+        m, n = rng.randint(0, 7), rng.randint(0, 8)
+        out.append(SparseMatrix(m, n, [
+            {i: rng.choice([1, -1, 2, -2, 3, 4, 6]) for i in range(m) if rng.random() < 0.35}
+            for _ in range(n)
+        ]))
+    for c in (standard_model("torus_grid", a=3, b=3),
+              barycentric_subdivision(standard_model("annulus", k=4))):
+        out += [boundary_matrix(c, p) for p in range(c.dim + 2)]
+    return out + [a.transpose() for a in out]
+
+
+def test_smith_columns_invert_and_diagonalize():
+    # each triple is (divisor, column of the transform M, row of M⁻¹)
+    for a in smith_column_matrices():
+        block, free = _smith_columns(a.columns, a.rows)
+        triples = block + free
+        for s, (_, _, r) in enumerate(triples):
+            for t, (_, v, _) in enumerate(triples):
+                assert sum(x * v.get(j, 0) for j, x in r.items()) == (s == t)
+        snf = smith_normal_form(a, transforms=False)
+        zeros = [v for d, v, _ in triples if d == 0]
+        assert all(not a.apply(v) for v in zeros)
+        assert len(zeros) == a.cols - snf.rank
+        assert all(d == 0 for d, _, _ in free)
+        assert [d for d, _, _ in block if d > 1] == [d for d in snf.diagonal if d > 1]
 
 
 def answers(c):

@@ -405,3 +405,23 @@ def test_cli_cohomology_report(tmp_path):
     assert main(["cohomology", "--recipe", recipe, "--out", str(out)]) == 0
     rep = read_json(out)
     assert rep["degrees"]["1"]["rank"] == 2
+
+
+@pytest.mark.parametrize("command", ["collapse", "verify-contractible"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--restarts", "0"], "--restarts: must be at least 1, got 0"),
+        (["--restarts", "-4"], "--restarts: must be at least 1, got -4"),
+        (["--budget", "-1"], "--budget: must be at least 0, got -1"),
+    ],
+)
+def test_cli_refuses_bad_collapse_limits(tmp_path, capsys, command, flags, message):
+    recipe = write_json(
+        tmp_path / "r.json", [{"id": "d", "op": "standard", "name": "disc", "n": 2}]
+    )
+    args = [command, *(["--recipe", recipe] if command == "collapse" else []), *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
