@@ -129,11 +129,12 @@ def attach_flap(x, sigma_name, seed=0):
     prism = prism.relabeled(
         lambda p: p[0] if p[1] == 0 else ("flap", sigma_name, p[0])
     )
-    new_vertices = [v for v in prism.vertices if v not in base._index]
-    named = dict(base.named)
-    out = union_on(
-        list(base.vertices) + new_vertices, base.simplices, prism.simplices, named=named
-    )
+    # the flap vertices come after the base's, so the base's tuples and named
+    # parts are already sorted in the new order; only the prism's are not
+    order = list(base.vertices) + [v for v in prism.vertices if v not in base._index]
+    index = {v: i for i, v in enumerate(order)}
+    flap = {tuple(sorted(s, key=index.__getitem__)) for s in prism.simplices}
+    out = SimplicialComplex(order, base.simplices | flap, base.named)
     cert = collapse_to(out, base.simplices, seed=seed)
     if not isinstance(cert, CollapseCertificate):
         raise InvariantViolationError("flap failed to collapse onto base")

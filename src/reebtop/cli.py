@@ -171,8 +171,9 @@ def build_parser():
     p.add_argument("--max-degree", type=int, default=None)
 
     p = command("reeb", _reeb, "Reeb graph of a vertex field", False)
-    p.add_argument("--field", default=None, help="field JSON path")
-    p.add_argument("--asset", default=None, help="bundled vertex asset name")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--field", default=None, help="field JSON path")
+    source.add_argument("--asset", default=None, help="bundled vertex asset name")
     p.add_argument("--smooth-degree-2", action="store_true")
 
     p = command("collapse", _collapse, "greedy collapse search", True)

@@ -35,7 +35,7 @@ class SimplicialComplex:
 
     __slots__ = (
         "vertices", "simplices", "named", "assets", "_index", "_by_dim", "_stars", "_positions",
-        "_boundaries",
+        "_boundaries", "_parts",
     )
 
     def __init__(self, vertices, simplices, named=None, assets=None):
@@ -60,6 +60,7 @@ class SimplicialComplex:
         self._stars = None  # derived: {vertex: simplices containing it}
         self._positions = {}  # derived: {p: {p-simplex: index in simplices_of_dim(p)}}
         self._boundaries = {}  # derived: {p: algebra.boundary_matrix(self, p)}
+        self._parts = {}  # derived: {name: subcomplex(name)}
 
     # -- basic queries -------------------------------------------------
 
@@ -121,14 +122,24 @@ class SimplicialComplex:
         return self.named[name]
 
     def subcomplex(self, name_or_simplices):
-        """Standalone complex for a named part (ambient vertex order kept)."""
-        if isinstance(name_or_simplices, str):
-            part = self.named_part(name_or_simplices)
-        else:
+        """Standalone complex for a part (ambient vertex order kept).
+
+        A named part's complex is built once per complex and shared, with
+        the boundary matrices it keeps; callers must not modify it.
+        """
+        name = name_or_simplices if isinstance(name_or_simplices, str) else None
+        if name in self._parts:
+            return self._parts[name]
+        if name is None:
             part = frozenset(tuple(s) for s in name_or_simplices)
+        else:
+            part = self.named_part(name)
         verts = self.vertex_set(part)
         order = [v for v in self.vertices if v in verts]
-        return SimplicialComplex(order, part)
+        sub = SimplicialComplex(order, part)
+        if name is not None:
+            self._parts[name] = sub
+        return sub
 
     def with_named(self, name, simplices):
         part = frozenset(tuple(s) for s in simplices)

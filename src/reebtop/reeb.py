@@ -18,26 +18,61 @@ for the simplices active at level i and on slab i.  Then
 
 where born_i holds the simplices whose lowest vertex is v_i and dies_i
 those whose highest vertex is v_i.  Both lie in the star of v_i, and every
-simplex of that star is active at level i, so all of it lies in the one
-level component K_i through v_i.  Every other component of S_(i-1) is a
+simplex of that star is active at level i and reaches the vertex v_i
+through faces that contain it, so all of it lies in the one level
+component K_i through v_i.  Every other component of S_(i-1) is a
 component of A_i and of S_i with the same members: it passes through the
 level untouched.  The sweep therefore keeps one union-find over the
-active simplices, joins the facets of the star of v_i into it, and on
-leaving the level rebuilds only the members of K_i.  Simplices are named
-by their rank in the canonical order, so a component's least simplex is
-the least rank among its members and the sweep compares no `Fraction`.
-With d the dimension, the work is O(S·d + Σ|K_i|) for S simplices, where
-rescanning every simplex at every level cost O(V·S).
+active simplices and, at level i, joins born_i and the slab components
+that meet the star into K_i.
+
+Leaving the level, K_i needs rebuilding only where the upper link of v_i
+(the faces opposite v_i of the born simplices) has two or more
+components.  Otherwise:
+
+- if the upper link is empty, K_i minus dies_i is empty;
+- if it is nonempty and connected, K_i minus dies_i is one slab component.
+
+Proof.  A member x of K_i that survives is joined to v_i by a path of
+facet steps in A_i.  If x lies outside the star, let s be the first star
+simplex on the path and y the step before it.  Then y does not contain
+v_i, so y is s minus v_i, and y is active without containing v_i, so it
+has vertices both below and above v_i: s is mixed and survives, and the
+path from x to y avoids the star, hence dies_i.  A surviving star
+simplex (x itself, when x is in the star) has a vertex above v_i;
+dropping its lower vertices one at a time gives surviving faces down to
+a simplex of the upper star, v_i joined to a face of the upper link.
+The upper star minus v_i is connected exactly when the upper link is, so
+x reaches one slab component; and with an empty upper link no member
+survives.  Merges need no test on the lower link: they are the joins at
+the level step.
+
+So where the upper link does not split, K_i stays whole in the
+union-find and its dead members stay in the set.  Each component keeps
+its member ranks in a heap whose top is its least live simplex; dead
+ranks are dropped lazily when they reach the top, and heaps merge small
+into large.  At a split vertex the live members of K_i are joined again
+through their facets on the slab, and the dead ones met there are
+dropped, so each dead member is visited at most once.  Whether the upper
+link splits is decided by a local union-find over its 1-skeleton.
+Simplices are named by their rank in the canonical order, so the sweep
+compares no `Fraction`.  For S simplices of dimension at most d and an
+output of R nodes and edges, the work is O(S·d + S·log² S) for the stars
+and the heaps (a rank moves O(log S) times, at O(log S) a push), plus
+O(d·Σ|K_i|) over the split vertices only, plus O(R·log R) for the output
+order.  Rebuilding K_i at every vertex cost O(S·d + Σ|K_i|), which grows
+like V^1.5 on height fields; rescanning every simplex at every level
+cost O(V·S).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     InvariantViolationError,
     MalformedFieldError,
-    MissingSimplexError,
     NonInjectiveFieldError,
 )
 from .graphs import Multigraph
@@ -124,6 +159,42 @@ class ReebGraph:
         return {"smoothed": self.is_smoothed, "nodes": nodes, "edges": edges}
 
 
+def _upper_link_splits(v, upper_star):
+    """Whether the upper link of `v` has two or more components.
+
+    `upper_star` holds the simplices through `v` whose other vertices all
+    lie above it; dropping `v` from them gives the upper link.  A complex is
+    connected exactly when its 1-skeleton is, so the far ends of the edges
+    are joined along the triangles in a local union-find.
+    """
+    parent = {}
+    triangles = []
+    for s in upper_star:
+        if len(s) == 2:
+            u = s[1] if s[0] == v else s[0]
+            parent[u] = u
+        elif len(s) == 3:
+            triangles.append(s)
+    pieces = len(parent)
+    if pieces < 2:
+        return False
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for s in triangles:
+        a, b = (find(u) for u in s if u != v)
+        if a != b:
+            parent[a] = b
+            pieces -= 1
+            if pieces == 1:
+                return False
+    return True
+
+
 def reeb_graph(field):
     """Raw Reeb graph of the field: one node per level-set component.
 
@@ -141,8 +212,15 @@ def reeb_graph(field):
     # least member of a component is the least rank
     simplices = sorted(c.simplices, key=c.sort_key)
     rank = {s: r for r, s in enumerate(simplices)}
-    lo = [min(pos[v] for v in s) for s in simplices]
-    hi = [max(pos[v] for v in s) for s in simplices]
+    stars = [[] for _ in order]  # ranks through each vertex, ascending
+    lo = []
+    hi = []
+    for r, s in enumerate(simplices):
+        ps = [pos[v] for v in s]
+        for p in ps:
+            stars[p].append(r)
+        lo.append(min(ps))
+        hi.append(max(ps))
     try:
         faces = [
             [rank[s[:j] + s[j + 1 :]] for j in range(len(s))] if len(s) > 1 else []
@@ -151,7 +229,9 @@ def reeb_graph(field):
     except KeyError as exc:
         raise InvariantViolationError.missing_face(exc.args[0], simplices) from None
     parent = list(range(len(simplices)))
-    comps = {}  # root -> [least member, members] of each active component
+    # root -> heap of the member ranks of an active component; its top is
+    # live, and dead members below the top are dropped when they surface
+    comps = {}
 
     def find(r):
         while parent[r] != r:
@@ -162,76 +242,89 @@ def reeb_graph(field):
     def join(a, b):
         a, b = find(a), find(b)
         if a != b:
-            if len(comps[a][1]) < len(comps[b][1]):
+            if len(comps[a]) < len(comps[b]):
                 a, b = b, a
             parent[b] = a
-            rep, members = comps.pop(b)
-            comps[a][1].extend(members)
-            comps[a][0] = min(comps[a][0], rep)
+            heap = comps[a]
+            for m in comps.pop(b):
+                heappush(heap, m)
 
-    def single(r):
-        parent[r] = r
-        comps[r] = [r, [r]]
+    def least(a):
+        return comps[a][0]
 
     nodes = []
     values = {}
     edges = []
     pending = []  # (member, node below, rebuilt members or None) per slab component
     for i, v in enumerate(order):
-        try:
-            star = [rank[s] for s in c.open_star(v)]
-        except MissingSimplexError:
-            star = []  # a listed vertex that spans no simplex
-        # level i: the slab below plus the simplices whose lowest vertex is v
-        for r in star:
-            if lo[r] == i:
-                single(r)
-        for r in star:
-            for f in faces[r]:
-                if lo[f] <= i <= hi[f]:
-                    join(r, f)
-        for a in sorted(comps, key=lambda a: comps[a][0]):
+        star = stars[i]  # empty for a listed vertex that spans no simplex
+        # level i: the slab below plus the simplices whose lowest vertex is
+        # v, all in K_i; the born ones start as one component with v
+        born = [r for r in star if lo[r] == i]
+        if star:
+            k = rank[(v,)]
+            for r in born:
+                parent[r] = k
+            comps[k] = born[:]  # ascending, hence a heap
+            for r in star:
+                if lo[r] < i:
+                    join(k, r)
+        level_node = {}
+        for a in sorted(comps, key=least):
             node = (i, simplices[comps[a][0]])
             nodes.append(node)
             values[node] = vals[v]
+            level_node[a] = node
         for member, below, rebuilt in pending:
             a = find(member)
             if rebuilt is not None and any(find(m) != a for m in rebuilt):
                 raise InvariantViolationError(
                     "slab component meets a level in more than one piece"
                 )
-            edges.append((below, (i, simplices[comps[a][0]])))
+            edges.append((below, level_node[a]))
         if i == len(order) - 1:
             break
-        # slab i: drop the simplices whose highest vertex is v; only the
-        # level components through v change, and they are rebuilt whole
-        level_node = {}
-        level_root = {}
-        for a in {find(r) for r in star}:
-            level_node[a] = (i, simplices[comps[a][0]])
-            for m in comps.pop(a)[1]:
-                if hi[m] > i:
-                    level_root[m] = a
-        for m in level_root:
-            single(m)
-        for m in level_root:
-            for f in faces[m]:
-                if lo[f] <= i < hi[f]:
-                    join(m, f)
-        rebuilt = {find(m) for m in level_root}
+        # slab i: drop the simplices whose highest vertex is v; only K_i
+        # changes, and it is rebuilt only where the upper link of v splits
+        level_root = {}  # live member of a rebuilt K_i -> root of K_i
+        rebuilt = set()
+        if star and not _upper_link_splits(v, [simplices[r] for r in born]):
+            a = find(k)
+            if len(born) == 1:  # v has no upper link: K_i ends here
+                del comps[a]
+            else:  # K_i minus dies_i is one slab component
+                heap = comps[a]
+                while hi[heap[0]] <= i:
+                    heappop(heap)
+        elif star:
+            for a in {find(r) for r in star}:
+                for m in comps.pop(a):
+                    if hi[m] > i:
+                        level_root[m] = a
+            for m in level_root:
+                parent[m] = m
+            for m in level_root:
+                for f in faces[m]:
+                    if lo[f] <= i < hi[f]:
+                        a, b = find(m), find(f)
+                        if a != b:
+                            parent[b] = a
+            for m in level_root:
+                comps.setdefault(find(m), []).append(m)
+            rebuilt = {find(m) for m in level_root}
+            for a in rebuilt:
+                heapify(comps[a])
         pending = []
-        for a in sorted(comps, key=lambda a: comps[a][0]):
+        for a in sorted(comps, key=least):
             if a in rebuilt:
-                members = tuple(comps[a][1])
+                members = tuple(comps[a])
                 if any(level_root[m] != level_root[a] for m in members):
                     raise InvariantViolationError(
                         "slab component meets a level in more than one piece"
                     )
-                below = level_node[level_root[a]]
+                pending.append((a, level_node[level_root[a]], members))
             else:
-                members = None
-                below = (i, simplices[comps[a][0]])
-            pending.append((a, below, members))
+                pending.append((a, level_node[a], None))
     return ReebGraph(Multigraph(nodes, edges), values)
 
 

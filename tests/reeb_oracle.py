@@ -80,3 +80,70 @@ def scan_reeb_graph(field):
                 )
             edges.append(((i, below.pop()), (i + 1, above.pop())))
     return ReebGraph(Multigraph(nodes, edges), values)
+
+
+def reeb_isomorphic(a, b):
+    """Whether some bijection of nodes keeps node values and carries the
+    edges of `a` onto those of `b`, counted with multiplicity.
+
+    Colours start from the node values and are refined on both graphs at
+    once by the colours of the neighbours; a colour class left with several
+    nodes is split by pairing one node of `a` with each candidate of `b` in
+    turn.  Neither node names nor the order of nodes and edges matter.
+    """
+    graphs = []
+    for g in (a, b):
+        index = {n: i for i, n in enumerate(g.graph.nodes)}
+        adj = [{} for _ in index]
+        for u, v in g.graph.edges:
+            iu, iv = index[u], index[v]
+            adj[iu][iv] = adj[iu].get(iv, 0) + 1
+            adj[iv][iu] = adj[iv].get(iu, 0) + 1
+        graphs.append((adj, [g.values[n] for n in g.graph.nodes]))
+    (adj_a, val_a), (adj_b, val_b) = graphs
+    if len(val_a) != len(val_b) or len(a.graph.edges) != len(b.graph.edges):
+        return False
+    # one joint numbering: node i of `b` is len(val_a) + i
+    shift = len(val_a)
+    adj = adj_a + [{w + shift: m for w, m in row.items()} for row in adj_b]
+    first = {}
+    colour = [first.setdefault(x, len(first)) for x in val_a + val_b]
+
+    def refine(colour):
+        while True:
+            ids = {}
+            new = [
+                ids.setdefault(
+                    (colour[u], tuple(sorted((colour[w], m) for w, m in adj[u].items()))),
+                    len(ids),
+                )
+                for u in range(len(adj))
+            ]
+            if len(ids) == len(set(colour)):
+                return new
+            colour = new
+
+    def search(colour):
+        colour = refine(colour)
+        classes = {}
+        for u, c in enumerate(colour):
+            classes.setdefault(c, ([], []))[u >= shift].append(u)
+        if any(len(xs) != len(ys) for xs, ys in classes.values()):
+            return False
+        ambiguous = [xs for xs in classes.values() if len(xs[0]) > 1]
+        if not ambiguous:
+            match = {xs[0]: ys[0] for xs, ys in classes.values()}
+            return all(
+                adj[match[u]] == {match[w]: m for w, m in adj[u].items()}
+                for u in range(shift)
+            )
+        xs, ys = min(ambiguous, key=lambda pair: len(pair[0]))
+        fresh = max(colour) + 1
+        for y in ys:
+            trial = list(colour)
+            trial[xs[0]] = trial[y] = fresh
+            if search(trial):
+                return True
+        return False
+
+    return search(colour)

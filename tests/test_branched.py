@@ -26,6 +26,7 @@ from reebtop.complexes import (
     cone,
     from_facets,
     product,
+    union_on,
     wedge,
 )
 from reebtop.errors import (
@@ -65,6 +66,37 @@ def test_flap_whiskers_on_circle():
     assert m.complex.f_vector() == (8, 8)
     cert = collapse_to(m.complex, c6.simplices)
     assert isinstance(cert, CollapseCertificate)
+
+
+def union_on_flap(base, sigma_name):
+    """The flapped complex as `union_on` builds it, re-sorting every tuple."""
+    prism, _, _ = product(base.subcomplex(sigma_name), from_facets([[0, 1]]))
+    prism = prism.relabeled(lambda p: p[0] if p[1] == 0 else ("flap", sigma_name, p[0]))
+    order = list(base.vertices) + [v for v in prism.vertices if v not in base.vertices]
+    return union_on(order, base.simplices, prism.simplices, named=dict(base.named))
+
+
+def test_flap_builds_the_union_on_complex():
+    # only the prism's tuples are re-sorted; the base's are kept as they are
+    once = attach_flap(concentric_disc(7, 5), "ring_2")
+    cases = [
+        (standard_model("disc", n=2), "core_boundary"),
+        (standard_model("sphere", n=2), "equator"),
+        (standard_model("torus_grid", a=3, b=4), "meridian"),
+        (standard_model("circle", k=6).with_named("antipodes", [(0,), (3,)]), "antipodes"),
+        (concentric_disc(7, 5), "ring_2"),
+        (once, "ring_4"),
+    ]
+    for base, sigma in cases:
+        c = getattr(base, "complex", base)
+        expected = union_on_flap(c, sigma)
+        for seed in (0, 3):
+            m = attach_flap(base, sigma, seed=seed)
+            assert m.complex == expected and m.complex.check_invariants()
+            assert m.complex.f_vector() == expected.f_vector()
+            assert m.certificates[-1] == (
+                sigma, collapse_to(expected, c.simplices, seed=seed)
+            )
 
 
 def test_flap_rejects_boundary_circle():

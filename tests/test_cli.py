@@ -425,3 +425,19 @@ def test_cli_refuses_bad_collapse_limits(tmp_path, capsys, command, flags, messa
         main(args)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_reeb_refuses_an_asset_with_a_field(tmp_path, capsys):
+    # the two name the same thing; neither may be dropped without a word
+    recipe = write_json(
+        tmp_path / "r.json",
+        [{"id": "t", "op": "standard", "name": "torus_grid", "a": 4, "b": 4}],
+    )
+    field = write_json(tmp_path / "f.json", {"values": [f"{i}/1" for i in range(16)]})
+    out = tmp_path / "g.json"
+    for order in (["--asset", "height", "--field", field], ["--field", field, "--asset", "height"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["reeb", "--recipe", recipe, *order, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reeb_oracle import scan_reeb_graph
+from reeb_oracle import reeb_isomorphic, scan_reeb_graph
 
+from reebtop.branched import as_model, attach_flap, bouquet
 from reebtop.complexes import (
     SimplicialComplex,
     barycentric_subdivision,
     complex_from_json,
     disjoint_union,
     from_facets,
+    link,
     product,
     wedge,
 )
@@ -22,13 +24,21 @@ from reebtop.errors import (
     NonInjectiveFieldError,
 )
 from reebtop.graphs import Multigraph, from_one_complex
-from reebtop.models import perturb_values, standard_model
+from reebtop.models import concentric_disc, perturb_values, standard_model
 from reebtop.reeb import (
+    ReebGraph,
     VertexField,
+    _upper_link_splits,
     field_from_json,
     field_to_json,
     graph_invariants,
     reeb_graph,
+)
+from reebtop.verify import (
+    INSTANCE_BUILDERS,
+    build_instance,
+    default_basepoint,
+    default_bouquet_pieces,
 )
 
 
@@ -223,6 +233,7 @@ def assert_same_sweep(field):
     assert fast.values == slow.values
     for a, b in ((fast, slow), (fast.smoothed(), slow.smoothed())):
         assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+    return fast
 
 
 small_facet_lists = st.lists(
@@ -290,3 +301,153 @@ def test_degrees_match_the_per_node_count(graph):
     assert all(g.degree(n) == per_node(n) for n in nodes + [len(nodes), -1])
     assert g.degrees() == {n: d for n in range(len(nodes) + 1) if (d := per_node(n))}
     assert g.degree_multiset() == sorted(per_node(n) for n in nodes)
+
+
+def upper_star(field, v):
+    vals = field.values
+    return [s for s in field.complex.open_star(v) if all(vals[u] >= vals[v] for u in s)]
+
+
+def upper_link_pieces(field, v):
+    """Components of the upper link of `v`, read from `link()`."""
+    c, vals = field.complex, field.values
+    lk = link(c, (v,))
+    above = [u for u in lk.vertices if vals[u] > vals[v]]
+    return len(lk.subcomplex(lk.full_subcomplex(above)).components())
+
+
+def split_vertices(field):
+    return sum(_upper_link_splits(v, upper_star(field, v)) for v in field.complex.vertices)
+
+
+def negated_heights(c):
+    return VertexField(c, {v: -i for i, v in enumerate(c.vertices)})
+
+
+def flapped_disc(times):
+    m = concentric_disc(6, 4)
+    for ring in (2, 3)[:times]:
+        m = attach_flap(m, f"ring_{ring}", seed=ring)
+    return m.complex
+
+
+def flapped_bouquet():
+    pieces, last = default_bouquet_pieces()
+    models = [attach_flap(m, sigma) for m, sigma in pieces] + [as_model(last)]
+    return bouquet(models, [default_basepoint(m) for m in models]).complex
+
+
+# flapped discs, the doubles, a bouquet and subdivided 3-complexes
+NON_MANIFOLD = {
+    "flapped_disc": lambda: flapped_disc(1),
+    "twice_flapped_disc": lambda: flapped_disc(2),
+    "flapped_sphere": lambda: attach_flap(standard_model("sphere", n=2), "equator").complex,
+    "bouquet": flapped_bouquet,
+    "sd_simplex_3": lambda: barycentric_subdivision(standard_model("simplex", n=3)),
+    "sd_sphere_3": lambda: barycentric_subdivision(standard_model("sphere", n=3)),
+}
+NON_MANIFOLD.update(
+    (name, lambda name=name: build_instance(name).model.complex) for name in INSTANCE_BUILDERS
+)
+
+
+@pytest.mark.parametrize("name", sorted(NON_MANIFOLD))
+def test_sweep_matches_rescan_on_non_manifold_inputs(name):
+    c = NON_MANIFOLD[name]()
+    rng = random.Random(name)
+    fields = [negated_heights(c)] + [random_field(c, rng) for _ in range(2)]
+    for field in fields:
+        assert_same_sweep(field)
+    # the rebuild at a split vertex runs, not only the kept component
+    assert sum(split_vertices(f) for f in fields) >= 3
+
+
+def test_split_predicate_reads_the_upper_link():
+    rng = random.Random(11)
+    models = [standard_model("torus_grid", a=4, b=5)]
+    models += [standard_model("surface", genus=g, boundary=b) for g in range(3) for b in range(2)]
+    models += [
+        standard_model("solid_torus", k=3),
+        standard_model("sphere", n=3),
+        standard_model("tripod"),
+        standard_model("simplex", n=3),
+        disjoint_union(standard_model("circle", k=4), standard_model("disc", n=2))[0],
+    ]
+    models += [build() for build in NON_MANIFOLD.values()]
+    seen = set()
+    for c in models:
+        fields = [negated_heights(c), random_field(c, rng)]
+        if "height" in c.assets:
+            fields.append(VertexField.from_asset(c, "height"))
+        for field in fields:
+            for v in c.vertices:
+                pieces = upper_link_pieces(field, v)
+                assert _upper_link_splits(v, upper_star(field, v)) == (pieces >= 2)
+                seen.add(min(pieces, 2))
+    assert seen == {0, 1, 2}
+
+
+def test_sweep_is_isomorphic_under_a_new_vertex_order():
+    # a new vertex order renames nodes and reorders nodes and edges, and
+    # leaves the graph alone
+    rng = random.Random(2)
+    for c in (
+        standard_model("torus_grid", a=5, b=4),
+        NON_MANIFOLD["flapped_sphere"](),
+        build_instance("pants_band").model.complex,
+    ):
+        order = list(c.vertices)
+        rng.shuffle(order)
+        index = {v: i for i, v in enumerate(order)}
+        d = SimplicialComplex(
+            order, (tuple(sorted(s, key=index.__getitem__)) for s in c.simplices)
+        )
+        for field in (negated_heights(c), random_field(c, rng)):
+            moved = VertexField(d, field.values)
+            a, b = reeb_graph(field), reeb_graph(moved)
+            assert reeb_isomorphic(a, b)
+            assert reeb_isomorphic(a.smoothed(), b.smoothed())
+            assert reeb_isomorphic(b, scan_reeb_graph(moved))
+
+
+def test_sweep_of_the_two_skeleton_is_isomorphic():
+    # a level set meets a simplex in a convex piece, so its components are
+    # read from the 2-skeleton; only node names and orders may change
+    rng = random.Random(4)
+    for c in (
+        barycentric_subdivision(standard_model("sphere", n=3)),
+        standard_model("solid_torus", k=3),
+        build_instance("solid_torus_core").model.complex,
+    ):
+        skeleton = SimplicialComplex(c.vertices, (s for s in c.simplices if len(s) <= 3))
+        for field in (negated_heights(c), random_field(c, rng)):
+            full = reeb_graph(field)
+            assert reeb_isomorphic(full, reeb_graph(VertexField(skeleton, field.values)))
+
+
+def test_isomorphism_oracle_keeps_values_and_multiplicities():
+    rng = random.Random(6)
+    t = standard_model("torus_grid", a=4, b=4)
+    g = reeb_graph(random_field(t, rng))
+    nodes = list(g.graph.nodes)
+    rng.shuffle(nodes)
+    rename = {n: ("n", i) for i, n in enumerate(nodes)}
+    edges = [(rename[v], rename[u]) for u, v in g.graph.edges]
+    rng.shuffle(edges)
+    values = {rename[n]: x for n, x in g.values.items()}
+    assert reeb_isomorphic(g, ReebGraph(Multigraph(list(rename.values()), edges), values))
+    # an edge turned into a loop, an edge repeated in place of another, or
+    # two values swapped: not isomorphic
+    u = edges[0][0]
+    moved = [(u, u)] + edges[1:]
+    doubled = edges[:-1] + [edges[0]]
+    a, b = nodes[0], next(n for n in nodes if g.values[n] != g.values[nodes[0]])
+    swapped = dict(values)
+    swapped[rename[a]], swapped[rename[b]] = values[rename[b]], values[rename[a]]
+    for es, vs in ((moved, values), (doubled, values), (edges, swapped)):
+        assert not reeb_isomorphic(g, ReebGraph(Multigraph(list(rename.values()), es), vs))
+    # a circle and a figure eight on the same two values
+    p, q = ("p",), ("q",)
+    loop = ReebGraph(Multigraph([p, q], [(p, q), (p, q)]), {p: 0, q: 1})
+    eight = ReebGraph(Multigraph([p, q], [(p, p), (p, q)]), {p: 0, q: 1})
+    assert reeb_isomorphic(loop, loop) and not reeb_isomorphic(loop, eight)

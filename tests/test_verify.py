@@ -230,3 +230,33 @@ def test_contractible_never_refutes():
     assert rep["status"] in ("inconclusive", "collapsed")
     if rep["status"] == "inconclusive":
         assert not rep["pass"]
+
+
+@pytest.mark.parametrize("name", ["annulus_core", "pants_two_discs"])
+def test_cover_parts_are_built_once(monkeypatch, name):
+    # `mayer_vietoris_check` and the restriction claims read one complex per
+    # named part, so no boundary matrix of X or DY is built twice
+    from reebtop import algebra
+
+    builds = []
+    original = algebra.boundary_matrix
+
+    def counted(c, p):
+        if p not in c._boundaries:
+            builds.append((c.vertices, c.simplices, p))
+        return original(c, p)
+
+    monkeypatch.setattr(algebra, "boundary_matrix", counted)
+    inst = build_instance(name)
+    w = inst.model.complex
+    report = verify_double_attachment(inst)
+    assert report["pass"]
+    parts = {w.named_part(n) for n in ("X", "DY")}
+    kept = [b for b in builds if b[1] in parts]
+    assert kept and len(kept) == len(set(kept))
+    for n in ("X", "DY"):
+        sub = w.subcomplex(n)
+        assert w.subcomplex(n) is sub
+        assert sub == w.subcomplex(w.named_part(n)) and sub is not w.subcomplex(w.named_part(n))
+    # a fresh copy of the instance reports the same
+    assert verify_double_attachment(build_instance(name)) == report
