@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import (
     SimplicialComplex,
+    _flapped,
     _mirror_copy,
     _one_point_union,
     _ridge_count,
@@ -97,7 +98,9 @@ def _check_flap_locus(base, sigma_name, taken):
     dims = {len(s) - 1 for s in sigma}
     if max(dims) != d - 1:
         raise InvalidBranchLocusError(f"{sigma_name!r} is not codimension one")
-    sub = base.subcomplex(sigma_name)
+    # the locus's complex sorts its few simplices itself; `base.subcomplex`
+    # would keep it on the base, with the base's position maps it sorts by
+    sub = SimplicialComplex(base.sorted_tuple(v for s in sigma for v in s), sigma)
     if any(len(f) - 1 != d - 1 for f in sub.facets()):
         raise InvalidBranchLocusError(f"{sigma_name!r} is not pure")
     if boundary_subcomplex(sub).simplices:
@@ -129,12 +132,7 @@ def attach_flap(x, sigma_name, seed=0):
     prism = prism.relabeled(
         lambda p: p[0] if p[1] == 0 else ("flap", sigma_name, p[0])
     )
-    # the flap vertices come after the base's, so the base's tuples and named
-    # parts are already sorted in the new order; only the prism's are not
-    order = list(base.vertices) + [v for v in prism.vertices if v not in base._index]
-    index = {v: i for i, v in enumerate(order)}
-    flap = {tuple(sorted(s, key=index.__getitem__)) for s in prism.simplices}
-    out = SimplicialComplex(order, base.simplices | flap, base.named)
+    out = _flapped(base, prism)
     cert = collapse_to(out, base.simplices, seed=seed)
     if not isinstance(cert, CollapseCertificate):
         raise InvariantViolationError("flap failed to collapse onto base")

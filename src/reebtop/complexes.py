@@ -8,10 +8,24 @@ designate seams, cores, loci and covers.  All values are immutable after
 construction.  Incidence queries (cofaces, stars, links) read one
 vertex-to-star index, built in a single pass on the first query; facets and
 boundaries come from one pass over codimension-one faces.
+
+The canonical order (each dimension's simplices sorted by the vertex
+positions, `sort_key`) is derived data like the star index: one sort on the
+first ordered query (`dim`, `simplices_of_dim`, `positions`, `f_vector`,
+`components`, `facets`).  Constructions that already know it hand it over
+instead: `from_facets` sorts integer position tuples, whose plain tuple
+order is the canonical one; `relabeled` renames a known order position by
+position; `with_named` and `_with_parts` (same vertices and simplices,
+other names or assets) share it; `subcomplex` sorts its part by the
+parent's `positions`; and the flapped complex of `attach_flap` (`_flapped`)
+inserts the prism's few new simplices into the base's order.  Every complex
+is still built by `SimplicialComplex.__init__`, and only this module reads
+the stored order.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from collections import Counter
@@ -43,20 +57,16 @@ class SimplicialComplex:
         self._index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             raise MalformedFacetError("duplicate vertex in vertex list")
-        self.simplices = frozenset(tuple(s) for s in simplices)
-        self.named = {
-            name: frozenset(tuple(s) for s in part)
-            for name, part in (named or {}).items()
-        }
+        self.simplices = _frozen(simplices)
+        unlisted = set(itertools.chain.from_iterable(self.simplices)).difference(self._index)
+        if unlisted:
+            v = min(unlisted, key=repr)
+            raise MalformedFacetError(f"a simplex names {v!r}, not a listed vertex")
+        self.named = {name: _frozen(part) for name, part in (named or {}).items()}
         self.assets = {
             name: dict(values) for name, values in (assets or {}).items()
         }
-        by_dim = {}
-        for s in self.simplices:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {
-            d: sorted(group, key=self.sort_key) for d, group in by_dim.items()
-        }
+        self._by_dim = None  # derived: {p: canonically ordered p-simplices}
         self._stars = None  # derived: {vertex: simplices containing it}
         self._positions = {}  # derived: {p: {p-simplex: index in simplices_of_dim(p)}}
         self._boundaries = {}  # derived: {p: algebra.boundary_matrix(self, p)}
@@ -67,10 +77,25 @@ class SimplicialComplex:
     @property
     def dim(self):
         """Dimension of the complex; -1 when empty."""
-        return max(self._by_dim, default=-1)
+        return max(self._order(), default=-1)
 
     def sort_key(self, simplex):
         return tuple(map(self._index.__getitem__, simplex))
+
+    def _order(self):
+        """{p: the p-simplices in canonical order}: handed over by the
+        construction, or sorted once by `sort_key` on first use."""
+        if self._by_dim is None:
+            self._by_dim = {
+                d: sorted(group, key=self.sort_key)
+                for d, group in _by_length(self.simplices).items()
+            }
+        return self._by_dim
+
+    def _ranked(self):
+        """Every simplex, by dimension and then in canonical order."""
+        order = self._order()
+        return itertools.chain.from_iterable(order[d] for d in sorted(order))
 
     def sorted_tuple(self, vertices):
         """Vertices as a simplex tuple sorted by this complex's order."""
@@ -82,7 +107,7 @@ class SimplicialComplex:
 
     def simplices_of_dim(self, p):
         """Canonically ordered list of p-simplices."""
-        return list(self._by_dim.get(p, []))
+        return list(self._order().get(p, ()))
 
     def positions(self, p):
         """Read-only {p-simplex: its index in `simplices_of_dim(p)`}, the chain coordinate.
@@ -91,12 +116,13 @@ class SimplicialComplex:
         """
         index = self._positions.get(p)
         if index is None:
-            index = {s: i for i, s in enumerate(self._by_dim.get(p, ()))}
+            index = {s: i for i, s in enumerate(self._order().get(p, ()))}
             self._positions[p] = index
         return index
 
     def f_vector(self):
-        return tuple(len(self._by_dim.get(p, [])) for p in range(self.dim + 1))
+        order = self._order()
+        return tuple(len(order.get(p, ())) for p in range(self.dim + 1))
 
     def euler_characteristic(self):
         return sum((-1) ** p * n for p, n in enumerate(self.f_vector()))
@@ -108,7 +134,7 @@ class SimplicialComplex:
         no codimension-one face of another.
         """
         top = self.simplices - codim_one_faces(self.simplices)
-        return sorted(top, key=lambda s: (len(s), self.sort_key(s)))
+        return [s for s in self._ranked() if s in top]
 
     def vertex_set(self, simplices=None):
         pool = self.simplices if simplices is None else simplices
@@ -122,32 +148,40 @@ class SimplicialComplex:
         return self.named[name]
 
     def subcomplex(self, name_or_simplices):
-        """Standalone complex for a part (ambient vertex order kept).
+        """Standalone complex for a part (ambient vertex and simplex order kept).
 
-        A named part's complex is built once per complex and shared, with
-        the boundary matrices it keeps; callers must not modify it.
+        The part must lie in the complex.  A named part's complex is built
+        once per complex and shared, with the boundary matrices it keeps;
+        callers must not modify it.
         """
         name = name_or_simplices if isinstance(name_or_simplices, str) else None
         if name in self._parts:
             return self._parts[name]
         if name is None:
-            part = frozenset(tuple(s) for s in name_or_simplices)
+            part = _frozen(name_or_simplices)
+            what = "part"
         else:
             part = self.named_part(name)
-        verts = self.vertex_set(part)
-        order = [v for v in self.vertices if v in verts]
+            what = f"named part {name!r}"
+        if not part <= self.simplices:
+            raise BadNameError(f"{what} leaves the complex")
+        order = sorted(set(itertools.chain.from_iterable(part)), key=self._index.__getitem__)
         sub = SimplicialComplex(order, part)
+        sub._by_dim = {
+            d: sorted(group, key=self.positions(d).__getitem__)
+            for d, group in _by_length(part).items()
+        }
         if name is not None:
             self._parts[name] = sub
         return sub
 
     def with_named(self, name, simplices):
-        part = frozenset(tuple(s) for s in simplices)
+        part = _frozen(simplices)
         if not part <= self.simplices:
             raise BadNameError(f"named part {name!r} leaves the complex")
         named = dict(self.named)
         named[name] = part
-        return SimplicialComplex(self.vertices, self.simplices, named, self.assets)
+        return _with_parts(self, named, self.assets)
 
     def full_subcomplex(self, vertex_subset):
         """All simplices entirely supported on the given vertices."""
@@ -192,7 +226,7 @@ class SimplicialComplex:
                 v = parent[v]
             return v
 
-        for s in self._by_dim.get(1, []):
+        for s in self._order().get(1, ()):
             a, b = find(s[0]), find(s[1])
             if a != b:
                 parent[a] = b
@@ -204,20 +238,30 @@ class SimplicialComplex:
     # -- relabeling -------------------------------------------------------
 
     def relabeled(self, mapping):
-        """Rename vertices positionally; `mapping` is a dict or callable."""
+        """Rename vertices positionally; `mapping` is a dict or callable.
+
+        The new vertex order is the image of the old one, so every stored
+        tuple (and a known canonical order) is renamed position by position.
+        """
         fn = mapping.__getitem__ if isinstance(mapping, dict) else mapping
         order = [fn(v) for v in self.vertices]
-        pos = {v: i for i, v in enumerate(self.vertices)}
+        new = dict(zip(self.vertices, order)).__getitem__
 
         def remap(s):
-            return tuple(fn(v) for v in sorted(s, key=pos.__getitem__))
+            return tuple(map(new, s))
 
-        named = {n: frozenset(remap(s) for s in part) for n, part in self.named.items()}
+        named = {n: frozenset(map(remap, part)) for n, part in self.named.items()}
         assets = {
-            n: {fn(v): val for v, val in values.items()}
+            n: {new(v): val for v, val in values.items()}
             for n, values in self.assets.items()
         }
-        return SimplicialComplex(order, (remap(s) for s in self.simplices), named, assets)
+        if self._by_dim is None:
+            return SimplicialComplex(order, map(remap, self.simplices), named, assets)
+        by_dim = {d: list(map(remap, group)) for d, group in self._by_dim.items()}
+        simplices = itertools.chain.from_iterable(by_dim.values())
+        out = SimplicialComplex(order, simplices, named, assets)
+        out._by_dim = by_dim
+        return out
 
     # -- labels for serialization and recipes ------------------------------
 
@@ -237,7 +281,8 @@ class SimplicialComplex:
 
     def check_invariants(self):
         """Return True, or raise InvariantViolationError when a structural
-        invariant fails; the checks hold under `python -O` too."""
+        invariant fails; the checks hold under `python -O` too.  A stored
+        canonical order must list each simplex once, in `sort_key` order."""
         for s in self.simplices:
             if not s:
                 raise InvariantViolationError("empty simplex stored")
@@ -260,6 +305,15 @@ class SimplicialComplex:
         for name, values in self.assets.items():
             if set(values) != set(self.vertices):
                 raise InvariantViolationError(f"asset {name!r} misses vertices")
+        if self._by_dim is not None:
+            if sum(map(len, self._by_dim.values())) != len(self.simplices):
+                raise InvariantViolationError("canonical order does not list every simplex once")
+            for d, group in self._by_dim.items():
+                if any(len(s) != d + 1 or s not in self.simplices for s in group):
+                    raise InvariantViolationError(f"canonical order of dimension {d} is wrong")
+                keys = list(map(self.sort_key, group))
+                if any(a >= b for a, b in zip(keys, keys[1:])):
+                    raise InvariantViolationError(f"{d}-simplices out of canonical order")
         return True
 
     # -- dunder ---------------------------------------------------------------
@@ -318,6 +372,30 @@ def codim_one_faces(simplices):
     return out
 
 
+def _frozen(simplices):
+    """The simplices as a frozenset of tuples; such a frozenset is kept as it
+    is, not copied."""
+    if type(simplices) is frozenset and set(map(type, simplices)) <= {tuple}:
+        return simplices
+    return frozenset(map(tuple, simplices))
+
+
+def _by_length(simplices):
+    """{p: the p-simplices, in no particular order}."""
+    ordered = sorted(simplices, key=len)
+    return {k - 1: list(group) for k, group in itertools.groupby(ordered, key=len)}
+
+
+def _with_parts(c, named=None, assets=None):
+    """`c`'s vertices and simplices with other named parts and assets.
+
+    The new complex shares `c`'s canonical order, known or still to come.
+    """
+    out = SimplicialComplex(c.vertices, c.simplices, named, assets)
+    out._by_dim = c._by_dim
+    return out
+
+
 def closure(simplices):
     """Downward closure of a set of simplex tuples."""
     out = set()
@@ -347,20 +425,31 @@ def from_facets(facets, names=None):
         order = sorted(verts)
     except TypeError as exc:
         raise MalformedFacetError("vertex identifiers are not totally orderable") from exc
-    index = {v: i for i, v in enumerate(order)}
-    simplices = closure(tuple(sorted(f, key=index.__getitem__)) for f in clean)
+    rank = {v: i for i, v in enumerate(order)}.__getitem__
+    # the complex is closed and sorted on vertex positions, where plain tuple
+    # order is the canonical order, and then labelled
+    ranked = sorted(closure(tuple(sorted(map(rank, f))) for f in clean))
+    ranked.sort(key=len)
+    labelled = [tuple(map(order.__getitem__, t)) for t in ranked]
+    by_dim = {k - 1: list(group) for k, group in itertools.groupby(labelled, key=len)}
+    label_of = dict(zip(ranked, labelled))
     named = {}
     for name, part_facets in (names or {}).items():
         part = []
         for f in part_facets:
             if len(set(f)) != len(f):
                 raise MalformedFacetError(f"named facet {f!r} repeats a vertex")
-            t = tuple(sorted(f, key=lambda v: index.get(v, -1)))
-            if t not in simplices:
+            try:
+                t = tuple(sorted(map(rank, f)))
+            except KeyError:
+                t = None
+            if t not in label_of:
                 raise BadNameError(f"named facet {f!r} is not a face of the complex")
             part.append(t)
-        named[name] = closure(part)
-    return SimplicialComplex(order, simplices, named)
+        named[name] = frozenset(map(label_of.__getitem__, closure(part)))
+    c = SimplicialComplex(order, frozenset(labelled), named)
+    c._by_dim = by_dim
+    return c
 
 
 def disjoint_union(a, b):
@@ -437,7 +526,7 @@ def product(a, b):
 def _ridge_count(a):
     """{(d-1)-face: number of d-simplices around it}, d the dimension of `a`."""
     d = a.dim
-    faces = (itertools.combinations(s, d) for s in a._by_dim[d])
+    faces = (itertools.combinations(s, d) for s in a._order()[d])
     return Counter(itertools.chain.from_iterable(faces))
 
 
@@ -476,7 +565,7 @@ def barycentric_subdivision(a):
     Named subcomplexes survive as their own subdivisions; vertex assets do
     not extend to barycenters and are dropped.
     """
-    order = sorted(a.simplices, key=lambda s: (len(s), a.sort_key(s)))
+    order = list(a._ranked())
     descending = set()
 
     def chains(prefix, top):
@@ -504,7 +593,7 @@ def relative_subdivision(a, keep):
     New vertices are tagged ('b', simplex).
     """
     keep = frozenset(tuple(s) for s in keep)
-    outside = sorted(a.simplices - keep, key=lambda s: (len(s), a.sort_key(s)))
+    outside = [s for s in a._ranked() if s not in keep]
     new_vertex = {s: ("b", s) for s in outside}
     generators = set(keep)
 
@@ -563,6 +652,25 @@ def union_on(vertices, *simplex_sets, named=None, assets=None):
     if named is not None:
         fixed = {n: frozenset(fix(s) for s in part) for n, part in named.items()}
     return SimplicialComplex(vertices, simplices, fixed, assets)
+
+
+def _flapped(base, prism):
+    """`base` with the simplices of `prism` added and `base`'s named parts.
+
+    The prism's vertices missing from `base` come last, in the prism's
+    order, so `base`'s tuples and canonical order stay as they are; only
+    the prism's new simplices are placed, each inserted into its dimension
+    by bisection.
+    """
+    order = list(base.vertices) + [v for v in prism.vertices if v not in base._index]
+    index = {v: i for i, v in enumerate(order)}
+    new = {tuple(sorted(s, key=index.__getitem__)) for s in prism.simplices} - base.simplices
+    out = SimplicialComplex(order, base.simplices | new, base.named)
+    by_dim = {d: list(group) for d, group in base._order().items()}
+    for s in new:
+        bisect.insort(by_dim.setdefault(len(s) - 1, []), s, key=out.sort_key)
+    out._by_dim = by_dim
+    return out
 
 
 def double(y):

@@ -8,10 +8,11 @@ rational "height" vertex asset suitable for Reeb graph computation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .complexes import (
-    SimplicialComplex,
+    _with_parts,
     barycentric_subdivision,
     boundary_subcomplex,
     cone,
@@ -103,9 +104,8 @@ def _annulus(k):
     def rows(js):
         return c.full_subcomplex({(i, j) for i in range(k) for j in js})
 
-    return SimplicialComplex(
-        c.vertices,
-        c.simplices,
+    return _with_parts(
+        c,
         {
             "boundary_0": rows([0]),
             "boundary_1": rows([4]),
@@ -128,39 +128,47 @@ def _torus_grid(a, b):
         "longitude": [[(i, 0), ((i + 1) % a, 0)] for i in range(a)],
     }
     c = from_facets(facets, names)
-    base = {
-        (i, j): (2 + _tri_cos(Fraction(j, b))) * _tri_sin(Fraction(i, a))
-        for i in range(a)
-        for j in range(b)
-    }
-    return SimplicialComplex(
-        c.vertices, c.simplices, c.named, {"height": perturb_values(c, base)}
-    )
+    return _with_parts(c, c.named, {"height": _torus_height(a, b, c.vertices)})
 
 
-def _tri_sin(t):
-    """Triangle-wave stand-in for sin(2*pi*t); exact and order-faithful."""
-    if t <= Fraction(1, 4):
-        return 4 * t
-    if t <= Fraction(3, 4):
-        return 2 - 4 * t
-    return 4 * t - 4
+def _torus_height(a, b, vertices):
+    """(2 + tri_cos(j/b)) * tri_sin(i/a) at (i, j), perturbed in `vertices` order.
 
+    tri_sin and tri_cos are exact, order-faithful triangle-wave stand-ins
+    for sin(2*pi*t) and cos(2*pi*t); a * tri_sin(i/a) and b * tri_cos(j/b)
+    are integers, so the heights are integers over a * b.
+    """
 
-def _tri_cos(t):
-    if t <= Fraction(1, 2):
-        return 1 - 4 * t
-    return 4 * t - 3
+    def sin(i):  # a * tri_sin(i / a)
+        if 4 * i <= a:
+            return 4 * i
+        if 4 * i <= 3 * a:
+            return 2 * a - 4 * i
+        return 4 * i - 4 * a
+
+    def cos(j):  # b * tri_cos(j / b)
+        return b - 4 * j if 2 * j <= b else 4 * j - 3 * b
+
+    height = {(i, j): (2 * b + cos(j)) * sin(i) for i, j in vertices}
+    return _perturbed(vertices, height, a * b)
 
 
 def perturb_values(complex_, base):
     """Break ties by adding i * delta to the i-th vertex, delta below any gap."""
     base = {v: Fraction(x) for v, x in base.items()}
-    levels = sorted(set(base.values()))
-    gaps = [hi - lo for lo, hi in zip(levels, levels[1:])]
-    gap = min(gaps) if gaps else Fraction(1)
-    delta = gap / (2 * max(len(complex_.vertices), 1))
-    return {v: base[v] + i * delta for i, v in enumerate(complex_.vertices)}
+    den = math.lcm(*(x.denominator for x in base.values()))
+    return _perturbed(
+        complex_.vertices, {v: x.numerator * (den // x.denominator) for v, x in base.items()}, den
+    )
+
+
+def _perturbed(vertices, numerators, den):
+    """`perturb_values` on the values numerators[v] / den, with integer numerators."""
+    levels = sorted(set(numerators.values()))
+    gap = min((hi - lo for lo, hi in zip(levels, levels[1:])), default=den)
+    # value + i * gap / (den * n) over the common denominator den * n
+    n = 2 * max(len(vertices), 1)
+    return {v: Fraction(numerators[v] * n + i * gap, den * n) for i, v in enumerate(vertices)}
 
 
 def _solid_torus(k):
@@ -176,7 +184,7 @@ def _solid_torus(k):
     inner = {"c", "a0", "a1", "a2"}
     core = x.full_subcomplex({(i, v) for i in range(k) for v in inner})
     named = {"core": core, "boundary": boundary_subcomplex(x).simplices}
-    return SimplicialComplex(x.vertices, x.simplices, named)
+    return _with_parts(x, named)
 
 
 def concentric_disc(k, rings):
@@ -280,16 +288,15 @@ def _surface(genus, boundary):
         m = max(4, 3 * (boundary - 1) + 2)
         grid, _, _ = product(_interval(m), _interval(m))
         named = {"boundary_0": boundary_subcomplex(grid).simplices}
-        c = SimplicialComplex(grid.vertices, grid.simplices, named)
+        c = _with_parts(grid, named)
         holes = boundary - 1
         if holes:
             c = _punch(c, holes, start_index=1)
         return c
     c = _torus_grid(3, 3)
-    c = SimplicialComplex(c.vertices, c.simplices)
+    c = _with_parts(c)
     for _ in range(genus - 1):
-        t = _torus_grid(3, 3)
-        t = SimplicialComplex(t.vertices, t.simplices)
+        t = _with_parts(_torus_grid(3, 3))
         # join where no earlier tube reaches: a vertex with the torus's rim length
         rim = len(link(t, (t.vertices[0],)).vertices)
         v = next(u for u in c.vertices if len(link(c, (u,)).vertices) == rim)

@@ -36,7 +36,7 @@ from .branched import (
     replay_certificate,
 )
 from .cohomology import cup_values, map_rank, restriction_columns
-from .complexes import SimplicialComplex, product, remove_open_star
+from .complexes import _with_parts, product, remove_open_star
 from .errors import BadBasepointError, InconsistentHandleDataError
 from .models import concentric_disc, standard_model
 
@@ -152,7 +152,7 @@ def _pair_of_pants():
     strip, _, _ = product(
         standard_model("circle", k=8), standard_model("interval", k=6)
     )
-    c = SimplicialComplex(strip.vertices, strip.simplices)
+    c = _with_parts(strip)
     c = remove_open_star(c, (0, 1), boundary_name="hole")
     band = c.full_subcomplex({(i, j) for i in range(8) for j in (3, 4, 5)})
     c = c.with_named("band", band)

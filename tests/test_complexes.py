@@ -72,6 +72,26 @@ def test_check_invariants_refuses_a_triangle_without_its_edges_under_optimize():
     assert result.stdout.startswith("refused: closure misses")
 
 
+def test_a_simplex_on_an_unlisted_vertex_is_refused_at_construction():
+    # the canonical order is sorted on first use, so the vertex is checked here
+    with pytest.raises(MalformedFacetError, match=r"names 3, not a listed vertex"):
+        SimplicialComplex((1, 2), [(1,), (2,), (1, 3)])
+    with pytest.raises(MalformedFacetError, match=r"names 'x'"):
+        SimplicialComplex((), [("x",)])
+
+
+def test_subcomplex_refuses_a_part_that_leaves_the_complex():
+    c = from_facets([[1, 2], [2, 3]])
+    with pytest.raises(BadNameError, match="part leaves the complex"):
+        c.subcomplex({(1,), (3,), (1, 3)})
+    with pytest.raises(BadNameError, match="part leaves the complex"):
+        c.subcomplex({(1,), (9,)})
+    bad = SimplicialComplex(c.vertices, c.simplices, {"x": [(1,), (3,), (1, 3)]})
+    with pytest.raises(BadNameError, match="named part 'x' leaves the complex"):
+        bad.subcomplex("x")
+    assert c.subcomplex({(1,), (3,)}).vertices == (1, 3)
+
+
 def test_from_facets_circle():
     c = from_facets([[0, 1], [1, 2], [0, 2]])
     assert c.f_vector() == (3, 3)
@@ -391,7 +411,7 @@ def test_json_roundtrip_torus_assets():
 
 def test_json_rejects_bad_named_part():
     data = {"vertices": [0, 1], "facets": [[0, 1]], "named": {"x": [[0, 2]]}}
-    with pytest.raises((BadNameError, KeyError)):
+    with pytest.raises(BadNameError):
         complex_from_json(data)
 
 

@@ -24,7 +24,7 @@ from reebtop.errors import (
     NonInjectiveFieldError,
 )
 from reebtop.graphs import Multigraph, from_one_complex
-from reebtop.models import concentric_disc, perturb_values, standard_model
+from reebtop.models import _torus_height, concentric_disc, perturb_values, standard_model
 from reebtop.reeb import (
     ReebGraph,
     VertexField,
@@ -199,6 +199,71 @@ def test_perturbation_preserves_order_and_injectivity():
     assert len(set(vals.values())) == len(t.vertices)
     ordered = [vals[v] for v in t.vertices]
     assert ordered == sorted(ordered)
+
+
+def _tri_sin(t):
+    if t <= Fraction(1, 4):
+        return 4 * t
+    if t <= Fraction(3, 4):
+        return 2 - 4 * t
+    return 4 * t - 4
+
+
+def _tri_cos(t):
+    if t <= Fraction(1, 2):
+        return 1 - 4 * t
+    return 4 * t - 3
+
+
+def fraction_perturbation(vertices, base):
+    """`perturb_values` as Fraction arithmetic on every value, the oracle."""
+    base = {v: Fraction(x) for v, x in base.items()}
+    levels = sorted(set(base.values()))
+    gaps = [hi - lo for lo, hi in zip(levels, levels[1:])]
+    gap = min(gaps) if gaps else Fraction(1)
+    delta = gap / (2 * max(len(vertices), 1))
+    return {v: base[v] + i * delta for i, v in enumerate(vertices)}
+
+
+def fraction_torus_height(a, b, vertices):
+    base = {
+        (i, j): (2 + _tri_cos(Fraction(j, b))) * _tri_sin(Fraction(i, a))
+        for i in range(a)
+        for j in range(b)
+    }
+    return fraction_perturbation(vertices, base)
+
+
+def test_torus_heights_equal_the_fraction_formula():
+    for a in range(3, 21):
+        for b in range(3, 21):
+            vertices = [(i, j) for i in range(a) for j in range(b)]
+            expected = fraction_torus_height(a, b, vertices)
+            assert list(_torus_height(a, b, vertices).items()) == list(expected.items())
+    for a, b in ((3, 3), (4, 7), (16, 16)):
+        t = standard_model("torus_grid", a=a, b=b)
+        expected = fraction_torus_height(a, b, t.vertices)
+        assert list(t.assets["height"].items()) == list(expected.items())
+
+
+rationals = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=60),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(1, 99)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, max_size=12), st.integers(0, 3))
+def test_perturb_values_equals_the_fraction_formula(values, extra):
+    # the complex lists the first vertices; `extra` more values sit on
+    # vertices it does not list, and count among the levels all the same
+    n = max(len(values) - extra, 0)
+    c = SimplicialComplex(range(n), [(i,) for i in range(n)])
+    base = dict(enumerate(values))
+    assert list(perturb_values(c, base).items()) == list(
+        fraction_perturbation(c.vertices, base).items()
+    )
 
 
 def test_field_json_roundtrip():

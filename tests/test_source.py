@@ -234,3 +234,120 @@ def test_the_dense_elimination_runs_on_leftover_blocks():
         ("algebra.py", "smith_normal_form", "block"),
         ("algebra.py", "_smith_columns", "block"),
     }
+
+
+def new_calls(source):
+    """Line numbers of every `__new__` read in `source`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "__new__")
+        or (isinstance(node, ast.Name) and node.id == "__new__")
+    ]
+
+
+def test_no_complex_is_made_without_its_constructor():
+    # `complexes.complexes_built` counts `SimplicialComplex.__init__` calls,
+    # so no complex may be made by `__new__` alone
+    assert new_calls("c = object.__new__(SimplicialComplex)\nc.vertices = ()\n") == [1]
+    paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+    found = [
+        f"{path.name}:{line}"
+        for path in paths
+        for line in new_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def constructor_sort_key_reads(source):
+    """(function, line) of each `sort_key` read in a function that builds a
+    complex (or in `__init__`), other than as the `key` of a `bisect` call.
+
+    A `bisect` places a few simplices into a known order; a sort by the
+    Python key over a whole dimension is what the constructors avoid.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        builds = fn.name == "__init__" or any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "SimplicialComplex"
+            for node in ast.walk(fn)
+        )
+        if not builds:
+            continue
+        allowed = {
+            id(sub)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "bisect"
+            for kw in node.keywords
+            if kw.arg == "key"
+            for sub in ast.walk(kw.value)
+        }
+        found += [
+            (fn.name, node.lineno)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "sort_key"
+            and id(node) not in allowed
+        ]
+    return found
+
+
+def test_constructor_sort_key_reads_are_detected():
+    bad = (
+        "def f(a):\n    order = sorted(a.simplices, key=a.sort_key)\n"
+        "    return SimplicialComplex(order, a.simplices)\n"
+    )
+    assert constructor_sort_key_reads(bad) == [("f", 2)]
+    init = "class C:\n    def __init__(self, s):\n        self.k = sorted(s, key=self.sort_key)\n"
+    assert constructor_sort_key_reads(init) == [("__init__", 3)]
+    fine = (
+        "def g(a, s):\n    out = SimplicialComplex(a.vertices, a.simplices)\n"
+        "    bisect.insort(out.lst, s, key=out.sort_key)\n    return out\n"
+        "def h(a):\n    return sorted(a.simplices, key=a.sort_key)\n"
+    )
+    assert constructor_sort_key_reads(fine) == []
+
+
+def test_no_constructor_sorts_by_the_python_key():
+    # complexes are built without sorting whole dimensions by `sort_key`:
+    # the canonical order is handed over, or sorted once on first use
+    paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+    found = [
+        (path.name, *read)
+        for path in paths
+        for read in constructor_sort_key_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+    # the one sort of a whole dimension by `sort_key` in `complexes` is the lazy one
+    tree = ast.parse(Path(complexes.__file__).read_text(encoding="utf-8"))
+    sorters = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sorted"
+        and any("sort_key" in ast.unparse(kw.value) for kw in node.keywords if kw.arg == "key")
+    }
+    assert sorters == {"_order"}
+
+
+def test_only_complexes_reads_the_stored_order():
+    # how the canonical order is stored is known to `complexes` alone;
+    # the other modules re-wrap a complex through `complexes._with_parts`
+    paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+    readers = {
+        path.name
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_by_dim"
+    }
+    assert readers == {"complexes.py"}
