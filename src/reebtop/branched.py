@@ -22,10 +22,8 @@ from .complexes import (
     _one_point_union,
     _ridge_count,
     boundary_subcomplex,
+    closure,
     codim_one_faces,
-    from_facets,
-    link,
-    product,
     union_on,
 )
 from .errors import (
@@ -37,7 +35,7 @@ from .errors import (
     InvariantViolationError,
     NotManifoldLikeError,
 )
-from .graphs import classify_link
+from .graphs import classify_vertex_link
 
 
 @dataclass(frozen=True)
@@ -123,19 +121,29 @@ def _check_flap_locus(base, sigma_name, taken):
 def attach_flap(x, sigma_name, seed=0):
     """Glue sigma x [0,1] onto the model along sigma; sigma becomes a tripod locus.
 
-    The result carries a collapse certificate back onto the input complex.
+    The result carries a collapse certificate back onto the input complex,
+    written with the prism rather than searched for.  The prism is the
+    staircase triangulation: over each simplex s = (a_0..a_k) of sigma, in
+    the base's order, with b_j the flap copy of a_j, its new cells are
+    (a_0..a_{i-1}, b_i..b_k) and (a_0..a_i, b_i..b_k) for i = 0..k.  Taken
+    over the simplices of sigma from the top dimension down (canonical order
+    within one), the pairs of those two cells for i = 0..k are elementary
+    collapses in turn: the first is then a face of the second alone.  The
+    certificate does not depend on `seed`, which it echoes with
+    `restarts_used` 0.  A base that is not closed under faces is refused
+    with `InvariantViolationError`.
     """
     model = as_model(x)
     base = model.complex
     sub = _check_flap_locus(base, sigma_name, [l.name for l in model.loci])
-    prism, _, _ = product(sub, from_facets([[0, 1]]))
-    prism = prism.relabeled(
-        lambda p: p[0] if p[1] == 0 else ("flap", sigma_name, p[0])
-    )
-    out = _flapped(base, prism)
-    cert = collapse_to(out, base.simplices, seed=seed)
-    if not isinstance(cert, CollapseCertificate):
-        raise InvariantViolationError("flap failed to collapse onto base")
+    base.check_closed()
+    flap = {a: ("flap", sigma_name, a) for a in sub.vertices}
+    steps = []
+    for s in sorted(closure(sub.simplices), key=lambda s: (-len(s), sub.sort_key(s))):
+        b = tuple(map(flap.__getitem__, s))
+        steps += [(s[:i] + b[i:], s[: i + 1] + b[i:]) for i in range(len(s))]
+    out = _flapped(base, flap.values(), [g for step in steps for g in step])
+    cert = CollapseCertificate(tuple(steps), "subcomplex", seed, 0)
     loci = model.loci + (BranchLocus(sigma_name, "tripod", "trivial"),)
     certificates = model.certificates + ((sigma_name, cert),)
     return BranchedModel(out, loci, certificates)
@@ -254,7 +262,7 @@ def check_local_structure_dim2(model):
     counts = {}
     violations = []
     for v in c.vertices:
-        t = classify_link(link(c, (v,)))
+        t = classify_vertex_link(c, v)
         counts[t] = counts.get(t, 0) + 1
         if v in vertex_kind:
             allowed = _KIND_TO_TYPES[vertex_kind[v]]
@@ -311,18 +319,15 @@ def _coface_table(c):
 
 def _check_closed(c, protected):
     """Refuse `c` unless it is closed under faces, and `protected` unless it
-    is a subcomplex, in one pass over codimension-one faces.
+    is a subcomplex, both with `InvariantViolationError`.
 
-    A set of simplices is closed under faces when it holds every
-    codimension-one face of its members.  A missing face of `c` is named as
-    the all-faces enumeration of `_coface_table` would name it; one of
-    `protected` is the first in the canonical order of its owners.
+    Whether `c` is closed is known from its construction or checked once
+    and remembered (`SimplicialComplex.check_closed`).  `protected` is
+    checked in one pass over its codimension-one faces; a missing face is
+    named below the first of its owners in canonical order.
     """
-    kept = codim_one_faces(protected)
-    if not (kept | codim_one_faces(c.simplices - protected)) <= c.simplices:
-        face = next(g for s in c.simplices for g in _proper_faces(s) if g not in c.simplices)
-        raise InvariantViolationError.missing_face(face, c.simplices)
-    if not kept <= protected:
+    c.check_closed()
+    if not codim_one_faces(protected) <= protected:
         owners = sorted(protected, key=lambda s: (len(s), c.sort_key(s)))
         face = next(
             g for s in owners for g in itertools.combinations(s, len(s) - 1)

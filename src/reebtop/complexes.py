@@ -18,9 +18,14 @@ order is the canonical one; `relabeled` renames a known order position by
 position; `with_named` and `_with_parts` (same vertices and simplices,
 other names or assets) share it; `subcomplex` sorts its part by the
 parent's `positions`; and the flapped complex of `attach_flap` (`_flapped`)
-inserts the prism's few new simplices into the base's order.  Every complex
+places the prism's few new simplices into the base's order.  Every complex
 is still built by `SimplicialComplex.__init__`, and only this module reads
 the stored order.
+
+Being closed under faces is derived data too (`check_closed`): known from
+construction for `from_facets`, for `_flapped` over a closed base and for
+the complexes that share their simplices (`relabeled`, `_with_parts`), and
+otherwise checked once, on the first call, and remembered.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ class SimplicialComplex:
 
     __slots__ = (
         "vertices", "simplices", "named", "assets", "_index", "_by_dim", "_stars", "_positions",
-        "_boundaries", "_parts",
+        "_boundaries", "_parts", "_closed",
     )
 
     def __init__(self, vertices, simplices, named=None, assets=None):
@@ -71,6 +76,7 @@ class SimplicialComplex:
         self._positions = {}  # derived: {p: {p-simplex: index in simplices_of_dim(p)}}
         self._boundaries = {}  # derived: {p: algebra.boundary_matrix(self, p)}
         self._parts = {}  # derived: {name: subcomplex(name)}
+        self._closed = False  # derived: known to be closed under faces
 
     # -- basic queries -------------------------------------------------
 
@@ -135,6 +141,30 @@ class SimplicialComplex:
         """
         top = self.simplices - codim_one_faces(self.simplices)
         return [s for s in self._ranked() if s in top]
+
+    def check_closed(self):
+        """Refuse the complex with `InvariantViolationError` unless it is
+        closed under faces.
+
+        The fact is known from construction (see the module docstring) or
+        checked once, in one pass over codimension-one faces, and then
+        remembered.  A missing face is the first one found over the
+        simplices in canonical order, smallest faces first, and is named
+        below its first owner in that order.
+        """
+        if self._closed:
+            return
+        if not codim_one_faces(self.simplices) <= self.simplices:
+            ranked = list(self._ranked())
+            face = next(
+                g
+                for s in ranked
+                for k in range(1, len(s))
+                for g in itertools.combinations(s, k)
+                if g not in self.simplices
+            )
+            raise InvariantViolationError.missing_face(face, ranked)
+        self._closed = True
 
     def vertex_set(self, simplices=None):
         pool = self.simplices if simplices is None else simplices
@@ -256,11 +286,13 @@ class SimplicialComplex:
             for n, values in self.assets.items()
         }
         if self._by_dim is None:
-            return SimplicialComplex(order, map(remap, self.simplices), named, assets)
-        by_dim = {d: list(map(remap, group)) for d, group in self._by_dim.items()}
-        simplices = itertools.chain.from_iterable(by_dim.values())
-        out = SimplicialComplex(order, simplices, named, assets)
-        out._by_dim = by_dim
+            out = SimplicialComplex(order, map(remap, self.simplices), named, assets)
+        else:
+            by_dim = {d: list(map(remap, group)) for d, group in self._by_dim.items()}
+            simplices = itertools.chain.from_iterable(by_dim.values())
+            out = SimplicialComplex(order, simplices, named, assets)
+            out._by_dim = by_dim
+        out._closed = self._closed
         return out
 
     # -- labels for serialization and recipes ------------------------------
@@ -389,10 +421,12 @@ def _by_length(simplices):
 def _with_parts(c, named=None, assets=None):
     """`c`'s vertices and simplices with other named parts and assets.
 
-    The new complex shares `c`'s canonical order, known or still to come.
+    The new complex shares `c`'s canonical order, known or still to come,
+    and its closed fact.
     """
     out = SimplicialComplex(c.vertices, c.simplices, named, assets)
     out._by_dim = c._by_dim
+    out._closed = c._closed
     return out
 
 
@@ -449,6 +483,7 @@ def from_facets(facets, names=None):
         named[name] = frozenset(map(label_of.__getitem__, closure(part)))
     c = SimplicialComplex(order, frozenset(labelled), named)
     c._by_dim = by_dim
+    c._closed = True
     return c
 
 
@@ -654,22 +689,51 @@ def union_on(vertices, *simplex_sets, named=None, assets=None):
     return SimplicialComplex(vertices, simplices, fixed, assets)
 
 
-def _flapped(base, prism):
-    """`base` with the simplices of `prism` added and `base`'s named parts.
+def _flapped(base, vertices, simplices):
+    """`base` with new `vertices` and `simplices` added, and `base`'s named parts.
 
-    The prism's vertices missing from `base` come last, in the prism's
-    order, so `base`'s tuples and canonical order stay as they are; only
-    the prism's new simplices are placed, each inserted into its dimension
-    by bisection.
+    The new vertices come last, in the given order, so `base`'s tuples and
+    canonical order stay as they are.  Each new simplex is a tuple sorted in
+    the new order, so its vertices from `base` form a prefix of it.  The new
+    simplices of one dimension and one such prefix are consecutive in the
+    canonical order, and after every base simplex whose leading entries are
+    at most that prefix; each group is placed with one bisection on the local
+    position map.  The caller vouches that `base` with `simplices` is closed
+    under faces when `base` is; the result is known closed when `base` is.
     """
-    order = list(base.vertices) + [v for v in prism.vertices if v not in base._index]
+    order = list(base.vertices) + list(vertices)
     index = {v: i for i, v in enumerate(order)}
-    new = {tuple(sorted(s, key=index.__getitem__)) for s in prism.simplices} - base.simplices
-    out = SimplicialComplex(order, base.simplices | new, base.named)
-    by_dim = {d: list(group) for d, group in base._order().items()}
-    for s in new:
-        bisect.insort(by_dim.setdefault(len(s) - 1, []), s, key=out.sort_key)
+    n = len(base.vertices)
+    out = SimplicialComplex(order, base.simplices.union(simplices), base.named)
+
+    def position_key(t):
+        return tuple(map(index.__getitem__, t))
+
+    def base_prefix(entry):
+        # a key's entries below n are the positions of its base vertices
+        return entry[0][: bisect.bisect(entry[0], n - 1)]
+
+    added = {}
+    for s in simplices:
+        added.setdefault(len(s) - 1, []).append((position_key(s), s))
+    by_dim = dict(base._order())
+    for d, group in added.items():
+        group.sort()
+        old = by_dim.get(d, [])
+        merged = []
+        lo = 0
+        for _, run in itertools.groupby(group, key=base_prefix):
+            run = list(run)
+            # a base simplex comes first exactly when its leading entries are
+            # at most the prefix, so the group's first key places the group
+            hi = bisect.bisect(old, run[0][0], lo, key=position_key)
+            merged += old[lo:hi]
+            merged += [s for _, s in run]
+            lo = hi
+        merged += old[lo:]
+        by_dim[d] = merged
     out._by_dim = by_dim
+    out._closed = base._closed
     return out
 
 

@@ -1,8 +1,8 @@
-"""Tiny multigraph with degree-two smoothing.
+"""Tiny multigraph with degree-two smoothing, and the vertex-link classifier.
 
-Used to classify vertex links up to topological type and to turn raw Reeb
-quotients into their Morse-style pictures.  Loops contribute two to the
-degree of their node.
+The multigraph turns raw Reeb quotients into their Morse-style pictures;
+loops contribute two to the degree of their node.  Vertex links are
+classified up to topological type from their degrees, without smoothing.
 """
 
 from __future__ import annotations
@@ -97,25 +97,80 @@ def classify_link(lk):
     """Topological type of a one-complex link.
 
     Returns one of "circle", "arc", "theta", "figure8", "point", "other";
-    the first four are the catalog of branched-surface local models.
+    the first four are the catalog of branched-surface local models.  A link
+    that is empty or has a simplex above dimension one is "other"; else the
+    type is read from the degrees of its graph (see `_graph_type`).
     """
-    if not lk.simplices:
+    if not lk.simplices or any(len(s) > 2 for s in lk.simplices):
         return "other"
-    if lk.dim > 1:
+    return _graph_type(lk.vertices, [s for s in lk.simplices if len(s) == 2])
+
+
+def classify_vertex_link(c, v):
+    """`classify_link(link(c, (v,)))`, read from the star of `v` alone.
+
+    In a complex of dimension at most two, the link of v is the graph on the
+    other vertices of its star, with one edge opposite v per triangle; no
+    link complex is built.  A simplex of dimension three or more in the star
+    makes the link "other".
+    """
+    nodes = []
+    edges = []
+    for s in c.open_star(v):
+        if len(s) == 2:
+            nodes.append(s[1] if s[0] == v else s[0])
+        elif len(s) == 3:
+            edges.append(s[1:] if s[0] == v else (s[0], s[2]) if s[1] == v else s[:2])
+        elif len(s) > 3:
+            return "other"
+    return _graph_type(nodes, edges)
+
+
+def _graph_type(nodes, edges):
+    """Type of a simple graph (no loops, no parallel edges) up to smoothing;
+    its nodes are `nodes` and the ends of `edges`.
+
+    Read from the degree counts and one connectivity pass: one node with no
+    edge is a point; a connected graph whose degrees are all 2 is a circle;
+    two of degree 1 and the rest 2 an arc; one of degree 4 and the rest 2 a
+    figure eight.  Two of degree 3 and the rest 2 is the theta graph when
+    each of the three arcs from one of them ends at the other, and the
+    handcuff graph ("other") when one returns.  Anything else is "other".
+    """
+    adjacent = {n: [] for n in nodes}
+    for u, w in edges:
+        adjacent.setdefault(u, []).append(w)
+        adjacent.setdefault(w, []).append(u)
+    if not adjacent:
         return "other"
-    g = from_one_complex(lk)
-    if not g.is_connected():
+    start = next(iter(adjacent))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adjacent[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    n = len(adjacent)
+    if len(seen) != n:
         return "other"
-    s = g.smoothed()
-    n, e, loops = len(s.nodes), len(s.edges), s.loop_count()
-    if n == 1 and e == 0:
+    if n == 1:
         return "point"
-    if n == 1 and e == 1 and loops == 1:
+    degrees = Counter(map(len, adjacent.values()))
+    if degrees[2] == n:
         return "circle"
-    if n == 2 and e == 1 and loops == 0 and s.degree_multiset() == [1, 1]:
+    if degrees[1] == 2 and degrees[2] == n - 2:
         return "arc"
-    if n == 2 and e == 3 and loops == 0 and s.degree_multiset() == [3, 3]:
-        return "theta"
-    if n == 1 and e == 2 and loops == 2:
+    if degrees[4] == 1 and degrees[2] == n - 1:
         return "figure8"
+    if degrees[3] == 2 and degrees[2] == n - 2:
+        a, b = (u for u, around in adjacent.items() if len(around) == 3)
+        for first in adjacent[a]:
+            prev, cur = a, first
+            while len(adjacent[cur]) == 2:
+                x, y = adjacent[cur]
+                prev, cur = cur, (y if x == prev else x)
+            if cur != b:
+                return "other"
+        return "theta"
     return "other"

@@ -23,7 +23,7 @@ from .complexes import (
     union_on,
 )
 from .errors import UnsupportedModelError
-from .graphs import classify_link
+from .graphs import classify_vertex_link
 
 
 def standard_model(name, **params):
@@ -223,7 +223,7 @@ def _punch(c, count, start_index=0, max_subdivisions=3):
         for v in c.vertices:
             if v in rims:
                 continue
-            if classify_link(link(c, (v,))) != "circle":
+            if classify_vertex_link(c, v) != "circle":
                 continue
             star_verts = {u for s in c.closed_star(v) for u in s}
             if star_verts & rims:

@@ -1,0 +1,34 @@
+"""Link classification by degree-two smoothing, kept as the oracle for the
+degree-count classifier.
+
+This is `graphs.classify_link` as it was before it read the type from the
+degrees of the link graph: it builds a `Multigraph`, smooths it and reads
+the type from the smoothed graph.  It shares no code with `_graph_type` or
+`classify_vertex_link`.
+"""
+
+from reebtop.graphs import from_one_complex
+
+
+def smoothing_classify_link(lk):
+    """Topological type of a one-complex link, by smoothing its graph."""
+    if not lk.simplices:
+        return "other"
+    if lk.dim > 1:
+        return "other"
+    g = from_one_complex(lk)
+    if not g.is_connected():
+        return "other"
+    s = g.smoothed()
+    n, e, loops = len(s.nodes), len(s.edges), s.loop_count()
+    if n == 1 and e == 0:
+        return "point"
+    if n == 1 and e == 1 and loops == 1:
+        return "circle"
+    if n == 2 and e == 1 and loops == 0 and s.degree_multiset() == [1, 1]:
+        return "arc"
+    if n == 2 and e == 3 and loops == 0 and s.degree_multiset() == [3, 3]:
+        return "theta"
+    if n == 1 and e == 2 and loops == 2:
+        return "figure8"
+    return "other"

@@ -94,9 +94,43 @@ def test_flap_builds_the_union_on_complex():
             m = attach_flap(base, sigma, seed=seed)
             assert m.complex == expected and m.complex.check_invariants()
             assert m.complex.f_vector() == expected.f_vector()
-            assert m.certificates[-1] == (
-                sigma, collapse_to(expected, c.simplices, seed=seed)
-            )
+            # the constructive certificate: it collapses back onto the base,
+            # takes each new simplex once, and echoes the seed it ignores
+            name, cert = m.certificates[-1]
+            assert name == sigma and cert.target == "subcomplex"
+            assert replay_certificate(m.complex, cert) == c.simplices
+            cells = [g for step in cert.steps for g in step]
+            assert sorted(cells, key=repr) == sorted(expected.simplices - c.simplices, key=repr)
+            assert len(cert.steps) == sum(len(s) for s in c.named_part(sigma))
+            assert (cert.seed, cert.restarts_used) == (seed, 0)
+
+
+def test_flap_certificate_is_pinned_on_the_disc():
+    # over each simplex of the core circle, from the top dimension down, the
+    # staircase pairs ((a_0..a_{i-1}, b_i..b_k), (a_0..a_i, b_i..b_k))
+    def a(j):
+        return ("i", j)
+
+    def b(j):
+        return ("flap", "core_boundary", ("i", j))
+
+    m = attach_flap(standard_model("disc", n=2), "core_boundary", seed=5)
+    assert m.certificates[0][1] == CollapseCertificate(
+        (
+            ((b(0), b(1)), (a(0), b(0), b(1))),
+            ((a(0), b(1)), (a(0), a(1), b(1))),
+            ((b(0), b(2)), (a(0), b(0), b(2))),
+            ((a(0), b(2)), (a(0), a(2), b(2))),
+            ((b(1), b(2)), (a(1), b(1), b(2))),
+            ((a(1), b(2)), (a(1), a(2), b(2))),
+            ((b(0),), (a(0), b(0))),
+            ((b(1),), (a(1), b(1))),
+            ((b(2),), (a(2), b(2))),
+        ),
+        "subcomplex",
+        5,
+        0,
+    )
 
 
 def test_flap_rejects_boundary_circle():
@@ -214,6 +248,57 @@ def test_collapse_refuses_a_complex_not_closed_under_faces():
         replay_certificate(c, CollapseCertificate((), "point", 0, 0))
 
 
+def disc_missing_an_edge():
+    """`concentric_disc(8, 6)` built by hand without an edge far from ring_2."""
+    c = concentric_disc(8, 6)
+    return SimplicialComplex(c.vertices, c.simplices - {((6, 6), (6, 7))}, c.named)
+
+
+MISSING_EDGE = "closure misses ((6, 6), (6, 7)) < ((5, 7), (6, 6), (6, 7))"
+
+
+def test_flap_and_collapse_refuse_a_base_not_closed_under_faces():
+    # a flap no longer runs a collapse search, and still refuses the base
+    bad = disc_missing_an_edge()
+    for _ in range(2):  # a refusal is not remembered as closed
+        with pytest.raises(InvariantViolationError, match=re.escape(MISSING_EDGE)):
+            attach_flap(bad, "ring_2")
+        with pytest.raises(InvariantViolationError, match=re.escape(MISSING_EDGE)):
+            collapse_to(bad, "point")
+    with pytest.raises(InvariantViolationError, match=re.escape(MISSING_EDGE)):
+        collapse_to(bad, closure(bad.simplices_of_dim(0)[:1]))
+
+
+def test_flap_refuses_a_base_not_closed_under_faces_under_optimize():
+    result = run_optimized(
+        """
+        from reebtop.branched import attach_flap
+        from reebtop.errors import InvariantViolationError
+        from test_branched import disc_missing_an_edge
+
+        try:
+            attach_flap(disc_missing_an_edge(), "ring_2")
+        except InvariantViolationError as exc:
+            print("refused:", exc)
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f"refused: {MISSING_EDGE}"]
+
+
+def test_a_flapped_complex_known_closed_still_refuses_a_target_not_a_subcomplex():
+    m = attach_flap(attach_flap(concentric_disc(7, 5), "ring_2"), "ring_4")
+    c = m.complex
+    assert c._closed  # from construction: no pass over the complex has run
+    edge = c.simplices_of_dim(1)[-1]
+    message = re.escape(f"target is not a subcomplex: closure misses {edge[:1]!r} < {edge!r}")
+    with pytest.raises(InvariantViolationError, match=message):
+        collapse_to(c, {edge})
+    tri = c.simplices_of_dim(2)[0]
+    with pytest.raises(InvariantViolationError, match="target is not a subcomplex"):
+        collapse_to(c, closure([tri]) - {tri[1:]})
+
+
 def test_bouquet_rejects_basepoint_on_locus():
     s = attach_flap(standard_model("sphere", n=2), "equator")
     locus_vertex = next(iter(s.locus_vertices()))
@@ -265,18 +350,24 @@ def test_collapse_deterministic_per_seed():
 
 
 def test_certificates_are_pinned():
-    # the same certificates and report in every version and every process
+    # the same certificates and report in every version and every process;
+    # `rest` leaves out the flap certificates, which are written from the
+    # prism since they stopped being searched for, and reads as it did then
     m = concentric_disc(12, 12)
     for r in (2, 5, 8):
         m = attach_flap(m, f"ring_{r}")
     h = hashlib.sha256()
     for name, cert in m.certificates:
         h.update(repr((name, cert.steps, cert.target, cert.seed, cert.restarts_used)).encode())
-    h.update(json.dumps(check_local_structure_dim2(m), sort_keys=True).encode())
+    rest = hashlib.sha256()
+    for digest in (h, rest):
+        digest.update(json.dumps(check_local_structure_dim2(m), sort_keys=True).encode())
     for seed in (1, 2, 3):
         cert = collapse_to(m.complex, "point", seed=seed)
-        h.update(repr((cert.steps, cert.target, cert.seed, cert.restarts_used)).encode())
-    assert h.hexdigest() == "5868c6742f158b11aff006792660c5c18c81389824738bfc0d40c533167a5e55"
+        for digest in (h, rest):
+            digest.update(repr((cert.steps, cert.target, cert.seed, cert.restarts_used)).encode())
+    assert rest.hexdigest() == "c3bea0ff2244b0ed3e79ddfacca4d8049a8662c8a39f1f0ebec82c0504d47afd"
+    assert h.hexdigest() == "30cbb771e00436ea9df32218b0a51fb95fd72cb19cbc9e8afefcbf8006842dc2"
 
 
 def test_collapse_to_subcomplex_protects_target():
@@ -353,7 +444,8 @@ def test_collapse_pools_draw_as_the_resorting_search(monkeypatch):
             for seed in range(5):
                 out.append(collapse_to(c, "point", seed=seed))
                 if ring is not None:
-                    out.append(attach_flap(model, ring, seed=seed).certificates[-1][1])
+                    flapped = attach_flap(model, ring, seed=seed).complex
+                    out.append(collapse_to(flapped, c.simplices, seed=seed))
         out.append(collapse_to(standard_model("sphere", n=2), "point", restarts=3))
         return out
 

@@ -446,6 +446,43 @@ def test_constructors_stay_closed_and_multiply_euler(fa, fb):
     assert sd.euler_characteristic() == a.euler_characteristic()
 
 
+@settings(max_examples=60, deadline=None)
+@given(facet_lists)
+def test_complexes_known_closed_pass_the_invariant_check(fa):
+    # the closed fact is set by `from_facets` and kept by the constructions
+    # that share its simplices; none of them may set it on a set with a hole
+    a = from_facets(fa)
+    named = a.with_named("top", [f for f in a.simplices if len(f) == 1])
+    for c in (a, a.relabeled(lambda v: ("r", v)), named, named.relabeled(str)):
+        assert c._closed
+        assert c.check_invariants()
+        c.check_closed()
+    # a complex built by hand is checked once, then known
+    by_hand = SimplicialComplex(a.vertices, a.simplices)
+    assert not by_hand._closed
+    by_hand.check_closed()
+    assert by_hand._closed
+    top = max(a.simplices, key=len)
+    if len(top) > 1:
+        holed = SimplicialComplex(a.vertices, a.simplices - {top[1:]})
+        with pytest.raises(InvariantViolationError, match="closure misses"):
+            holed.check_closed()
+        assert not holed._closed
+
+
+def test_flap_chains_are_known_closed_and_pass_the_invariant_check():
+    for base, loci in (
+        (concentric_disc(8, 6), ("ring_2", "ring_4", "ring_5")),
+        (standard_model("torus_grid", a=4, b=4), ("meridian",)),
+        (standard_model("sphere", n=2), ("equator",)),
+    ):
+        m = base
+        for sigma in loci:
+            m = attach_flap(m, sigma)
+            assert m.complex._closed
+            assert m.complex.check_invariants()
+
+
 @settings(max_examples=30, deadline=None)
 @given(facet_lists)
 def test_links_are_subcomplexes(fa):
