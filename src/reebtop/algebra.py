@@ -4,7 +4,9 @@ Sparse boundary operators, Smith normal form with unimodular transforms,
 integral and mod-2 homology, homology generators with a projection onto
 chosen coordinates, and a chain-level Mayer-Vietoris exactness checker.
 Invariant factors and bases both come from one sparse elimination of unit
-pivots, with the dense elimination run on the leftover block alone.  All
+pivots, with the dense elimination run on the leftover block alone.  Mod-2
+homology runs no elimination of its own: it is read from the odd integral
+invariant factors (the universal coefficient theorem).  All
 arithmetic is over Python's arbitrary-precision integers; nothing here may
 touch floating point.
 """
@@ -371,26 +373,6 @@ def _dense_smith(s, m, n):
     return u, v, uinv, vinv
 
 
-def rank_mod2(a):
-    """Rank over Z/2 by bitset elimination on the columns (rank A = rank Aᵀ)."""
-    rows = []
-    for col in a.columns:
-        bits = 0
-        for i, x in col.items():
-            if x & 1:
-                bits |= 1 << i
-        if bits:
-            rows.append(bits)
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        rank += 1
-        low = pivot & -pivot
-        rows = [r ^ pivot if r & low else r for r in rows]
-        rows = [r for r in rows if r]
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # homology groups
 # ---------------------------------------------------------------------------
@@ -407,28 +389,35 @@ class HomologyGroup:
 
 
 def homology(c, coefficients="Z", reduced=False):
-    """Homology groups per degree 0..dim; mod-2 answers report dimensions."""
+    """Homology groups per degree 0..dim; mod-2 answers report dimensions.
+
+    Both rings are read from the invariant factors of the boundary maps.
+    U and V of U·∂·V = S stay invertible mod 2, so the rank of ∂ over Z/2
+    is the number of its odd invariant factors (the universal coefficient
+    theorem; Munkres, *Elements of Algebraic Topology*, §55).
+    """
+    if coefficients not in ("Z", "Z2"):
+        raise ValueError(f"unsupported coefficients {coefficients!r}")
     dim = c.dim
     if dim < 0:
         return []
     mats = {p: boundary_matrix(c, p) for p in range(1, dim + 2)}
     mats[0] = augmentation_matrix(c) if reduced else boundary_matrix(c, 0)
+    diagonals = {p: smith_normal_form(m, transforms=False).diagonal for p, m in mats.items()}
+    ranks = {p: _rank(diagonal, coefficients) for p, diagonal in diagonals.items()}
     out = []
-    if coefficients == "Z":
-        snfs = {p: smith_normal_form(m, transforms=False) for p, m in mats.items()}
-        for p in range(dim + 1):
-            n_p = mats[p].cols
-            rank = n_p - snfs[p].rank - snfs[p + 1].rank
-            torsion = tuple(d for d in snfs[p + 1].diagonal if d > 1)
-            out.append(HomologyGroup(p, rank, torsion))
-        return out
+    for p in range(dim + 1):
+        torsion = () if coefficients == "Z2" else tuple(d for d in diagonals[p + 1] if d > 1)
+        out.append(HomologyGroup(p, mats[p].cols - ranks[p] - ranks[p + 1], torsion))
+    return out
+
+
+def _rank(diagonal, coefficients):
+    """Rank over Z or Z/2 of a matrix with Smith diagonal `diagonal`: its
+    nonzero entries over Z, its odd ones over Z/2."""
     if coefficients == "Z2":
-        ranks = {p: rank_mod2(m) for p, m in mats.items()}
-        for p in range(dim + 1):
-            n_p = mats[p].cols
-            out.append(HomologyGroup(p, n_p - ranks[p] - ranks[p + 1]))
-        return out
-    raise ValueError(f"unsupported coefficients {coefficients!r}")
+        return sum(d & 1 for d in diagonal)
+    return sum(1 for d in diagonal if d)
 
 
 def betti_numbers(c, coefficients="Z", reduced=False):

@@ -94,9 +94,7 @@ def _collapse(args, final):
 
 
 def _verify_doubles(args):
-    names = None
-    if args.instances and args.instances != "all":
-        names = [n for n in args.instances.split(",") if n]
+    names = None if args.instances == "all" else [n for n in args.instances.split(",") if n]
     report = verify.verify_doubles_suite(names)
     report["command"] = "verify-doubles"
     return report
@@ -168,7 +166,7 @@ def build_parser():
     p.add_argument("--reduced", action="store_true")
 
     p = command("cohomology", _cohomology, "cohomology ring report", True)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_at_least(0), default=None)
 
     p = command("reeb", _reeb, "Reeb graph of a vertex field", False)
     source = p.add_mutually_exclusive_group()

@@ -837,6 +837,8 @@ def complex_from_json(data):
     def decode(f, unlisted=MalformedFacetError):
         if not isinstance(f, list):
             raise MalformedFacetError(f"facet {f!r} is not a list of vertices")
+        if not f:
+            raise MalformedFacetError("empty facet")
         for v in f:
             if isinstance(v, (list, dict)) or v not in index:
                 raise unlisted(f"facet {f!r} names {v!r}, not a listed vertex")

@@ -93,26 +93,16 @@ def from_one_complex(c):
     return Multigraph(list(c.vertices), [tuple(e) for e in c.simplices_of_dim(1)])
 
 
-def classify_link(lk):
-    """Topological type of a one-complex link.
+def classify_vertex_link(c, v):
+    """Topological type of the link of vertex `v`, read from its star alone.
 
     Returns one of "circle", "arc", "theta", "figure8", "point", "other";
-    the first four are the catalog of branched-surface local models.  A link
-    that is empty or has a simplex above dimension one is "other"; else the
-    type is read from the degrees of its graph (see `_graph_type`).
-    """
-    if not lk.simplices or any(len(s) > 2 for s in lk.simplices):
-        return "other"
-    return _graph_type(lk.vertices, [s for s in lk.simplices if len(s) == 2])
-
-
-def classify_vertex_link(c, v):
-    """`classify_link(link(c, (v,)))`, read from the star of `v` alone.
-
-    In a complex of dimension at most two, the link of v is the graph on the
+    the first four are the catalog of branched-surface local models.  In a
+    complex of dimension at most two, the link of v is the graph on the
     other vertices of its star, with one edge opposite v per triangle; no
-    link complex is built.  A simplex of dimension three or more in the star
-    makes the link "other".
+    link complex is built, and the type is read from the degrees of that
+    graph (see `_graph_type`).  An empty link, or a simplex of dimension
+    three or more in the star, makes the link "other".
     """
     nodes = []
     edges = []

@@ -331,7 +331,10 @@ def verify_double_attachment(inst):
 
 
 def verify_doubles_suite(names=None):
-    names = list(names) if names else sorted(INSTANCE_BUILDERS)
+    """Verify the named built-in instances, all of them when `names` is None."""
+    names = sorted(INSTANCE_BUILDERS) if names is None else list(names)
+    if not names:
+        raise InconsistentHandleDataError("no instance named")
     reports = [verify_double_attachment(build_instance(name)) for name in names]
     return {
         "suite": "doubles",

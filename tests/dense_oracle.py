@@ -7,7 +7,9 @@ The lattice tests are the ones it used before lattices were compared by
 invariant factors, and `DenseChainBasis` and `dense_kernel_generators` the
 ones it used before bases came from a tracked unit-pivot elimination: they
 read U and V of a dense Smith decomposition with transforms, where the
-package reads only the diagonal of sparse ones.  The dense matrix helpers
+package reads only the diagonal of sparse ones.  `rank_mod2` is the bitset
+elimination the package used for Z/2 homology before it read the odd
+invariant factors of the integral Smith form.  The dense matrix helpers
 (products, determinants, columns) serve these oracles and the Smith-form
 contract tests alone.
 """
@@ -82,6 +84,26 @@ def determinant(a):
             mat[i][k] = 0
         prev = mat[k][k]
     return sign * mat[n - 1][n - 1]
+
+
+def rank_mod2(a):
+    """Rank over Z/2 by bitset elimination on the columns (rank A = rank Aᵀ)."""
+    rows = []
+    for col in a.columns:
+        bits = 0
+        for i, x in col.items():
+            if x & 1:
+                bits |= 1 << i
+        if bits:
+            rows.append(bits)
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        rank += 1
+        low = pivot & -pivot
+        rows = [r ^ pivot if r & low else r for r in rows]
+        rows = [r for r in rows if r]
+    return rank
 
 
 def dense_boundary_matrix(c, p):

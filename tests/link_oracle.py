@@ -1,10 +1,10 @@
 """Link classification by degree-two smoothing, kept as the oracle for the
 degree-count classifier.
 
-This is `graphs.classify_link` as it was before it read the type from the
-degrees of the link graph: it builds a `Multigraph`, smooths it and reads
-the type from the smoothed graph.  It shares no code with `_graph_type` or
-`classify_vertex_link`.
+This is how vertex links were classified before the type was read from
+the degrees of the link graph: it takes the link complex, builds a
+`Multigraph`, smooths it and reads the type from the smoothed graph.  It
+shares no code with `_graph_type` or `classify_vertex_link`.
 """
 
 from reebtop.graphs import from_one_complex

@@ -15,11 +15,13 @@ from dense_oracle import (
     identity,
     is_zero,
     mul,
+    rank_mod2,
 )
 
 from reebtop import algebra
 from reebtop.algebra import (
     HomologyGroup,
+    _rank,
     _restrict_chain,
     IntegerMatrix,
     augmentation_matrix,
@@ -32,7 +34,6 @@ from reebtop.algebra import (
     lattice_subset,
     lattices_equal,
     mayer_vietoris_check,
-    rank_mod2,
     relation_vectors,
     smith_normal_form,
 )
@@ -47,7 +48,7 @@ from reebtop.complexes import (
 )
 from reebtop.complexes import SimplicialComplex
 from reebtop.errors import BadCoverError, IncompatibleCochainError, InvariantViolationError
-from reebtop.models import standard_model
+from reebtop.models import concentric_disc, standard_model
 
 
 def assert_snf_contract(a):
@@ -289,6 +290,69 @@ def test_sparse_boundaries_match_the_dense_oracle(facets, other, how):
             assert (fast.rank, fast.diagonal) == (slow.rank, slow.diagonal)
 
 
+def mod2_homology_by_the_oracle(c, reduced):
+    """dim H_p = n_p − rank ∂_p − rank ∂_{p+1} over Z/2, by bitset elimination
+    of the dense boundary matrices."""
+    mats = [dense_boundary_matrix(c, p) for p in range(c.dim + 2)]
+    if reduced:
+        mats[0] = dense_augmentation_matrix(c)
+    ranks = [rank_mod2(m) for m in mats]
+    return [HomologyGroup(p, mats[p].cols - ranks[p] - ranks[p + 1]) for p in range(c.dim + 1)]
+
+
+def assert_mod2_homology_matches_the_oracle(c):
+    for reduced in (False, True):
+        assert homology(c, "Z2", reduced) == mod2_homology_by_the_oracle(c, reduced)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_facets, random_facets, st.integers(0, 2))
+@example(RP2_FACETS, [[0, 1]], 2)  # 2-torsion, where odd and nonzero factors differ
+def test_mod2_homology_matches_the_rank_mod2_oracle(facets, other, how):
+    assert_mod2_homology_matches_the_oracle(random_complex(facets, other, how))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: klein_bottle(8, 9),
+        lambda: product(from_facets(RP2_FACETS), standard_model("circle", k=5))[0],
+        lambda: barycentric_subdivision(from_facets(RP2_FACETS)),
+        lambda: concentric_disc(20, 20),
+    ],
+    ids=["klein_8x9", "rp2_x_circle5", "rp2_subdivided", "concentric_disc_20"],
+)
+def test_mod2_homology_matches_the_rank_mod2_oracle_on_pinned_complexes(build):
+    assert_mod2_homology_matches_the_oracle(build())
+
+
+def random_unimodular(rng, n):
+    """A product of random elementary operations: unimodular over Z."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j, q = rng.randrange(n), rng.randrange(n), rng.randint(-3, 3)
+        if i != j:
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        elif rng.random() < 0.5:
+            u[i] = [-x for x in u[i]]
+    return IntegerMatrix(n, n, u)
+
+
+def test_odd_invariant_factors_give_the_rank_mod2():
+    # A = U·D·V with U, V unimodular and at least one even nonzero entry in
+    # D: the Z/2 rank counts the odd entries of D, not the nonzero ones
+    rng = random.Random(17)
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        d = [rng.choice([0, 1, 2, 3, 4, 6, 9, 12]) for _ in range(min(m, n))]
+        d[rng.randrange(len(d))] = rng.choice([2, 4, 6, 12])
+        diagonal = IntegerMatrix(m, n, [[d[i] if i == j else 0 for j in range(n)] for i in range(m)])
+        a = mul(mul(random_unimodular(rng, m), diagonal), random_unimodular(rng, n))
+        factors = smith_normal_form(a, transforms=False).diagonal
+        odd, nonzero = sum(x % 2 for x in d), sum(1 for x in d if x)
+        assert _rank(factors, "Z2") == rank_mod2(a) == odd < nonzero == _rank(factors, "Z")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sphere_homology(n):
     groups = homology(standard_model("sphere", n=n))
@@ -321,6 +385,12 @@ def test_projective_plane_torsion():
         (1, ()), (0, (2,)), (0, ()),
     ]
     assert betti_numbers(rp2, coefficients="Z2") == [1, 1, 1]
+
+
+@pytest.mark.parametrize("c", [SimplicialComplex([], []), from_facets([[0, 1]])], ids=["empty", "edge"])
+def test_homology_refuses_unknown_coefficients(c):
+    with pytest.raises(ValueError, match="unsupported coefficients 'Q'"):
+        homology(c, "Q")
 
 
 def test_reduced_homology():

@@ -270,6 +270,15 @@ def test_cli_verify_doubles_subset(tmp_path):
     assert rep["pass"] and len(rep["instances"]) == 2
 
 
+@pytest.mark.parametrize("instances", [",", "", ",,", "nope"])
+def test_cli_verify_doubles_refuses_a_list_naming_no_known_instance(tmp_path, capsys, instances):
+    # only "all" selects every instance
+    out = tmp_path / "v.json"
+    assert main(["verify-doubles", "--instances", instances, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_cli_verify_bouquet_custom_pieces(tmp_path):
     pieces = write_json(
         tmp_path / "pieces.json",
@@ -349,6 +358,8 @@ def test_cli_reeb_field_complex_missing_a_list_exits_two(tmp_path, capsys, drop)
         {"assets": []},
         {"assets": {"h": 4}},
         {"assets": {"h": ["abc", 1, 2]}},
+        {"facets": [[0, 1], [1, 2], []]},
+        {"named": {"a": [[]]}},
     ],
 )
 def test_cli_reeb_field_complex_malformed_exits_two(tmp_path, capsys, extra):
@@ -405,6 +416,29 @@ def test_cli_cohomology_report(tmp_path):
     assert main(["cohomology", "--recipe", recipe, "--out", str(out)]) == 0
     rep = read_json(out)
     assert rep["degrees"]["1"]["rank"] == 2
+
+
+@pytest.mark.parametrize("value", ["-1", "-3"])
+def test_cli_cohomology_refuses_a_negative_max_degree(tmp_path, capsys, value):
+    recipe = write_json(
+        tmp_path / "r.json", [{"id": "d", "op": "standard", "name": "disc", "n": 2}]
+    )
+    out = tmp_path / "ring.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--recipe", recipe, "--max-degree", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--max-degree: must be at least 0, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_cohomology_max_degree_zero(tmp_path):
+    recipe = write_json(
+        tmp_path / "r.json",
+        [{"id": "t", "op": "standard", "name": "torus_grid", "a": 3, "b": 3}],
+    )
+    out = tmp_path / "ring.json"
+    assert main(["cohomology", "--recipe", recipe, "--max-degree", "0", "--out", str(out)]) == 0
+    assert list(read_json(out)["degrees"]) == ["0"]
 
 
 @pytest.mark.parametrize("command", ["collapse", "verify-contractible"])

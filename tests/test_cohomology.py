@@ -325,8 +325,9 @@ def ring_invariants(c, basis=chain_basis):
         ),
         (lambda: standard_model("torus_grid", a=3, b=3), [1, 1]),
         (lambda: standard_model("surface", genus=2, boundary=0), [1, 1, 1, 1]),
+        (_rp2_times_circle, [0]),
     ],
-    ids=["rp2", "torus", "genus2"],
+    ids=["rp2", "torus", "genus2", "rp2_x_circle"],
 )
 def test_cohomology_rings_are_invariant_under_subdivision(build, pairing):
     c = build()

@@ -41,7 +41,7 @@ from reebtop.errors import (
     NotManifoldLikeError,
     UnsupportedModelError,
 )
-from reebtop.graphs import classify_link
+from reebtop.graphs import classify_vertex_link
 from reebtop.models import concentric_disc, standard_model
 
 
@@ -311,7 +311,7 @@ def test_positions_index_the_canonical_simplex_lists():
 def test_sphere_and_torus_links_are_circles():
     for c in (standard_model("sphere", n=2), standard_model("torus_grid", a=3, b=3)):
         for v in c.vertices:
-            assert classify_link(link(c, (v,))) == "circle"
+            assert classify_vertex_link(c, v) == "circle"
 
 
 def test_subdivision_examples():
@@ -371,7 +371,7 @@ def test_higher_genus_surfaces(genus, boundary):
     assert groups == [(1, ()), (2 * genus, ()), (1 - boundary, ())]
     rim = {v for part in s.named.values() for simplex in part for v in simplex}
     for v in s.vertices:
-        assert classify_link(link(s, (v,))) == ("arc" if v in rim else "circle")
+        assert classify_vertex_link(s, v) == ("arc" if v in rim else "circle")
 
 
 @pytest.mark.parametrize(
@@ -413,6 +413,18 @@ def test_json_rejects_bad_named_part():
     data = {"vertices": [0, 1], "facets": [[0, 1]], "named": {"x": [[0, 2]]}}
     with pytest.raises(BadNameError):
         complex_from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"vertices": [0, 1, 2], "facets": [[0, 1], [1, 2], []]},
+    {"vertices": [0, 1, 2], "facets": [[0, 1], [1, 2]], "named": {"x": [[]]}},
+], ids=["facet", "named_facet"])
+def test_json_rejects_an_empty_facet(data):
+    # as `from_facets` does: an empty facet names no simplex
+    with pytest.raises(MalformedFacetError, match="empty facet"):
+        complex_from_json(data)
+    with pytest.raises(MalformedFacetError, match="empty facet"):
+        from_facets(data["facets"] + [[]])
 
 
 # -- property tests ----------------------------------------------------------

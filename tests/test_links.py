@@ -5,7 +5,7 @@ from link_oracle import smoothing_classify_link
 
 from reebtop.branched import as_model, attach_flap, bouquet
 from reebtop.complexes import barycentric_subdivision, cone, from_facets, link
-from reebtop.graphs import classify_link, classify_vertex_link
+from reebtop.graphs import classify_vertex_link
 from reebtop.models import concentric_disc, standard_model
 from reebtop.verify import (
     INSTANCE_BUILDERS,
@@ -77,7 +77,6 @@ def test_star_classifier_matches_the_smoothing_oracle(label):
         for v in c.vertices:
             expected = smoothing_classify_link(link(c, (v,)))
             assert classify_vertex_link(c, v) == expected, (label, v)
-            assert classify_link(link(c, (v,))) == expected, (label, v)
             seen.add(expected)
     assert seen
 
@@ -122,5 +121,4 @@ FIXTURES = {
 def test_link_fixtures(name):
     c, v, expected = FIXTURES[name]
     assert classify_vertex_link(c, v) == expected
-    assert classify_link(link(c, (v,))) == expected
     assert smoothing_classify_link(link(c, (v,))) == expected

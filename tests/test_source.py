@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import reebtop
-from reebtop import complexes, reeb
+from reebtop import algebra, complexes, reeb
 from reebtop.algebra import augmentation_matrix, boundary_matrix, smith_normal_form
 from reebtop.branched import collapse_to
 from reebtop.complexes import SimplicialComplex
@@ -234,6 +234,24 @@ def test_the_dense_elimination_runs_on_leftover_blocks():
         ("algebra.py", "smith_normal_form", "block"),
         ("algebra.py", "_smith_columns", "block"),
     }
+
+
+def test_homology_reads_both_rings_from_one_smith_form():
+    # Z/2 ranks are the odd invariant factors of the integral Smith form,
+    # so homology runs no elimination of its own and takes no option for it
+    assert list(inspect.signature(algebra.homology).parameters) == ["c", "coefficients", "reduced"]
+    tree = ast.parse(inspect.getsource(algebra.homology))
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert called == {
+        "boundary_matrix", "augmentation_matrix", "smith_normal_form", "_rank",
+        "HomologyGroup", "ValueError", "range", "tuple",
+    }
+    paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+    assert [p.name for p in paths if "rank_mod2" in p.read_text(encoding="utf-8")] == []
 
 
 def new_calls(source):

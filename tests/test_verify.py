@@ -74,6 +74,13 @@ def test_unknown_instance():
         build_instance("nope")
 
 
+def test_a_suite_of_no_instance_is_refused():
+    # None selects every instance; an empty list selects none and would pass
+    # with nothing checked
+    with pytest.raises(InconsistentHandleDataError, match="no instance"):
+        verify.verify_doubles_suite([])
+
+
 def test_all_instances_pass(doubles_reports):
     for name, report in doubles_reports.items():
         assert report["pass"], (name, [c["claim_id"] for c in report["claims"] if not c["pass"]])
