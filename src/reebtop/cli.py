@@ -106,7 +106,7 @@ def _verify_bouquet(args):
             data = json.load(fh)
         items = data.get("pieces") if isinstance(data, dict) else None
         if not isinstance(items, list) or "last" not in data or not all(
-            isinstance(item, dict) and {"recipe", "sigma"} <= item.keys()
+            isinstance(item, dict) and "recipe" in item and isinstance(item.get("sigma"), str)
             for item in items
         ):
             raise RecipeError(

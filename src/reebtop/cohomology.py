@@ -10,7 +10,6 @@ cohomology basis.
 from __future__ import annotations
 
 from .algebra import _column_matrix, _restrict_chain, chain_basis, smith_normal_form
-from .complexes import SimplicialMap
 from .errors import IncompatibleCochainError, NotAnInclusionError
 
 
@@ -80,39 +79,12 @@ def cup_product(a, b):
     return cochain_class(c, p + q, cup_values(c, p, q, a.values, b.values))
 
 
-def _sort_parity(items, key):
-    """The sign of the permutation that sorts `items` by `key`: -1 per inversion."""
-    keys = [key(x) for x in items]
-    inversions = sum(x > y for i, x in enumerate(keys) for y in keys[i + 1:])
-    return -1 if inversions % 2 else 1
-
-
-def restrict_class(a, inclusion):
-    """Pull a class back along an injective simplicial map into its complex."""
-    if inclusion.target != a.complex:
-        raise NotAnInclusionError("map does not land in the class's complex")
-    if not inclusion.is_injective():
-        raise NotAnInclusionError("vertex assignment is not injective")
-    sub = inclusion.source
-    p = a.degree
-    index = a.complex.positions(p)
-    key = a.complex._index
-    values = []
-    for t in sub.simplices_of_dim(p):
-        images = [inclusion.assignment[v] for v in t]
-        sign = _sort_parity(images, lambda v: key[v])
-        values.append(sign * a.values[index[a.complex.sorted_tuple(images)]])
-    return cochain_class(sub, p, values)
-
-
-def part_inclusion(sub, ambient):
-    """Identity-on-vertices inclusion of an extracted subcomplex."""
-    return SimplicialMap(sub, ambient, {v: v for v in sub.vertices})
-
-
 def restrict_to_part(a, sub):
-    """Restriction along a subcomplex that shares its simplex tuples."""
-    return restrict_class(a, part_inclusion(sub, a.complex))
+    """Restriction to a subcomplex whose simplex tuples all lie in the class's complex."""
+    if not sub.simplices <= a.complex.simplices:
+        raise NotAnInclusionError("part has a simplex outside the class's complex")
+    p = a.degree
+    return cochain_class(sub, p, _restrict_chain(a.values, a.complex, sub, p, strict=False))
 
 
 def restriction_columns(w, w_basis, sub, p):

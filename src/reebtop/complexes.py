@@ -43,7 +43,6 @@ from .errors import (
     MalformedFacetError,
     MalformedFieldError,
     MissingSimplexError,
-    NotAnInclusionError,
     NothingToDoubleError,
     NotManifoldLikeError,
 )
@@ -367,29 +366,6 @@ class SimplicialComplex:
         )
 
 
-class SimplicialMap:
-    """Total vertex assignment carrying simplices to simplices."""
-
-    __slots__ = ("source", "target", "assignment")
-
-    def __init__(self, source, target, assignment):
-        self.source = source
-        self.target = target
-        self.assignment = dict(assignment)
-        missing = [v for v in source.vertices if v not in self.assignment]
-        if missing:
-            raise NotAnInclusionError(f"assignment misses vertices {missing[:3]!r}")
-        for s in source.simplices:
-            if self.image_simplex(s) not in target.simplices:
-                raise NotAnInclusionError(f"image of {s!r} is not a simplex")
-
-    def image_simplex(self, s):
-        return self.target.sorted_tuple({self.assignment[v] for v in s})
-
-    def is_injective(self):
-        return len(set(self.assignment.values())) == len(self.assignment)
-
-
 # ---------------------------------------------------------------------------
 # closure and elementary constructors
 # ---------------------------------------------------------------------------
@@ -488,15 +464,12 @@ def from_facets(facets, names=None):
 
 
 def disjoint_union(a, b):
-    """Tagged disjoint union; returns the union and both inclusions."""
+    """Tagged disjoint union: `a`'s vertex v becomes (0, v), `b`'s (1, v)."""
     ta = a.relabeled(lambda v: (0, v))
     tb = b.relabeled(lambda v: (1, v))
     named = {f"0:{n}": p for n, p in ta.named.items()}
     named.update({f"1:{n}": p for n, p in tb.named.items()})
-    c = SimplicialComplex(ta.vertices + tb.vertices, ta.simplices | tb.simplices, named)
-    inc_a = SimplicialMap(a, c, {v: (0, v) for v in a.vertices})
-    inc_b = SimplicialMap(b, c, {v: (1, v) for v in b.vertices})
-    return c, inc_a, inc_b
+    return SimplicialComplex(ta.vertices + tb.vertices, ta.simplices | tb.simplices, named)
 
 
 def wedge(a, basepoint_a, b, basepoint_b):
@@ -542,7 +515,6 @@ def product(a, b):
 
     Vertices are pairs in lexicographic order of factor positions; the
     simplices are the chains in the componentwise order of factor simplices.
-    Returns the product and the two coordinate projections.
     """
     order = [(u, v) for u in a.vertices for v in b.vertices]
     simplices = set()
@@ -552,10 +524,7 @@ def product(a, b):
                 chain = tuple((fa[i], fb[j]) for i, j in path)
                 for k in range(1, len(chain) + 1):
                     simplices.update(itertools.combinations(chain, k))
-    c = SimplicialComplex(order, simplices)
-    proj_a = SimplicialMap(c, a, {(u, v): u for u, v in order})
-    proj_b = SimplicialMap(c, b, {(u, v): v for u, v in order})
-    return c, proj_a, proj_b
+    return SimplicialComplex(order, simplices)
 
 
 def _ridge_count(a):

@@ -79,7 +79,7 @@ def _disc(n):
     if n < 1:
         raise UnsupportedModelError("disc needs n >= 1")
     rim = _sphere(n - 1)
-    collar, _, _ = product(rim, _interval(1))
+    collar = product(rim, _interval(1))
     collar = collar.relabeled(lambda p: ("i", p[0]) if p[1] == 0 else ("o", p[0]))
     inner = rim.relabeled(lambda v: ("i", v))
     apex = ("a", 0)
@@ -99,7 +99,7 @@ def _annulus(k):
     """Prism triangulation of circle(k) x interval with a full-width core band."""
     if k < 3:
         raise UnsupportedModelError("annulus needs k >= 3")
-    c, _, _ = product(_circle(k), _interval(4))
+    c = product(_circle(k), _interval(4))
 
     def rows(js):
         return c.full_subcomplex({(i, j) for i in range(k) for j in js})
@@ -180,7 +180,7 @@ def _solid_torus(k):
         + [[f"a{i}", f"a{(i + 1) % 3}", f"b{i}"] for i in range(3)]
         + [[f"a{(i + 1) % 3}", f"b{i}", f"b{(i + 1) % 3}"] for i in range(3)]
     )
-    x, _, _ = product(_circle(k), disc)
+    x = product(_circle(k), disc)
     inner = {"c", "a0", "a1", "a2"}
     core = x.full_subcomplex({(i, v) for i in range(k) for v in inner})
     named = {"core": core, "boundary": boundary_subcomplex(x).simplices}
@@ -267,7 +267,7 @@ def _tube_join(c1, v1, c2, v2):
     if len(cyc1) != len(cyc2):
         raise UnsupportedModelError("rim lengths differ; cannot join")
     n = len(cyc1)
-    ring, _, _ = product(_circle(n), _interval(1))
+    ring = product(_circle(n), _interval(1))
     mapping = {}
     for i in range(n):
         mapping[(i, 0)] = (0, cyc1[i])
@@ -286,7 +286,7 @@ def _surface(genus, boundary):
         if boundary == 0:
             return _sphere(2)
         m = max(4, 3 * (boundary - 1) + 2)
-        grid, _, _ = product(_interval(m), _interval(m))
+        grid = product(_interval(m), _interval(m))
         named = {"boundary_0": boundary_subcomplex(grid).simplices}
         c = _with_parts(grid, named)
         holes = boundary - 1

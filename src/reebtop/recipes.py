@@ -50,7 +50,7 @@ def parse_recipe(data):
         if sid in seen:
             raise RecipeError(f"duplicate id {sid!r}", step=i, field="id")
         op = step.get("op")
-        if op not in _OPS:
+        if not isinstance(op, str) or op not in _OPS:
             raise RecipeError(f"unknown op {op!r}", step=i, field="op")
         for f in _OPS[op].required:
             if f not in step:
@@ -116,12 +116,10 @@ _OPS = {
         ("facets",), (), lambda s, v: complexes.from_facets(s["facets"], s.get("named"))
     ),
     "disjoint_union": _Op(
-        ("a", "b"), ("a", "b"), lambda s, v: complexes.disjoint_union(*_ab(s, v))[0]
+        ("a", "b"), ("a", "b"), lambda s, v: complexes.disjoint_union(*_ab(s, v))
     ),
     "wedge": _Op(("a", "p", "b", "q"), ("a", "b"), _wedge),
-    "product": _Op(
-        ("a", "b"), ("a", "b"), lambda s, v: complexes.product(*_ab(s, v))[0]
-    ),
+    "product": _Op(("a", "b"), ("a", "b"), lambda s, v: complexes.product(*_ab(s, v))),
     "double": _Op(("x",), ("x",), lambda s, v: complexes.double(_x(s, v))),
     "subdivide": _Op(
         ("x",), ("x",), lambda s, v: complexes.barycentric_subdivision(_x(s, v))

@@ -149,9 +149,7 @@ class DoublesInstance:
 
 def _pair_of_pants():
     """Planar surface with three boundary circles and two handy pieces."""
-    strip, _, _ = product(
-        standard_model("circle", k=8), standard_model("interval", k=6)
-    )
+    strip = product(standard_model("circle", k=8), standard_model("interval", k=6))
     c = _with_parts(strip)
     c = remove_open_star(c, (0, 1), boundary_name="hole")
     band = c.full_subcomplex({(i, j) for i in range(8) for j in (3, 4, 5)})
@@ -335,6 +333,10 @@ def verify_doubles_suite(names=None):
     names = sorted(INSTANCE_BUILDERS) if names is None else list(names)
     if not names:
         raise InconsistentHandleDataError("no instance named")
+    for name in names:
+        if name not in INSTANCE_BUILDERS:
+            raise InconsistentHandleDataError(f"unknown instance {name!r}")
+    # one instance at a time, so only one model is held at once
     reports = [verify_double_attachment(build_instance(name)) for name in names]
     return {
         "suite": "doubles",

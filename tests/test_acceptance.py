@@ -149,7 +149,7 @@ def constructed_complexes():
         ("torus", standard_model("torus_grid", a=3, b=3)),
         ("solid_torus", standard_model("solid_torus", k=3)),
         ("pants", standard_model("surface", genus=0, boundary=3)),
-        ("product", product(circle, standard_model("tripod"))[0]),
+        ("product", product(circle, standard_model("tripod"))),
         ("wedge", wedge(sphere, 0, circle, 0)),
         ("double_annulus", double(annulus)),
         ("double_triangle", double(from_facets([[0, 1, 2]]))),

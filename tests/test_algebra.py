@@ -201,7 +201,7 @@ def test_homology_matches_the_dense_path_on_random_complexes(facets, other, how)
     if how == 1:
         c = barycentric_subdivision(c)
     elif how == 2 and c.dim + from_facets(other).dim <= 3:
-        c = product(c, from_facets(other))[0]
+        c = product(c, from_facets(other))
     assert homology(c) == dense_homology(c)
 
 
@@ -212,7 +212,7 @@ def test_homology_matches_the_dense_path_on_random_complexes(facets, other, how)
         (lambda: barycentric_subdivision(from_facets(RP2_FACETS)), [(), (2,), ()]),
         (klein_bottle, [(), (2,), ()]),
         (
-            lambda: product(from_facets(RP2_FACETS), standard_model("circle", k=3))[0],
+            lambda: product(from_facets(RP2_FACETS), standard_model("circle", k=3)),
             [(), (2,), (2,), ()],
         ),
     ],
@@ -265,7 +265,7 @@ def random_complex(facets, other, how):
     if how == 1:
         return barycentric_subdivision(c)
     if how == 2 and c.dim + from_facets(other).dim <= 3:
-        return product(c, from_facets(other))[0]
+        return product(c, from_facets(other))
     return c
 
 
@@ -316,7 +316,7 @@ def test_mod2_homology_matches_the_rank_mod2_oracle(facets, other, how):
     "build",
     [
         lambda: klein_bottle(8, 9),
-        lambda: product(from_facets(RP2_FACETS), standard_model("circle", k=5))[0],
+        lambda: product(from_facets(RP2_FACETS), standard_model("circle", k=5)),
         lambda: barycentric_subdivision(from_facets(RP2_FACETS)),
         lambda: concentric_disc(20, 20),
     ],

@@ -70,7 +70,7 @@ def test_flap_whiskers_on_circle():
 
 def union_on_flap(base, sigma_name):
     """The flapped complex as `union_on` builds it, re-sorting every tuple."""
-    prism, _, _ = product(base.subcomplex(sigma_name), from_facets([[0, 1]]))
+    prism = product(base.subcomplex(sigma_name), from_facets([[0, 1]]))
     prism = prism.relabeled(lambda p: p[0] if p[1] == 0 else ("flap", sigma_name, p[0]))
     order = list(base.vertices) + [v for v in prism.vertices if v not in base.vertices]
     return union_on(order, base.simplices, prism.simplices, named=dict(base.named))
@@ -141,7 +141,7 @@ def test_flap_rejects_boundary_circle():
 
 def test_flap_rejects_a_locus_touching_the_boundary_at_a_vertex():
     # every edge of the loop is interior, but its vertex (0, 1) is on the rim
-    square, _, _ = product(standard_model("interval", k=3), standard_model("interval", k=3))
+    square = product(standard_model("interval", k=3), standard_model("interval", k=3))
     a, b, d = (0, 1), (1, 1), (1, 2)
     square = square.with_named("loop", closure([(a, b), (b, d), (a, d)]))
     with pytest.raises(InvalidBranchLocusError, match=r"'loop' touches the boundary at \(0, 1\)"):

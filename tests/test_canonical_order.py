@@ -128,7 +128,7 @@ def test_a_complex_of_unknown_order_relabels_and_rewraps_to_one_sort():
     # a product's order is sorted on first use; its relabelings and
     # re-wraps must agree whether or not that has happened yet
     for query_first in (False, True):
-        c, _, _ = product(standard_model("circle", k=4), standard_model("tripod"))
+        c = product(standard_model("circle", k=4), standard_model("tripod"))
         if query_first:
             c.simplices_of_dim(0)
         assert_sorted_once(c.relabeled(lambda v: ("p", v)))
@@ -165,5 +165,5 @@ def test_facet_lists_keep_the_canonical_order(fa, fb, data):
     # a relabeling that scrambles the labels but keeps the positions
     perm = data.draw(st.permutations(list(range(20))))
     assert_sorted_once(a.relabeled(lambda v: perm[v]))
-    pr, _, _ = product(a, from_facets(fb))
+    pr = product(a, from_facets(fb))
     assert_derived_orders(pr)

@@ -150,7 +150,7 @@ def small_complexes(draw):
     if how == "product":
         other = from_facets(draw(random_facets))
         if c.dim + other.dim <= 3 and len(c.simplices) * len(other.simplices) <= 600:
-            return product(c, other)[0]
+            return product(c, other)
     return c
 
 
@@ -207,7 +207,7 @@ PINNED = {
     "rp2_subdivided_twice": lambda: barycentric_subdivision(
         barycentric_subdivision(from_facets(RP2_FACETS))
     ),
-    "rp2_x_circle": lambda: product(from_facets(RP2_FACETS), standard_model("circle", k=3))[0],
+    "rp2_x_circle": lambda: product(from_facets(RP2_FACETS), standard_model("circle", k=3)),
     "torus_3x3": lambda: standard_model("torus_grid", a=3, b=3),
     "genus2": lambda: standard_model("surface", genus=2, boundary=0),
 }

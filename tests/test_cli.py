@@ -18,6 +18,9 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+SPHERE = [{"id": "s", "op": "standard", "name": "sphere", "n": 2}]
+
+
 def test_parse_recipe_single_step():
     r = parse_recipe([{"id": "x", "op": "standard", "name": "disc", "n": 2}])
     assert len(r.steps) == 1
@@ -55,9 +58,10 @@ def test_parse_recipe_reference_must_be_a_step_id():
 
 
 def test_parse_recipe_unknown_op():
-    with pytest.raises(RecipeError) as err:
-        parse_recipe([{"id": "w", "op": "fold"}])
-    assert err.value.field == "op"
+    for op in ["fold", ["standard"], {"name": "standard"}]:
+        with pytest.raises(RecipeError) as err:
+            parse_recipe([{"id": "w", "op": op}])
+        assert err.value.field == "op"
 
 
 def test_parse_recipe_duplicate_id():
@@ -123,6 +127,15 @@ def test_parse_recipe_reports_missing_field():
         with pytest.raises(RecipeError) as err:
             parse_recipe([{"id": "c", "op": "standard", "name": "tripod"}, step])
         assert (err.value.step, err.value.field) == (1, field)
+
+
+@pytest.mark.parametrize("command", ["build", "homology"])
+@pytest.mark.parametrize("op", [["standard"], {"name": "standard"}])
+def test_cli_recipe_op_not_a_name_exits_two(tmp_path, capsys, command, op):
+    recipe = write_json(tmp_path / "r.json", [{"id": "x", "op": op}])
+    assert main([command, "--recipe", recipe]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_homology_sphere(tmp_path, capsys):
@@ -327,12 +340,16 @@ def test_cli_missing_file_exits_two(tmp_path, capsys):
         {"pieces": ["equator"], "last": []},
         {"pieces": {}, "last": []},
         [],
+        # a sigma that is not a name
+        {"pieces": [{"recipe": SPHERE, "sigma": ["equator"]}], "last": SPHERE},
+        {"pieces": [{"recipe": SPHERE, "sigma": {"name": "equator"}}], "last": SPHERE},
     ],
 )
 def test_cli_malformed_pieces_file_exits_two(tmp_path, capsys, data):
     pieces = write_json(tmp_path / "pieces.json", data)
     assert main(["verify-bouquet", "--pieces", pieces]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("drop", ["vertices", "facets"])

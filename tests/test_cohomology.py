@@ -15,14 +15,12 @@ from reebtop.cohomology import (
     cup_product,
     cup_values,
     map_rank,
-    restrict_class,
     restrict_to_part,
     restriction_columns,
     ring_report,
 )
 from reebtop.complexes import (
     SimplicialComplex,
-    SimplicialMap,
     barycentric_subdivision,
     from_facets,
     product,
@@ -33,6 +31,7 @@ from reebtop.models import standard_model
 
 from conftest import run_optimized
 from dense_oracle import dense_chain_basis
+from restriction_oracle import restrict_values
 
 
 @pytest.fixture(scope="module")
@@ -188,10 +187,23 @@ def test_restrict_to_empty_is_zero(torus):
 def test_restrict_requires_injectivity():
     tri = from_facets([[0, 1, 2]])
     pt = from_facets([[5], [6]])
-    squash = SimplicialMap(pt, tri, {5: 0, 6: 0})
-    a = cochain_class(tri, 0, [1, 1, 1])
+    with pytest.raises(NotAnInclusionError, match="injective"):
+        restrict_values([1, 1, 1], tri, pt, 0, {5: 0, 6: 0})
+
+
+@pytest.mark.parametrize(
+    "part",
+    [
+        from_facets([[0, 1], [1, 7]]),  # a vertex and an edge outside
+        from_facets([[0, 2]]),  # two vertices of the path that span no edge
+        SimplicialComplex((1, 0), [(1,), (0,), (1, 0)]),  # an edge in the other order
+    ],
+)
+def test_restrict_to_part_refuses_a_part_leaving_the_complex(part):
+    path = from_facets([[0, 1], [1, 2]])
+    a = cochain_class(path, 0, [1, 1, 1])
     with pytest.raises(NotAnInclusionError):
-        restrict_class(a, squash)
+        restrict_to_part(a, part)
 
 
 def test_restriction_naturality(torus):
@@ -214,11 +226,9 @@ def test_restriction_rank_on_meridian(torus):
 def test_restriction_sign_for_order_reversing_inclusion():
     seg = from_facets([[0, 1]])
     flipped = from_facets([[10, 11]])
-    inc = SimplicialMap(flipped, seg, {10: 1, 11: 0})
     # the 1-cochain dual to the edge pulls back with a sign
-    a = cochain_class(seg, 1, [1])
-    r = restrict_class(a, inc)
-    assert list(r.values) == [-1]
+    assert restrict_values([1], seg, flipped, 1, {10: 1, 11: 0}) == [-1]
+    assert restrict_values([1], seg, flipped, 1, {10: 0, 11: 1}) == [1]
 
 
 def test_ring_report_shape(torus):
@@ -234,7 +244,7 @@ def _rp2_times_circle():
         [[0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
          [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5]]
     )
-    return product(rp2, standard_model("circle", k=3))[0]
+    return product(rp2, standard_model("circle", k=3))
 
 
 @pytest.mark.parametrize(
@@ -261,21 +271,20 @@ def test_ring_report_matches_cup_product(build):
     assert got == expected
 
 
-def _projected_restrictions(w, sub, p):
-    target = chain_basis(sub, p, dual=True)
-    classes, _ = cohomology_basis(w, p)
-    return [target.project(list(restrict_to_part(x, sub).values)) for x in classes]
-
-
 def test_restriction_columns_match_restrict_to_part(torus, doubles_instances):
+    # both package paths against the assignment-and-parity oracle
     cases = [(torus, torus.subcomplex("meridian"), 1)]
     w = doubles_instances["annulus_core"].model.complex
     for label in ("X", "DY"):
         cases += [(w, w.subcomplex(label), p) for p in (1, 2)]
     for w, sub, p in cases:
+        classes, _ = cohomology_basis(w, p)
+        expected = [restrict_values(x.values, w, sub, p) for x in classes]
+        assert [list(restrict_to_part(x, sub).values) for x in classes] == expected
+        target = chain_basis(sub, p, dual=True)
         cols, orders = restriction_columns(w, chain_basis(w, p, dual=True), sub, p)
-        assert cols == _projected_restrictions(w, sub, p)
-        assert orders == chain_basis(sub, p, dual=True).orders
+        assert cols == [target.project(v) for v in expected]
+        assert orders == target.orders
 
 
 def _cokernel(columns, orders):

@@ -18,7 +18,6 @@ from scan_oracle import (
 from reebtop.branched import _coface_table, attach_flap
 from reebtop.complexes import (
     SimplicialComplex,
-    SimplicialMap,
     barycentric_subdivision,
     boundary_subcomplex,
     complex_from_json,
@@ -169,18 +168,36 @@ def test_unknown_model_rejected():
         standard_model("circle", k=2)
 
 
+def assert_summands_are_tagged_copies(du, a, b):
+    """`a` and `b` map injectively onto the (0, v) and (1, v) parts of `du`."""
+    tagged = [(0, v) for v in a.vertices] + [(1, v) for v in b.vertices]
+    assert sorted(du.vertices) == sorted(tagged) and len(set(tagged)) == len(tagged)
+    copies = [{tuple((i, v) for v in s) for s in x.simplices} for i, x in enumerate((a, b))]
+    assert copies[0] | copies[1] == du.simplices
+    assert len(copies[0]) == len(a.simplices) and len(copies[1]) == len(b.simplices)
+
+
+def assert_projects_to_factors(pr, a, b):
+    """Every simplex of `pr` projects to a simplex of `a` and one of `b`."""
+    for s in pr.simplices:
+        assert a.sorted_tuple(u for u, _ in s) in a.simplices
+        assert b.sorted_tuple(v for _, v in s) in b.simplices
+
+
 def test_disjoint_union_examples():
     pt = standard_model("simplex", n=0)
-    two, ia, ib = disjoint_union(pt, pt)
+    two = disjoint_union(pt, pt)
     assert two.f_vector() == (2,)
-    assert ia.is_injective() and ib.is_injective()
+    assert_summands_are_tagged_copies(two, pt, pt)
     c3 = standard_model("circle", k=3)
-    cc, _, _ = disjoint_union(c3, c3)
+    cc = disjoint_union(c3, c3)
     assert len(cc.components()) == 2
+    assert_summands_are_tagged_copies(cc, c3, c3)
     s = standard_model("sphere", n=2)
     t = standard_model("tripod")
-    st_union, _, _ = disjoint_union(s, t)
+    st_union = disjoint_union(s, t)
     assert st_union.euler_characteristic() == 2 + 1
+    assert_summands_are_tagged_copies(st_union, s, t)
 
 
 def test_wedge_examples():
@@ -201,24 +218,25 @@ def test_wedge_bad_basepoint():
 
 def test_product_square():
     i1 = standard_model("interval", k=1)
-    sq, pa, pb = product(i1, i1)
+    sq = product(i1, i1)
     assert sq.f_vector() == (4, 5, 2)
     assert sq.euler_characteristic() == 1
+    assert_projects_to_factors(sq, i1, i1)
 
 
 def test_product_annulus_f_vector():
     # frozen from counting staircase cells of circle(3) x interval(1)
-    c, _, _ = product(standard_model("circle", k=3), standard_model("interval", k=1))
+    c = product(standard_model("circle", k=3), standard_model("interval", k=1))
     assert c.f_vector() == (6, 12, 6)
     assert c.euler_characteristic() == 0
 
 
 def test_product_circle_tripod():
-    c, pa, pb = product(standard_model("circle", k=3), standard_model("tripod"))
+    circle, tripod = standard_model("circle", k=3), standard_model("tripod")
+    c = product(circle, tripod)
     assert c.euler_characteristic() == 0
     c.check_invariants()
-    # projections carry simplices to simplices by construction
-    assert isinstance(pa, SimplicialMap) and isinstance(pb, SimplicialMap)
+    assert_projects_to_factors(c, circle, tripod)
 
 
 def test_boundary_examples():
@@ -444,14 +462,16 @@ def test_constructors_stay_closed_and_multiply_euler(fa, fb):
     a = from_facets(fa)
     b = from_facets(fb)
     a.check_invariants()
-    du, _, _ = disjoint_union(a, b)
+    du = disjoint_union(a, b)
     du.check_invariants()
+    assert_summands_are_tagged_copies(du, a, b)
     assert du.euler_characteristic() == a.euler_characteristic() + b.euler_characteristic()
     w = wedge(a, a.vertices[0], b, b.vertices[0])
     w.check_invariants()
     assert w.euler_characteristic() == a.euler_characteristic() + b.euler_characteristic() - 1
-    pr, _, _ = product(a, b)
+    pr = product(a, b)
     pr.check_invariants()
+    assert_projects_to_factors(pr, a, b)
     assert pr.euler_characteristic() == a.euler_characteristic() * b.euler_characteristic()
     sd = barycentric_subdivision(a)
     sd.check_invariants()
@@ -540,7 +560,8 @@ solid_facet_lists = st.lists(
 def test_star_index_matches_scans(fa, fb):
     a = from_facets(fa)
     b = from_facets(fb)
-    pr, _, _ = product(b, from_facets(fa[:2]))
+    pr = product(b, from_facets(fa[:2]))
+    assert_projects_to_factors(pr, b, from_facets(fa[:2]))
     for c in (a, b, pr, barycentric_subdivision(b), barycentric_subdivision(from_facets(fa[:1]))):
         assert_incidence_matches_scans(c)
 

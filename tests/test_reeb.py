@@ -99,7 +99,7 @@ def test_duplicate_values_rejected():
 
 def test_betti0_matches_complex():
     a = standard_model("sphere", n=2)
-    du, _, _ = disjoint_union(a, a)
+    du = disjoint_union(a, a)
     inv = graph_invariants(reeb_graph(heights(du)))
     assert inv["betti0"] == 2
 
@@ -315,7 +315,7 @@ small_facet_lists = st.lists(
 def test_sweep_matches_rescan_on_random_complexes(fa, fb, rng):
     a = from_facets(fa)
     b = from_facets(fb)
-    pr, _, _ = product(a, from_facets([fb[0][:2]]))
+    pr = product(a, from_facets([fb[0][:2]]))
     for c in (a, b, pr, barycentric_subdivision(from_facets(fb[:3]))):
         assert_same_sweep(random_field(c, rng))
 
@@ -329,7 +329,7 @@ def test_sweep_matches_rescan_on_the_catalog():
         standard_model("solid_torus", k=3),
         standard_model("sphere", n=3),
         standard_model("tripod"),
-        disjoint_union(standard_model("circle", k=4), standard_model("disc", n=2))[0],
+        disjoint_union(standard_model("circle", k=4), standard_model("disc", n=2)),
     ]
     for c in models:
         if "height" in c.assets:
@@ -436,7 +436,7 @@ def test_split_predicate_reads_the_upper_link():
         standard_model("sphere", n=3),
         standard_model("tripod"),
         standard_model("simplex", n=3),
-        disjoint_union(standard_model("circle", k=4), standard_model("disc", n=2))[0],
+        disjoint_union(standard_model("circle", k=4), standard_model("disc", n=2)),
     ]
     models += [build() for build in NON_MANIFOLD.values()]
     seen = set()

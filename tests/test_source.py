@@ -28,6 +28,21 @@ def test_no_assert_in_the_package():
     assert found == []
 
 
+def test_the_exports_are_the_imports():
+    # every name in __all__ is bound, listed once, and imported by __init__.py
+    names = reebtop.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(reebtop, n)] == []
+    tree = ast.parse(Path(reebtop.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(names) == imported
+
+
 def test_what_the_benchmark_trace_reads():
     # perfbench/tracing.py binds the arguments of every `smith_normal_form`
     # call by name and reads `a.rows`, `a.cols` and `transforms` from them

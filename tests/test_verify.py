@@ -81,6 +81,14 @@ def test_a_suite_of_no_instance_is_refused():
         verify.verify_doubles_suite([])
 
 
+def test_a_suite_names_every_instance_before_building_any(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "verify_double_attachment", calls.append)
+    with pytest.raises(InconsistentHandleDataError, match="'nope'"):
+        verify.verify_doubles_suite(["annulus_core", "nope"])
+    assert calls == []
+
+
 def test_all_instances_pass(doubles_reports):
     for name, report in doubles_reports.items():
         assert report["pass"], (name, [c["claim_id"] for c in report["claims"] if not c["pass"]])
