@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .errors import BadCoverError, IncompatibleCochainError, InvariantViolationError
+from .errors import BadCoverError, IncompatibleCochainError
 
 
 class IntegerMatrix:
@@ -97,8 +97,9 @@ def boundary_matrix(c, p):
                 {index[s[:i] + s[i + 1:]]: -1 if i % 2 else 1 for i in range(len(s))}
                 for s in cols
             ])
-        except KeyError as exc:
-            raise InvariantViolationError.missing_face(exc.args[0], cols) from None
+        except KeyError:
+            c.check_closed()
+            raise
     c._boundaries[p] = matrix
     return matrix
 

@@ -19,11 +19,12 @@ from .complexes import (
     SimplicialComplex,
     _flapped,
     _mirror_copy,
+    _missing_face,
     _one_point_union,
+    _proper_faces,
     _ridge_count,
     boundary_subcomplex,
     closure,
-    codim_one_faces,
     union_on,
 )
 from .errors import (
@@ -300,11 +301,6 @@ class CollapseFailure:
     reason: str = "inconclusive"
 
 
-def _proper_faces(s):
-    """The nonempty proper faces of a simplex."""
-    return itertools.chain.from_iterable(itertools.combinations(s, k) for k in range(1, len(s)))
-
-
 def _coface_table(c):
     """Every simplex's set of cofaces, built in one pass for one replay."""
     table = {s: set() for s in c.simplices}
@@ -312,8 +308,9 @@ def _coface_table(c):
         for s in c.simplices:
             for g in _proper_faces(s):
                 table[g].add(s)
-    except KeyError as exc:
-        raise InvariantViolationError.missing_face(exc.args[0], c.simplices) from None
+    except KeyError:
+        c.check_closed()
+        raise
     return table
 
 
@@ -322,19 +319,19 @@ def _check_closed(c, protected):
     is a subcomplex, both with `InvariantViolationError`.
 
     Whether `c` is closed is known from its construction or checked once
-    and remembered (`SimplicialComplex.check_closed`).  `protected` is
-    checked in one pass over its codimension-one faces; a missing face is
-    named below the first of its owners in canonical order.
+    and remembered (`SimplicialComplex.check_closed`).  A target simplex
+    outside `c` is named by `repr` order, a missing face of the target as
+    `c.check_closed` names one (`complexes._missing_face`).
     """
     c.check_closed()
-    if not codim_one_faces(protected) <= protected:
-        owners = sorted(protected, key=lambda s: (len(s), c.sort_key(s)))
-        face = next(
-            g for s in owners for g in itertools.combinations(s, len(s) - 1)
-            if g and g not in protected
+    outside = protected - c.simplices
+    if outside:
+        raise InvariantViolationError(
+            f"target is not a subcomplex: {min(outside, key=repr)!r} leaves the complex"
         )
-        exc = InvariantViolationError.missing_face(face, owners)
-        raise InvariantViolationError(f"target is not a subcomplex: {exc}")
+    gap = _missing_face(protected, c.sort_key)
+    if gap:
+        raise InvariantViolationError(f"target is not a subcomplex: {gap}")
 
 
 def _greedy_collapse(c, protected, point_goal, rng, budget):
@@ -427,9 +424,7 @@ def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
         protected = frozenset()
         point_goal = True
     else:
-        part = target.simplices if isinstance(target, SimplicialComplex) else frozenset(target)
-        if not part <= c.simplices:
-            raise ValueError("target is not a subcomplex")
+        part = target.simplices if isinstance(target, SimplicialComplex) else target
         protected = frozenset(part)
         point_goal = False
     _check_closed(c, protected)

@@ -14,18 +14,20 @@ positions, `sort_key`) is derived data like the star index: one sort on the
 first ordered query (`dim`, `simplices_of_dim`, `positions`, `f_vector`,
 `components`, `facets`).  Constructions that already know it hand it over
 instead: `from_facets` sorts integer position tuples, whose plain tuple
-order is the canonical one; `relabeled` renames a known order position by
-position; `with_named` and `_with_parts` (same vertices and simplices,
-other names or assets) share it; `subcomplex` sorts its part by the
-parent's `positions`; and the flapped complex of `attach_flap` (`_flapped`)
-places the prism's few new simplices into the base's order.  Every complex
-is still built by `SimplicialComplex.__init__`, and only this module reads
-the stored order.
+order is the canonical one; `with_named` and `_with_parts` (same vertices
+and simplices, other names or assets) share it; `subcomplex` sorts its part
+by the parent's `positions`; and the flapped complex of `attach_flap`
+(`_flapped`) places the prism's few new simplices into the base's order.
+Every complex is still built by `SimplicialComplex.__init__`, and only this
+module reads the stored order.
 
 Being closed under faces is derived data too (`check_closed`): known from
 construction for `from_facets`, for `_flapped` over a closed base and for
 the complexes that share their simplices (`relabeled`, `_with_parts`), and
-otherwise checked once, on the first call, and remembered.
+otherwise checked once, on the first call, and remembered.  One finder,
+`_missing_face`, names the first missing face of a complex, a named part or
+a collapse target; a computation that meets a missing face asks
+`check_closed` for the refusal.
 """
 
 from __future__ import annotations
@@ -146,28 +148,17 @@ class SimplicialComplex:
         closed under faces.
 
         The fact is known from construction (see the module docstring) or
-        checked once, in one pass over codimension-one faces, and then
-        remembered.  A missing face is the first one found over the
-        simplices in canonical order, smallest faces first, and is named
-        below its first owner in that order.
+        checked once (`_missing_face`) and then remembered.
         """
         if self._closed:
             return
-        if not codim_one_faces(self.simplices) <= self.simplices:
-            ranked = list(self._ranked())
-            face = next(
-                g
-                for s in ranked
-                for k in range(1, len(s))
-                for g in itertools.combinations(s, k)
-                if g not in self.simplices
-            )
-            raise InvariantViolationError.missing_face(face, ranked)
+        gap = _missing_face(self.simplices, self.sort_key)
+        if gap:
+            raise InvariantViolationError(gap) from None
         self._closed = True
 
-    def vertex_set(self, simplices=None):
-        pool = self.simplices if simplices is None else simplices
-        return {v for s in pool for v in s}
+    def vertex_set(self):
+        return {v for s in self.simplices for v in s}
 
     # -- named subcomplexes ---------------------------------------------
 
@@ -270,7 +261,7 @@ class SimplicialComplex:
         """Rename vertices positionally; `mapping` is a dict or callable.
 
         The new vertex order is the image of the old one, so every stored
-        tuple (and a known canonical order) is renamed position by position.
+        tuple is renamed position by position.
         """
         fn = mapping.__getitem__ if isinstance(mapping, dict) else mapping
         order = [fn(v) for v in self.vertices]
@@ -284,13 +275,7 @@ class SimplicialComplex:
             n: {new(v): val for v, val in values.items()}
             for n, values in self.assets.items()
         }
-        if self._by_dim is None:
-            out = SimplicialComplex(order, map(remap, self.simplices), named, assets)
-        else:
-            by_dim = {d: list(map(remap, group)) for d, group in self._by_dim.items()}
-            simplices = itertools.chain.from_iterable(by_dim.values())
-            out = SimplicialComplex(order, simplices, named, assets)
-            out._by_dim = by_dim
+        out = SimplicialComplex(order, map(remap, self.simplices), named, assets)
         out._closed = self._closed
         return out
 
@@ -319,20 +304,15 @@ class SimplicialComplex:
                 raise InvariantViolationError("empty simplex stored")
             if list(s) != sorted(set(s), key=self._index.__getitem__):
                 raise InvariantViolationError(f"simplex {s!r} not sorted in the vertex order")
-            if len(s) > 1:
-                for f in itertools.combinations(s, len(s) - 1):
-                    if f not in self.simplices:
-                        raise InvariantViolationError(f"closure misses {f!r} < {s!r}")
+        gap = _missing_face(self.simplices, self.sort_key)
+        if gap:
+            raise InvariantViolationError(gap)
         for name, part in self.named.items():
             if not part <= self.simplices:
                 raise InvariantViolationError(f"named part {name!r} leaves the complex")
-            for s in part:
-                if len(s) > 1:
-                    for f in itertools.combinations(s, len(s) - 1):
-                        if f not in part:
-                            raise InvariantViolationError(
-                                f"named part {name!r} not closed at {s!r}"
-                            )
+            gap = _missing_face(part, self.sort_key)
+            if gap:
+                raise InvariantViolationError(f"named part {name!r} not closed: {gap}")
         for name, values in self.assets.items():
             if set(values) != set(self.vertices):
                 raise InvariantViolationError(f"asset {name!r} misses vertices")
@@ -378,6 +358,29 @@ def codim_one_faces(simplices):
         out.update(itertools.combinations(s, len(s) - 1))
     out.discard(())
     return out
+
+
+def _proper_faces(s):
+    """The nonempty proper faces of a simplex, smallest first."""
+    return itertools.chain.from_iterable(itertools.combinations(s, k) for k in range(1, len(s)))
+
+
+def _missing_face(simplices, key):
+    """None when the simplex set is closed under faces, else the refusal
+    naming its first missing face.
+
+    Tested in one pass over codimension-one faces.  The face named is the
+    first missing one over the simplices in canonical order (by dimension,
+    then `key`), smallest faces first, below its owner.
+    """
+    if codim_one_faces(simplices) <= simplices:
+        return None
+    owner = min(
+        (s for s in simplices if not simplices.issuperset(_proper_faces(s))),
+        key=lambda s: (len(s), key(s)),
+    )
+    face = next(g for g in _proper_faces(owner) if g not in simplices)
+    return f"closure misses {face!r} < {owner!r}"
 
 
 def _frozen(simplices):
@@ -642,7 +645,7 @@ def _mirror_copy(y, seam, tag):
     return y.relabeled(fresh)
 
 
-def union_on(vertices, *simplex_sets, named=None, assets=None):
+def union_on(vertices, *simplex_sets, named=None):
     """Complex on an explicit vertex order; every tuple is re-sorted to it."""
     index = {v: i for i, v in enumerate(vertices)}
 
@@ -655,7 +658,7 @@ def union_on(vertices, *simplex_sets, named=None, assets=None):
     fixed = None
     if named is not None:
         fixed = {n: frozenset(fix(s) for s in part) for n, part in named.items()}
-    return SimplicialComplex(vertices, simplices, fixed, assets)
+    return SimplicialComplex(vertices, simplices, fixed)
 
 
 def _flapped(base, vertices, simplices):

@@ -72,13 +72,6 @@ class InvariantViolationError(ToolkitError):
     """A complex or a constructed model breaks a structural invariant: closure,
     vertex order, named parts, assets, a flap's collapse or a Reeb slab."""
 
-    @classmethod
-    def missing_face(cls, face, simplices):
-        """A simplex set is not closed under faces: `face` is missing below
-        the first of `simplices` that contains it."""
-        owner = next(s for s in simplices if set(face) < set(s))
-        return cls(f"closure misses {face!r} < {owner!r}")
-
 
 class InconsistentHandleDataError(ToolkitError):
     """Handle counts produce a negative predicted rank."""

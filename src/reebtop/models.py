@@ -213,8 +213,8 @@ def _rim_vertices(c):
     return out
 
 
-def _punch(c, count, start_index=0, max_subdivisions=3):
-    """Remove `count` open vertex stars with pairwise disjoint closed stars."""
+def _punch(c, count, start_index=0):
+    """Remove `count` open vertex stars with disjoint closed stars, subdividing at most 3 times."""
     made = 0
     rounds = 0
     while made < count:
@@ -231,7 +231,7 @@ def _punch(c, count, start_index=0, max_subdivisions=3):
             target = v
             break
         if target is None:
-            if rounds >= max_subdivisions:
+            if rounds >= 3:
                 raise UnsupportedModelError("could not fit the requested holes")
             c = barycentric_subdivision(c)
             rounds += 1

@@ -226,8 +226,9 @@ def reeb_graph(field):
             [rank[s[:j] + s[j + 1 :]] for j in range(len(s))] if len(s) > 1 else []
             for s in simplices
         ]
-    except KeyError as exc:
-        raise InvariantViolationError.missing_face(exc.args[0], simplices) from None
+    except KeyError:
+        c.check_closed()
+        raise
     parent = list(range(len(simplices)))
     # root -> heap of the member ranks of an active component; its top is
     # live, and dead members below the top are dropped when they surface

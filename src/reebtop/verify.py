@@ -14,6 +14,7 @@ The two paths share no intermediate data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .algebra import (
     HomologyGroup,
@@ -351,30 +352,17 @@ def verify_doubles_suite(names=None):
 
 
 def merge_torsion(torsion_lists):
-    """Canonical divisor chain of a direct sum given each summand's chain."""
-    # collect prime powers; the largest go into the last invariant factor
-    powers = {}
-    for chain in torsion_lists:
-        for d in chain:
-            x = d
-            f = 2
-            while f * f <= x:
-                e = 0
-                while x % f == 0:
-                    x //= f
-                    e += 1
-                if e:
-                    powers.setdefault(f, []).append(f**e)
-                f += 1
-            if x > 1:
-                powers.setdefault(x, []).append(x)
-    slots = max((len(v) for v in powers.values()), default=0)
-    chain = [1] * slots
-    for _, vals in sorted(powers.items()):
-        vals.sort()
-        for i, val in enumerate(reversed(vals)):
-            chain[slots - 1 - i] *= val
-    return tuple(c for c in chain if c > 1)
+    """Canonical divisor chain of a direct sum given each summand's chain.
+
+    Z/a ⊕ Z/b ≅ Z/gcd(a, b) ⊕ Z/lcm(a, b), applied pairwise: after pass i,
+    entry i divides every later one.
+    """
+    chain = [d for ds in torsion_lists for d in ds]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return tuple(d for d in chain if d > 1)
 
 
 def sum_reduced_homology(groups_lists):

@@ -30,12 +30,12 @@ def claim_by_suffix(report, suffix):
     raise AssertionError(f"no claim ending in {suffix!r}")
 
 
-def run_optimized(code):
+def run_optimized(code, **env):
     """Run `code` in a fresh `python -O`, where `assert` statements are stripped.
 
     The script first checks that asserts really are off, then runs `code`,
-    which may import from the test modules; the result carries the exit code
-    and both output streams.
+    which may import from the test modules, with `env` added to the
+    environment; the result carries the exit code and both output streams.
     """
     src = str(Path(reebtop.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
@@ -45,7 +45,7 @@ def run_optimized(code):
     script = "assert False, 'asserts are on'\n" + textwrap.dedent(code)
     return subprocess.run(
         [sys.executable, "-O", "-c", script],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, **env, PYTHONPATH=path),
         capture_output=True,
         text=True,
     )

@@ -493,6 +493,15 @@ def test_collapse_refuses_a_target_that_is_not_a_subcomplex():
         collapse_to(disc, {edge})
 
 
+def test_collapse_refuses_a_target_simplex_outside_the_complex():
+    disc = standard_model("disc", n=2)
+    # the simplex named is the least by `repr`, whatever the set order
+    outside = [(0, 1, 2, 3), (0, 9), (0, "x")]
+    message = re.escape("target is not a subcomplex: ('x',) leaves the complex")
+    with pytest.raises(InvariantViolationError, match=message):
+        collapse_to(disc, closure(outside) | disc.simplices)
+
+
 def test_collapse_refuses_a_target_that_is_not_a_subcomplex_under_optimize():
     result = run_optimized(
         """

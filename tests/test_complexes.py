@@ -71,6 +71,40 @@ def test_check_invariants_refuses_a_triangle_without_its_edges_under_optimize():
     assert result.stdout.startswith("refused: closure misses")
 
 
+def test_every_entry_point_names_one_missing_face_under_any_hash_seed():
+    # triangles abc and cde with edges ab, bc, cd, ce: ac and de are missing,
+    # and every refusal names the first over the canonical order, whatever
+    # order the string hashes give the stored simplex sets
+    code = """
+        from reebtop.algebra import homology
+        from reebtop.branched import CollapseCertificate, collapse_to, replay_certificate
+        from reebtop.complexes import SimplicialComplex
+        from reebtop.errors import InvariantViolationError
+        from reebtop.reeb import VertexField, reeb_graph
+
+        c = SimplicialComplex("abcde", [
+            *"abcde", "ab", "bc", "cd", "ce", "abc", "cde",
+        ])
+        for run in (
+            c.check_invariants,
+            c.check_closed,
+            lambda: collapse_to(c, "point"),
+            lambda: replay_certificate(c, CollapseCertificate((), "point", 0, 0)),
+            lambda: homology(c),
+            lambda: reeb_graph(VertexField(c, dict(zip("abcde", range(5))))),
+        ):
+            try:
+                run()
+            except InvariantViolationError as exc:
+                print("refused:", exc)
+        """
+    runs = [run_optimized(code, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+    for result in runs:
+        assert result.returncode == 0, result.stderr
+    expected = "refused: closure misses ('a', 'c') < ('a', 'b', 'c')"
+    assert [r.stdout.splitlines() for r in runs] == [[expected] * 6] * 2
+
+
 def test_a_simplex_on_an_unlisted_vertex_is_refused_at_construction():
     # the canonical order is sorted on first use, so the vertex is checked here
     with pytest.raises(MalformedFacetError, match=r"names 3, not a listed vertex"):

@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import reebtop
-from reebtop import algebra, complexes, reeb
+from reebtop import algebra, complexes, errors, reeb
 from reebtop.algebra import augmentation_matrix, boundary_matrix, smith_normal_form
 from reebtop.branched import collapse_to
 from reebtop.complexes import SimplicialComplex
@@ -94,6 +94,17 @@ def test_what_the_benchmark_trace_reads_of_reeb_graphs_and_collapses():
     assert done.steps and done.restarts_used >= 0
     failed = collapse_to(disc, disc.subcomplex("core"), restarts=3, budget=1)
     assert not hasattr(failed, "steps") and failed.restarts == 3
+
+
+def test_only_complexes_names_a_missing_face():
+    # one finder, in `complexes`, searches for a missing face and names it;
+    # the other modules ask `check_closed` or call that finder
+    paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+    namers = [p.name for p in paths if "closure misses" in p.read_text(encoding="utf-8")]
+    assert namers == ["complexes.py"]
+    tree = ast.parse(Path(errors.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "missing_face" not in defined
 
 
 def test_positions_is_a_method_the_trace_leaves_unwrapped():

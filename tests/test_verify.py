@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reebtop.algebra import SparseMatrix, smith_normal_form
 from reebtop.branched import BranchedModel
 from reebtop.complexes import barycentric_subdivision
 from reebtop.errors import InconsistentHandleDataError
@@ -206,6 +209,16 @@ def test_merge_torsion_canonical():
     assert merge_torsion([(2,), (2,)]) == (2, 2)
     assert merge_torsion([(2, 4), (3,)]) == (2, 12)
     assert merge_torsion([(), ()]) == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(2, 360), max_size=4), max_size=4))
+def test_merge_torsion_is_the_smith_form_of_the_direct_sum(torsion_lists):
+    entries = [d for ds in torsion_lists for d in ds]
+    n = len(entries)
+    diagonal = SparseMatrix(n, n, [{i: d} for i, d in enumerate(entries)])
+    snf = smith_normal_form(diagonal, transforms=False)
+    assert merge_torsion(torsion_lists) == tuple(d for d in snf.diagonal if d > 1)
 
 
 def test_contractible_candidates_shape():
