@@ -5,6 +5,9 @@ a recipe, the recipe's final value) to one report.  `main` alone loads and
 runs the recipe, stamps the seed and the recipe digest, writes the report as
 canonical JSON and turns its `pass` claim into the exit code, so identical
 invocations are byte-identical.
+Each command is declared once, in `COMMANDS`: its runner, help text,
+`--recipe` mode and own options.  `main` builds the parser of the command
+it is given only, and all of them for help and unknown names.
 Exit codes: 0 pass, 1 verification failure, 2 parse or I/O error,
 3 internal error (the traceback goes to stderr).
 """
@@ -15,6 +18,8 @@ import argparse
 import json
 import sys
 import traceback
+from collections.abc import Callable
+from typing import NamedTuple
 
 from . import verify
 from .algebra import homology
@@ -34,7 +39,7 @@ def _homology(args, final):
     coeff = "Z2" if args.coeff == "z2" else "Z"
     groups = homology(c, coefficients=coeff, reduced=args.reduced)
     return {
-        "command": "homology",
+        "command": args.command,
         "coefficients": coeff,
         "reduced": bool(args.reduced),
         "euler_characteristic": c.euler_characteristic(),
@@ -45,7 +50,7 @@ def _homology(args, final):
 
 def _cohomology(args, final):
     report = ring_report(_as_complex(final), max_degree=args.max_degree)
-    report.update({"command": "cohomology", "pass": True})
+    report.update({"command": args.command, "pass": True})
     return report
 
 
@@ -64,7 +69,7 @@ def _reeb(args, final):
     if args.smooth_degree_2:
         graph = graph.smoothed()
     return {
-        "command": "reeb",
+        "command": args.command,
         "graph": graph.to_json(),
         "invariants": graph_invariants(graph),
         "pass": True,
@@ -78,7 +83,7 @@ def _collapse(args, final):
         c, target, seed=args.seed, restarts=args.restarts, budget=args.budget
     )
     ok = isinstance(outcome, CollapseCertificate)
-    report = {"command": "collapse", "target": args.target, "pass": ok}
+    report = {"command": args.command, "target": args.target, "pass": ok}
     if ok:
         # each step is a [free face, coface] pair of vertex-label lists
         report["steps"] = [
@@ -96,7 +101,7 @@ def _collapse(args, final):
 def _verify_doubles(args):
     names = None if args.instances == "all" else [n for n in args.instances.split(",") if n]
     report = verify.verify_doubles_suite(names)
-    report["command"] = "verify-doubles"
+    report["command"] = args.command
     return report
 
 
@@ -120,7 +125,7 @@ def _verify_bouquet(args):
         pieces, last = verify.default_bouquet_pieces()
     report = verify.verify_bouquet_assembly(pieces, last, seed=args.seed)
     report.pop("model", None)
-    report["command"] = "verify-bouquet"
+    report["command"] = args.command
     return report
 
 
@@ -128,7 +133,7 @@ def _verify_contractible(args):
     report = verify.verify_contractible_suite(
         seed=args.seed, restarts=args.restarts, budget=args.budget
     )
-    report["command"] = "verify-contractible"
+    report["command"] = args.command
     return report
 
 
@@ -142,65 +147,104 @@ def _at_least(low):
     return count
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="reebtop",
-        description="Build branched-surface models and verify their topology exactly.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _limit_options(p):
+    p.add_argument("--restarts", type=_at_least(1), default=32)
+    p.add_argument("--budget", type=_at_least(0), default=10**6)
 
-    def command(name, fn, text, recipe):
-        """`recipe`: True or False for a required or optional --recipe, None for none."""
-        p = sub.add_parser(name, help=text)
-        if recipe is not None:
-            p.add_argument("--recipe", required=recipe, help="recipe JSON path")
-        p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(fn=fn)
-        return p
 
-    command("build", _build, "run a recipe and write the final complex", True)
-
-    p = command("homology", _homology, "homology groups of the recipe result", True)
+def _homology_options(p):
     p.add_argument("--coeff", choices=["z", "z2"], default="z")
     p.add_argument("--reduced", action="store_true")
 
-    p = command("cohomology", _cohomology, "cohomology ring report", True)
+
+def _cohomology_options(p):
     p.add_argument("--max-degree", type=_at_least(0), default=None)
 
-    p = command("reeb", _reeb, "Reeb graph of a vertex field", False)
+
+def _reeb_options(p):
     source = p.add_mutually_exclusive_group()
     source.add_argument("--field", default=None, help="field JSON path")
     source.add_argument("--asset", default=None, help="bundled vertex asset name")
     p.add_argument("--smooth-degree-2", action="store_true")
 
-    p = command("collapse", _collapse, "greedy collapse search", True)
+
+def _collapse_options(p):
     p.add_argument("--target", default="point")
-    p.add_argument("--restarts", type=_at_least(1), default=32)
-    p.add_argument("--budget", type=_at_least(0), default=10**6)
+    _limit_options(p)
 
-    p = command("verify-doubles", _verify_doubles, "handle-formula suite on doubled models", None)
-    p.add_argument("--instances", default="all", help="comma list or 'all'")
 
-    p = command("verify-bouquet", _verify_bouquet, "flap/bouquet assembly suite", None)
-    p.add_argument("--pieces", default=None, help="custom pieces JSON path")
+class _Command(NamedTuple):
+    run: Callable  # (args, final value) with a recipe, (args) without -> report
+    help: str
+    recipe: bool | None  # --recipe: True required, False optional, None absent
+    options: Callable  # adds the command's own options to its parser
 
-    p = command("verify-contractible", _verify_contractible, "collapse-to-point suite", None)
-    p.add_argument("--restarts", type=_at_least(1), default=32)
-    p.add_argument("--budget", type=_at_least(0), default=10**6)
+
+# every subcommand, in the order `reebtop --help` lists them
+COMMANDS = {
+    "build": _Command(_build, "run a recipe and write the final complex", True, lambda p: None),
+    "homology": _Command(
+        _homology, "homology groups of the recipe result", True, _homology_options
+    ),
+    "cohomology": _Command(_cohomology, "cohomology ring report", True, _cohomology_options),
+    "reeb": _Command(_reeb, "Reeb graph of a vertex field", False, _reeb_options),
+    "collapse": _Command(_collapse, "greedy collapse search", True, _collapse_options),
+    "verify-doubles": _Command(
+        _verify_doubles,
+        "handle-formula suite on doubled models",
+        None,
+        lambda p: p.add_argument("--instances", default="all", help="comma list or 'all'"),
+    ),
+    "verify-bouquet": _Command(
+        _verify_bouquet,
+        "flap/bouquet assembly suite",
+        None,
+        lambda p: p.add_argument("--pieces", default=None, help="custom pieces JSON path"),
+    ),
+    "verify-contractible": _Command(
+        _verify_contractible, "collapse-to-point suite", None, _limit_options
+    ),
+}
+
+
+def build_parser(names=COMMANDS):
+    """The `reebtop` parser, holding the subcommands among `names`.
+
+    A parser holding fewer than all of them still shows every name in its
+    usage line, which its "unrecognized arguments" refusal prints.
+    """
+    parser = argparse.ArgumentParser(
+        prog="reebtop",
+        description="Build branched-surface models and verify their topology exactly.",
+    )
+    chosen = [name for name in COMMANDS if name in names]
+    shown = None if len(chosen) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=shown)
+    for name in chosen:
+        command = COMMANDS[name]
+        p = sub.add_parser(name, help=command.help)
+        if command.recipe is not None:
+            p.add_argument("--recipe", required=command.recipe, help="recipe JSON path")
+        p.add_argument("--out", default=None, help="report path (default stdout)")
+        p.add_argument("--seed", type=int, default=0)
+        command.options(p)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named command's parser; help and unknown names need them all
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    args = build_parser(names).parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        if hasattr(args, "recipe"):  # the five commands that read a recipe
+        if command.recipe is None:
+            report = command.run(args)
+        else:
             recipe = load_recipe(args.recipe) if args.recipe else None
             final = run_recipe(recipe)[1] if recipe else None
-            report = args.fn(args, final)
+            report = command.run(args, final)
             report["recipe_digest"] = recipe.digest() if recipe else None
-        else:
-            report = args.fn(args)
         report["seed"] = args.seed
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         if args.out:

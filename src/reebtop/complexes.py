@@ -298,12 +298,19 @@ class SimplicialComplex:
     def check_invariants(self):
         """Return True, or raise InvariantViolationError when a structural
         invariant fails; the checks hold under `python -O` too.  A stored
-        canonical order must list each simplex once, in `sort_key` order."""
-        for s in self.simplices:
-            if not s:
-                raise InvariantViolationError("empty simplex stored")
-            if list(s) != sorted(set(s), key=self._index.__getitem__):
-                raise InvariantViolationError(f"simplex {s!r} not sorted in the vertex order")
+        canonical order must list each simplex once, in `sort_key` order.
+        Of several unsorted simplices the least by dimension, then by
+        `sort_key`, is named, so no set order or `PYTHONHASHSEED` shows."""
+        if () in self.simplices:
+            raise InvariantViolationError("empty simplex stored")
+        position = self._index.__getitem__
+        unsorted = min(
+            (s for s in self.simplices if list(s) != sorted(set(s), key=position)),
+            key=lambda s: (len(s), self.sort_key(s)),
+            default=None,
+        )
+        if unsorted:
+            raise InvariantViolationError(f"simplex {unsorted!r} not sorted in the vertex order")
         gap = _missing_face(self.simplices, self.sort_key)
         if gap:
             raise InvariantViolationError(gap)

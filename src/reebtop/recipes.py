@@ -30,7 +30,8 @@ class Recipe:
 
 
 def parse_recipe(data):
-    """Validate a step list (or text); raise RecipeError with location."""
+    """Validate a non-empty step list (or text); raise RecipeError with
+    location."""
     if isinstance(data, str):
         try:
             data = json.loads(data)
@@ -40,6 +41,8 @@ def parse_recipe(data):
         data = data["steps"]
     if not isinstance(data, list):
         raise RecipeError("recipe must be a list of steps")
+    if not data:
+        raise RecipeError("recipe has no steps")
     seen = set()
     for i, step in enumerate(data):
         if not isinstance(step, dict):

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from reebtop.algebra import betti_numbers
-from reebtop.cli import main
+from reebtop.cli import COMMANDS, build_parser, main
 from reebtop.errors import RecipeError
 from reebtop.graphs import Multigraph
 from reebtop.recipes import parse_recipe, run_recipe
@@ -72,6 +73,12 @@ def test_parse_recipe_duplicate_id():
                 {"id": "a", "op": "standard", "name": "tripod"},
             ]
         )
+
+
+@pytest.mark.parametrize("data", [[], {"steps": []}, "[]"])
+def test_parse_recipe_refuses_an_empty_recipe(data):
+    with pytest.raises(RecipeError, match="^recipe has no steps$"):
+        parse_recipe(data)
 
 
 def test_recipe_wedge_and_product():
@@ -492,3 +499,117 @@ def test_cli_reeb_refuses_an_asset_with_a_field(tmp_path, capsys):
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "homology", "cohomology", "collapse", "reeb"])
+def test_cli_empty_recipe_exits_two(tmp_path, capsys, command):
+    recipe = write_json(tmp_path / "r.json", [])
+    out = tmp_path / "out.json"
+    argv = [command, "--recipe", recipe, "--out", str(out)]
+    if command == "reeb":
+        # a field carrying its own complex needs no recipe, but an empty
+        # recipe is refused all the same
+        complex_ = {"vertices": [0, 1, 2], "facets": [[0, 1], [1, 2]]}
+        field = write_json(tmp_path / "f.json", {"complex": complex_, "values": [0, 2, 1]})
+        argv += ["--field", field]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: recipe has no steps\n"
+    assert not out.exists()
+
+
+# every argv shape the tests above pass to `main`, accepted and refused;
+# parsing opens no file, so the paths are placeholders
+PARSED = [
+    ["build", "--recipe", "r.json"],
+    ["build", "--recipe", "r.json", "--out", "o.json"],
+    ["homology", "--recipe", "r.json"],
+    ["homology", "--recipe", "r.json", "--out", "o.json"],
+    ["cohomology", "--recipe", "r.json", "--out", "o.json"],
+    ["cohomology", "--recipe", "r.json", "--max-degree", "0", "--out", "o.json"],
+    ["cohomology", "--recipe", "r.json", "--max-degree", "-1", "--out", "o.json"],
+    ["cohomology", "--recipe", "r.json", "--max-degree", "-3", "--out", "o.json"],
+    ["reeb", "--recipe", "r.json", "--asset", "height", "--smooth-degree-2", "--out", "o.json"],
+    ["reeb", "--recipe", "r.json", "--asset", "height", "--out", "o.json"],
+    ["reeb", "--recipe", "r.json", "--field", "f.json", "--smooth-degree-2", "--out", "o.json"],
+    ["reeb", "--recipe", "r.json", "--field", "f.json"],
+    ["reeb", "--field", "f.json"],
+    ["reeb", "--field", "f.json", "--out", "o.json"],
+    ["reeb", "--recipe", "r.json", "--asset", "height", "--field", "f.json", "--out", "o.json"],
+    ["reeb", "--recipe", "r.json", "--field", "f.json", "--asset", "height", "--out", "o.json"],
+    ["collapse", "--recipe", "r.json", "--target", "point", "--out", "o.json"],
+    ["collapse", "--recipe", "r.json", "--target", "point", "--restarts", "2", "--budget", "100",
+     "--out", "o.json"],
+    ["collapse", "--recipe", "r.json", "--restarts", "0"],
+    ["collapse", "--recipe", "r.json", "--restarts", "-4"],
+    ["collapse", "--recipe", "r.json", "--budget", "-1"],
+    ["verify-doubles", "--instances", "disc_in_disc,annulus_core", "--out", "o.json"],
+    *(["verify-doubles", "--instances", i, "--out", "o.json"] for i in [",", "", ",,", "nope"]),
+    ["verify-doubles", "--recipe", "r.json"],
+    ["verify-bouquet", "--pieces", "p.json", "--out", "o.json"],
+    ["verify-bouquet", "--pieces", "p.json"],
+    ["verify-bouquet", "--recipe", "r.json"],
+    ["verify-contractible", "--out", "o.json"],
+    ["verify-contractible", "--recipe", "r.json"],
+    ["verify-contractible", "--restarts", "0"],
+    ["verify-contractible", "--restarts", "-4"],
+    ["verify-contractible", "--budget", "-1"],
+    ["verify-contractible", "--seed", "3"],
+    *([name, "--help"] for name in COMMANDS),
+]
+
+
+def parse(argv, names, capsys):
+    """The namespace, or the exit code, and both output streams."""
+    try:
+        outcome = build_parser(names).parse_args(argv)
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+def test_a_commands_own_parser_parses_as_the_full_parser(capsys, argv):
+    assert parse(argv, argv[:1], capsys) == parse(argv, COMMANDS, capsys)
+
+
+def test_the_parser_equivalence_covers_acceptance_and_refusal(capsys):
+    codes = [parse(argv, COMMANDS, capsys)[0] for argv in PARSED]
+    assert sum(isinstance(c, argparse.Namespace) for c in codes) >= 10
+    assert codes.count(0) == len(COMMANDS)  # each --help
+    assert codes.count(2) >= 10
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["-h"], 0), ([], 2), (["nope"], 2)])
+def test_help_and_unknown_names_list_every_command(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert "{" + ",".join(COMMANDS) + "}" in captured.out + captured.err
+    if argv == ["nope"]:
+        listed = ", ".join(map(repr, COMMANDS))
+        assert f"invalid choice: 'nope' (choose from {listed})" in captured.err
+
+
+def test_main_builds_only_the_named_commands_parser(tmp_path, monkeypatch, capsys):
+    added = []
+    original = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return original(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    recipe = write_json(tmp_path / "r.json", SPHERE)
+    assert main(["homology", "--recipe", recipe, "--out", str(tmp_path / "h.json")]) == 0
+    assert added == ["homology"]
+    for argv, names in [
+        *(([name, "--help"], [name]) for name in COMMANDS),
+        (["--help"], list(COMMANDS)),
+        (["nope"], list(COMMANDS)),
+    ]:
+        added.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert added == names, argv
+    capsys.readouterr()

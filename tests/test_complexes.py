@@ -105,6 +105,28 @@ def test_every_entry_point_names_one_missing_face_under_any_hash_seed():
     assert [r.stdout.splitlines() for r in runs] == [[expected] * 6] * 2
 
 
+def test_check_invariants_names_one_unsorted_simplex_under_any_hash_seed():
+    # of the unsorted simplices ba, dc and acb, the least by dimension, then
+    # by vertex positions, is named, whatever order the string hashes give
+    code = """
+        from reebtop.complexes import SimplicialComplex
+        from reebtop.errors import InvariantViolationError
+
+        c = SimplicialComplex("abcd", [
+            ("b", "a"), ("d", "c"), ("a", "c", "b"), *"abcd",
+        ])
+        try:
+            c.check_invariants()
+        except InvariantViolationError as exc:
+            print("refused:", exc)
+        """
+    runs = [run_optimized(code, PYTHONHASHSEED=seed) for seed in ("1", "2", "3")]
+    for result in runs:
+        assert result.returncode == 0, result.stderr
+    expected = "refused: simplex ('b', 'a') not sorted in the vertex order"
+    assert [r.stdout.strip() for r in runs] == [expected] * 3
+
+
 def test_a_simplex_on_an_unlisted_vertex_is_refused_at_construction():
     # the canonical order is sorted on first use, so the vertex is checked here
     with pytest.raises(MalformedFacetError, match=r"names 3, not a listed vertex"):

@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import reebtop
-from reebtop import algebra, complexes, errors, reeb
+from reebtop import algebra, cli, complexes, errors, reeb
 from reebtop.algebra import augmentation_matrix, boundary_matrix, smith_normal_form
 from reebtop.branched import collapse_to
 from reebtop.complexes import SimplicialComplex
@@ -105,6 +105,49 @@ def test_only_complexes_names_a_missing_face():
     tree = ast.parse(Path(errors.__file__).read_text(encoding="utf-8"))
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "missing_face" not in defined
+
+
+def command_names_outside_the_table(source, names):
+    """Lines of `source` holding a string equal to one of `names` outside the
+    assignment to `COMMANDS`."""
+    tree = ast.parse(source)
+    table = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "COMMANDS" for t in node.targets
+        ):
+            table.update(map(id, ast.walk(node)))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in names and id(node) not in table
+    ]
+
+
+def test_command_names_outside_the_table_are_detected():
+    names = {"build", "homology"}
+    bad = [
+        'report = {"command": "homology"}',
+        'COMMANDS = {"build": 1}\nif name == "build":\n    pass',
+        'p = sub.add_parser("build")',
+    ]
+    for text in bad:
+        assert command_names_outside_the_table(text, names), text
+    fine = [
+        'COMMANDS = {"build": f("build"), "homology": "homology groups"}',
+        'report["command"] = args.command',
+        'help = "homology groups of the recipe result"',
+    ]
+    for text in fine:
+        assert command_names_outside_the_table(text, names) == [], text
+
+
+def test_the_command_table_is_the_only_place_the_cli_names_a_command():
+    # each subcommand is declared once, in `cli.COMMANDS`; reports name
+    # their command through the parsed `args.command`
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert len(cli.COMMANDS) == 8
+    assert command_names_outside_the_table(source, set(cli.COMMANDS)) == []
 
 
 def test_positions_is_a_method_the_trace_leaves_unwrapped():
