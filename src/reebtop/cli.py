@@ -123,7 +123,7 @@ def _verify_bouquet(args):
         last = run_recipe(parse_recipe(data["last"]))[1]
     else:
         pieces, last = verify.default_bouquet_pieces()
-    report = verify.verify_bouquet_assembly(pieces, last, seed=args.seed)
+    report = verify.verify_bouquet_assembly(pieces, last)
     report.pop("model", None)
     report["command"] = args.command
     return report

@@ -28,9 +28,6 @@ class CochainClass:
         i = self.complex.positions(self.degree).get(tuple(simplex))
         return 0 if i is None else self.values[i]
 
-    def is_zero_class(self):
-        return all(x == 0 for x in self.coordinates)
-
     def __repr__(self):
         return f"CochainClass(degree={self.degree}, coords={self.coordinates})"
 

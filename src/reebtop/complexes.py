@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 from collections import Counter
 from fractions import Fraction
 
@@ -156,9 +155,6 @@ class SimplicialComplex:
         if gap:
             raise InvariantViolationError(gap) from None
         self._closed = True
-
-    def vertex_set(self):
-        return {v for s in self.simplices for v in s}
 
     # -- named subcomplexes ---------------------------------------------
 
@@ -648,7 +644,7 @@ def _mirror_copy(y, seam, tag):
     )
     if collision:
         sub = relative_subdivision(y, seam)
-        return sub.relabeled(lambda v: v if v in seam_vertices else (tag, v))
+        return sub.relabeled(fresh)
     return y.relabeled(fresh)
 
 
@@ -798,6 +794,20 @@ def complex_to_json(c):
     return data
 
 
+def _rational(value, what):
+    """`value` as a Fraction; `what` names it when it is refused.
+
+    `Fraction` takes a boolean as 0 or 1, so a JSON `true` or `false` is
+    refused here rather than read as a number.
+    """
+    if isinstance(value, bool):
+        raise MalformedFieldError(f"{what} is not rational: {value!r} is a boolean")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise MalformedFieldError(f"{what} is not rational: {exc}") from None
+
+
 def complex_from_json(data):
     """Inverse of `complex_to_json`: the vertices array fixes the order."""
     if not (
@@ -845,19 +855,7 @@ def complex_from_json(data):
     for name, values in table("assets").items():
         if not isinstance(values, list) or len(values) != len(order):
             raise MalformedFacetError(f"asset {name!r} has wrong length")
-        try:
-            assets[name] = {v: Fraction(values[i]) for i, v in enumerate(order)}
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise MalformedFieldError(f"asset {name!r} value is not rational: {exc}") from None
+        assets[name] = {
+            v: _rational(values[i], f"asset {name!r} value") for i, v in enumerate(order)
+        }
     return SimplicialComplex(order, simplices, named, assets)
-
-
-def write_complex(c, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(complex_to_json(c), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def read_complex(path):
-    with open(path, encoding="utf-8") as fh:
-        return complex_from_json(json.load(fh))

@@ -23,9 +23,6 @@ class Multigraph:
             count[v] += 1
         return count
 
-    def degree(self, node):
-        return self.degrees()[node]
-
     def degree_multiset(self):
         degree = self.degrees()
         return sorted(degree[n] for n in self.nodes)
@@ -47,9 +44,6 @@ class Multigraph:
 
     def betti1(self):
         return len(self.edges) - len(self.nodes) + self.betti0()
-
-    def is_connected(self):
-        return self.betti0() <= 1
 
     def smoothed(self):
         """Contract every degree-two node whose two edge slots differ.
@@ -83,14 +77,6 @@ class Multigraph:
             incident[b].add(new)
             new += 1
         return Multigraph(nodes, edges.values())
-
-    def loop_count(self):
-        return sum(1 for u, v in self.edges if u == v)
-
-
-def from_one_complex(c):
-    """Multigraph of a complex of dimension at most one."""
-    return Multigraph(list(c.vertices), [tuple(e) for e in c.simplices_of_dim(1)])
 
 
 def classify_vertex_link(c, v):

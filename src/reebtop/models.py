@@ -312,7 +312,7 @@ _CATALOG = {
     "disc": _disc,
     "interval": _interval,
     "circle": _circle,
-    "tripod": lambda: _tripod(),
+    "tripod": _tripod,
     "annulus": _annulus,
     "surface": _surface,
     "torus_grid": _torus_grid,

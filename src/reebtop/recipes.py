@@ -128,9 +128,7 @@ _OPS = {
         ("x",), ("x",), lambda s, v: complexes.barycentric_subdivision(_x(s, v))
     ),
     "attach_flap": _Op(
-        ("x", "sigma"),
-        ("x",),
-        lambda s, v: branched.attach_flap(v[s["x"]], s["sigma"], seed=s.get("seed", 0)),
+        ("x", "sigma"), ("x",), lambda s, v: branched.attach_flap(v[s["x"]], s["sigma"])
     ),
     "attach_double": _Op(
         ("x", "ys"), ("x",), lambda s, v: branched.attach_double(v[s["x"]], s["ys"])

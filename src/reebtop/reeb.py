@@ -67,9 +67,9 @@ cost O(V·S).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
+from .complexes import _rational, complex_from_json
 from .errors import (
     InvariantViolationError,
     MalformedFieldError,
@@ -87,10 +87,7 @@ class VertexField:
         self.complex = complex_
         if any(v not in values for v in complex_.vertices):
             raise NonInjectiveFieldError("field misses vertices")
-        try:
-            self.values = {v: Fraction(values[v]) for v in complex_.vertices}
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise MalformedFieldError(f"field value is not rational: {exc}") from None
+        self.values = {v: _rational(values[v], "field value") for v in complex_.vertices}
         if len(set(self.values.values())) != len(complex_.vertices):
             raise NonInjectiveFieldError("field values are not pairwise distinct")
 
@@ -106,10 +103,6 @@ class VertexField:
         if len(values) != len(complex_.vertices):
             raise NonInjectiveFieldError("value array has the wrong length")
         return cls(complex_, dict(zip(complex_.vertices, values)))
-
-    def relabeled_monotone(self, fn):
-        """Compose with a strictly increasing rational map (for tests)."""
-        return VertexField(self.complex, {v: fn(x) for v, x in self.values.items()})
 
 
 class ReebGraph:
@@ -134,15 +127,6 @@ class ReebGraph:
 
     def edge_count(self):
         return len(self.graph.edges)
-
-    def degree_multiset(self):
-        return self.graph.degree_multiset()
-
-    def betti0(self):
-        return self.graph.betti0()
-
-    def betti1(self):
-        return self.graph.betti1()
 
     def to_json(self):
         label = {n: i for i, n in enumerate(self.graph.nodes)}
@@ -331,10 +315,10 @@ def reeb_graph(field):
 
 def graph_invariants(g):
     """Counts, degrees and Betti numbers, computed on the smoothed graph."""
-    s = g.smoothed()
+    s = g.smoothed().graph
     return {
-        "nodes": s.node_count(),
-        "edges": s.edge_count(),
+        "nodes": len(s.nodes),
+        "edges": len(s.edges),
         "degrees": s.degree_multiset(),
         "betti0": s.betti0(),
         "betti1": s.betti1(),
@@ -346,21 +330,7 @@ def graph_invariants(g):
 # ---------------------------------------------------------------------------
 
 
-def field_to_json(field):
-    from .complexes import complex_to_json
-
-    return {
-        "complex": complex_to_json(field.complex),
-        "values": [
-            f"{field.values[v].numerator}/{field.values[v].denominator}"
-            for v in field.complex.vertices
-        ],
-    }
-
-
 def field_from_json(data, complex_=None):
-    from .complexes import complex_from_json
-
     if not isinstance(data, dict) or not isinstance(data.get("values"), list):
         raise MalformedFieldError('field file needs a "values" list')
     if complex_ is None:

@@ -386,8 +386,9 @@ def default_basepoint(model):
     raise BadBasepointError("no vertex lies off the branch loci")
 
 
-def verify_bouquet_assembly(pieces, last, basepoints=None, seed=0):
-    """Assemble flapped pieces and a plain complex into a one-point union.
+def verify_bouquet_assembly(pieces, last):
+    """Assemble flapped pieces and a plain complex into a one-point union,
+    each glued at its `default_basepoint`.
 
     Checks that every flap collapses back onto its base (certificate
     replayed), that reduced homology adds up degreewise, and that the
@@ -396,7 +397,7 @@ def verify_bouquet_assembly(pieces, last, basepoints=None, seed=0):
     models = []
     claims = []
     for idx, (x, sigma) in enumerate(pieces):
-        m = attach_flap(x, sigma, seed=seed)
+        m = attach_flap(x, sigma)
         models.append(m)
         name, cert = m.certificates[-1]
         remaining = replay_certificate(m.complex, cert)
@@ -420,9 +421,7 @@ def verify_bouquet_assembly(pieces, last, basepoints=None, seed=0):
                 )
             )
     models.append(as_model(last))
-    if basepoints is None:
-        basepoints = [default_basepoint(m) for m in models]
-    w = bouquet(models, basepoints)
+    w = bouquet(models, [default_basepoint(m) for m in models])
     expected = sum_reduced_homology(
         [homology(m.complex, reduced=True) for m in models]
     )

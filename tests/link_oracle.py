@@ -7,7 +7,7 @@ the degrees of the link graph: it takes the link complex, builds a
 shares no code with `_graph_type` or `classify_vertex_link`.
 """
 
-from reebtop.graphs import from_one_complex
+from reebtop.graphs import Multigraph
 
 
 def smoothing_classify_link(lk):
@@ -16,11 +16,12 @@ def smoothing_classify_link(lk):
         return "other"
     if lk.dim > 1:
         return "other"
-    g = from_one_complex(lk)
-    if not g.is_connected():
+    g = Multigraph(lk.vertices, lk.simplices_of_dim(1))
+    if g.betti0() > 1:
         return "other"
     s = g.smoothed()
-    n, e, loops = len(s.nodes), len(s.edges), s.loop_count()
+    n, e = len(s.nodes), len(s.edges)
+    loops = sum(1 for u, v in s.edges if u == v)
     if n == 1 and e == 0:
         return "point"
     if n == 1 and e == 1 and loops == 1:

@@ -190,6 +190,7 @@ def test_cli_reeb_field_file(tmp_path):
         {"values": 5},
         {"vals": ["0/1", "1/1", "2/1", "3/1"]},
         ["0/1", "1/1", "2/1", "3/1"],
+        {"values": [True, "0/1", "2/1", "3/1"]},
     ],
 )
 def test_cli_reeb_malformed_field_exits_two(tmp_path, capsys, data):
@@ -317,6 +318,18 @@ def test_cli_verify_bouquet_custom_pieces(tmp_path):
     assert read_json(out)["pass"]
 
 
+def test_cli_verify_bouquet_seed_is_only_stamped(tmp_path):
+    # the bouquet suite draws nothing at random: its reports at two seeds
+    # differ in the stamped seed alone
+    reports = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"v{seed}.json"
+        assert main(["verify-bouquet", "--seed", seed, "--out", str(out)]) == 0
+        reports.append(read_json(out))
+    assert [r.pop("seed") for r in reports] == [0, 7]
+    assert reports[0] == reports[1] and reports[0]["pass"]
+
+
 def test_cli_verify_contractible(tmp_path):
     out = tmp_path / "v.json"
     assert main(["verify-contractible", "--out", str(out)]) == 0
@@ -384,6 +397,7 @@ def test_cli_reeb_field_complex_missing_a_list_exits_two(tmp_path, capsys, drop)
         {"assets": {"h": ["abc", 1, 2]}},
         {"facets": [[0, 1], [1, 2], []]},
         {"named": {"a": [[]]}},
+        {"assets": {"h": [False, True, 2]}},
     ],
 )
 def test_cli_reeb_field_complex_malformed_exits_two(tmp_path, capsys, extra):

@@ -110,8 +110,8 @@ def test_torus_ring(torus):
     (a, b), _ = cohomology_basis(torus, 1)
     ab = cup_product(a, b)
     assert abs(ab.coordinates[0]) == 1  # generates the top group
-    assert cup_product(a, a).is_zero_class()
-    assert cup_product(b, b).is_zero_class()
+    assert not any(cup_product(a, a).coordinates)
+    assert not any(cup_product(b, b).coordinates)
 
 
 def test_graded_commutativity(torus):

@@ -222,6 +222,8 @@ def test_unknown_model_rejected():
         standard_model("klein_bottle")
     with pytest.raises(UnsupportedModelError):
         standard_model("circle", k=2)
+    with pytest.raises(UnsupportedModelError, match="^bad parameters for 'tripod'"):
+        standard_model("tripod", k=3)
 
 
 def assert_summands_are_tagged_copies(du, a, b):
@@ -588,7 +590,7 @@ def assert_incidence_matches_scans(c):
     for s in c.simplices:
         assert link(c, s) == scan_link(c, s)
         assert set(c.cofaces(s)) == table[s]
-    for v in c.vertex_set():
+    for v in {v for s in c.simplices for v in s}:
         assert c.open_star(v) == scan_open_star(c, v)
     assert c.facets() == scan_facets(c)
     try:

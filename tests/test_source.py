@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import reebtop
@@ -438,3 +439,103 @@ def test_only_complexes_reads_the_stored_order():
         if isinstance(node, ast.Attribute) and node.attr == "_by_dim"
     }
     assert readers == {"complexes.py"}
+
+
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def definitions(source):
+    """Each top-level function and class of `source`, and each method that
+    is not a `__dunder__` one, as `Class.method`."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            found.append(top.name)
+        if isinstance(top, ast.ClassDef):
+            found += [
+                f"{top.name}.{node.name}"
+                for node in top.body
+                if isinstance(node, ast.FunctionDef)
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+            ]
+    return found
+
+
+def names_read(source):
+    """Every name `source` reads: as a name, as an attribute, or as an
+    identifier inside a string constant other than a docstring (the trace
+    names what it wraps in strings)."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            read.update(IDENTIFIER.findall(node.value))
+    return read
+
+
+def unread_definitions(sources, readers, kept):
+    """Definitions of `sources`, other than those in `kept`, whose last name
+    no source in `readers` reads."""
+    read = set().union(*map(names_read, readers))
+    return [
+        name
+        for source in sources
+        for name in definitions(source)
+        if name.rsplit(".", 1)[-1] not in read and name not in kept
+    ]
+
+
+def test_unread_definitions_are_detected():
+    source = (
+        "def used():\n    pass\n"
+        "def unused():\n    \"\"\"Like used(), but nothing calls unused().\"\"\"\n"
+        "class Box:\n    def __init__(self):\n        pass\n"
+        "    def read(self):\n        return used()\n"
+        "    def only_tests(self):\n        pass\n"
+        "def traced():\n    pass\n"
+        "def kept():\n    pass\n"
+    )
+    reader = "x = Box().read\nTRACED = {'mod.traced'}\n"
+    assert unread_definitions([source], [source, reader], {"kept"}) == [
+        "unused", "Box.only_tests",
+    ]
+    assert unread_definitions([source], [source, reader, "unused(Box().only_tests)"], {"kept"}) == []
+
+
+# read by the tests alone, and kept
+UNREAD_KEPT = {
+    # public shorthand for the ranks of `homology`; the tests read Betti
+    # numbers through it
+    "betti_numbers",
+    # the structural check of a complex, which the tests run on what the
+    # constructions build; the package relies on construction instead
+    "SimplicialComplex.check_invariants",
+}
+
+
+def test_every_definition_is_read_by_the_package_or_the_benchmark():
+    # code that only the tests call belongs in the tests: each definition
+    # in the package is read by the package or `perfbench/`, exported, or
+    # one of the two kept above
+    package = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+    bench = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    assert len(package) >= 12 and len(bench) >= 5
+    sources = [path.read_text(encoding="utf-8") for path in package]
+    readers = sources + [path.read_text(encoding="utf-8") for path in bench]
+    assert set(unread_definitions(sources, readers, set(reebtop.__all__))) == UNREAD_KEPT
