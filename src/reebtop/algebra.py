@@ -4,7 +4,9 @@ Sparse boundary operators, Smith normal form with unimodular transforms,
 integral and mod-2 homology, homology generators with a projection onto
 chosen coordinates, and a chain-level Mayer-Vietoris exactness checker.
 Invariant factors and bases both come from one sparse elimination of unit
-pivots, with the dense elimination run on the leftover block alone.  Mod-2
+pivots, with the dense elimination run on the leftover block alone.
+Homology runs the degrees from the top down, and the unit pivots of ∂_{p+1}
+clear columns of ∂_p before its elimination starts.  Mod-2
 homology runs no elimination of its own: it is read from the odd integral
 invariant factors (the universal coefficient theorem).  All
 arithmetic is over Python's arbitrary-precision integers; nothing here may
@@ -116,8 +118,10 @@ class SnfDecomposition:
 
     `diagonal` holds the min(rows, cols) diagonal entries of S: ones first,
     then the invariant factors above one in divisor order, then zeros.  A
-    decomposition made with `transforms=False` carries only `rank` and
-    `diagonal`; its U, S, V, Uinv and Vinv are None.
+    decomposition made with `transforms=False` carries only `rank`,
+    `diagonal` and `pivot_rows`, the rows where its sparse elimination took
+    a unit pivot; its U, S, V, Uinv and Vinv are None.  With transforms,
+    `pivot_rows` is empty.
     """
 
     U: IntegerMatrix | None
@@ -127,6 +131,7 @@ class SnfDecomposition:
     Vinv: IntegerMatrix | None
     rank: int
     diagonal: list
+    pivot_rows: frozenset = frozenset()
 
 
 def smith_normal_form(a, transforms=True):
@@ -136,7 +141,11 @@ def smith_normal_form(a, transforms=True):
     a dense elimination also records U, V and their inverses.  Without, only
     the invariant factors are computed: unit pivots are eliminated sparsely
     first and the dense elimination runs on the leftover block alone, whose
-    transforms are discarded.
+    transforms are discarded.  The rows of those unit pivots come back as
+    `pivot_rows`: for any matrix c with c·a = 0, the columns of c at those
+    rows are integer combinations of its other columns (the lemma in
+    `_eliminate_unit_pivots`).  `homology` runs from the top degree down and
+    leaves them out of the Smith form of the boundary below.
     """
     m, n = a.rows, a.cols
     if not transforms:
@@ -144,9 +153,11 @@ def smith_normal_form(a, transforms=True):
         block, width = rest.block, len(rest.live)
         _dense_smith(block, len(block), width)
         tail = [block[i][i] for i in range(min(len(block), width))]
-        diagonal = [1] * rest.count + tail + [0] * (min(m, n) - rest.count - len(tail))
+        count = len(rest.pivot_rows)
+        diagonal = [1] * count + tail + [0] * (min(m, n) - count - len(tail))
         rank = sum(1 for d in diagonal if d)
-        return SnfDecomposition(None, None, None, None, None, rank, diagonal)
+        return SnfDecomposition(
+            None, None, None, None, None, rank, diagonal, frozenset(rest.pivot_rows))
     s = [[0] * n for _ in range(m)]
     for j, col in enumerate(a.columns):
         for i, x in col.items():
@@ -166,11 +177,12 @@ def smith_normal_form(a, transforms=True):
 
 @dataclass
 class _Elimination:
-    """What `_eliminate_unit_pivots` leaves: the pivots it split off and the
-    non-pivot columns, split into those eliminated to zero (`free`) and those
-    of the leftover `block`, given densely as rows over `live`."""
+    """What `_eliminate_unit_pivots` leaves: the rows of the pivots it split
+    off, and the non-pivot columns, split into those eliminated to zero
+    (`free`) and those of the leftover `block`, given densely as rows over
+    `live`."""
 
-    count: int
+    pivot_rows: list
     free: list
     live: list
     block: list
@@ -190,6 +202,13 @@ def _eliminate_unit_pivots(columns, m, tracked=None):
     operations in place; started at the identity, it ends as V with a·V the
     eliminated matrix.  There the pivot columns carry a unit lower-triangular
     block on the pivot rows, and every other column is zero on those rows.
+
+    The pivot rows P are returned, and they clear columns of any matrix c
+    with c·a = 0: from a·V = [[L, 0], [X, R]] with L unit lower-triangular
+    on P, c[:, P]·L + c[:, P̄]·X = 0, so c[:, P] = −c[:, P̄]·X·L⁻¹ with L⁻¹
+    integral.  Each column of c at P is then an integer combination of the
+    others, and deleting those columns (a unimodular column operation, then
+    zero columns dropped) keeps the invariant factors of c over Z and Z/2.
     """
     cols = [dict(col) for col in columns]
     rows = [set() for _ in range(m)]  # row -> columns with an entry there
@@ -197,7 +216,7 @@ def _eliminate_unit_pivots(columns, m, tracked=None):
         for i in col:
             rows[i].add(j)
     pivot = [False] * len(cols)
-    count = 0
+    pivot_rows = []
     progress = True
     while progress:
         progress = False
@@ -236,13 +255,13 @@ def _eliminate_unit_pivots(columns, m, tracked=None):
                 rows[i].discard(j)
             cols[j] = {}
             pivot[j] = True
-            count += 1
+            pivot_rows.append(best)
             progress = True
     live_rows = [i for i, r in enumerate(rows) if r]
     live = [j for j, col in enumerate(cols) if col]
     free = [j for j, col in enumerate(cols) if not col and not pivot[j]]
     block = [[cols[j].get(i, 0) for j in live] for i in live_rows]
-    return _Elimination(count, free, live, block)
+    return _Elimination(pivot_rows, free, live, block)
 
 
 def _dense_smith(s, m, n):
@@ -396,6 +415,14 @@ def homology(c, coefficients="Z", reduced=False):
     U and V of U·∂·V = S stay invertible mod 2, so the rank of ∂ over Z/2
     is the number of its odd invariant factors (the universal coefficient
     theorem; Munkres, *Elements of Algebraic Topology*, §55).
+
+    The degrees run from the top down, with clearing (Chen and Kerber,
+    "Persistent homology computation with a twist", 2011): ∂_p·∂_{p+1} = 0,
+    so every column of ∂_p at a row where ∂_{p+1} took a unit pivot is an
+    integer combination of the other columns of ∂_p (see
+    `_eliminate_unit_pivots`).  Those columns are left out of the Smith form
+    of ∂_p, which keeps its invariant factors; n_p is still read from the
+    full matrix.
     """
     if coefficients not in ("Z", "Z2"):
         raise ValueError(f"unsupported coefficients {coefficients!r}")
@@ -404,7 +431,11 @@ def homology(c, coefficients="Z", reduced=False):
         return []
     mats = {p: boundary_matrix(c, p) for p in range(1, dim + 2)}
     mats[0] = augmentation_matrix(c) if reduced else boundary_matrix(c, 0)
-    diagonals = {p: smith_normal_form(m, transforms=False).diagonal for p, m in mats.items()}
+    diagonals, cleared = {}, ()
+    for p in range(dim + 1, -1, -1):
+        kept = [col for j, col in enumerate(mats[p].columns) if j not in cleared]
+        snf = smith_normal_form(SparseMatrix(mats[p].rows, len(kept), kept), transforms=False)
+        diagonals[p], cleared = snf.diagonal, snf.pivot_rows
     ranks = {p: _rank(diagonal, coefficients) for p, diagonal in diagonals.items()}
     out = []
     for p in range(dim + 1):
@@ -432,15 +463,15 @@ def chain_basis(c, p, reduced=False, dual=False):
     when `dual`).  `generators[i]` is a cycle vector over the canonical
     p-simplex list whose class has order `orders[i]` (0 meaning infinite);
     `project` writes any cycle in these coordinates, reducing torsion
-    coordinates modulo their orders.
+    coordinates modulo their orders.  `reduced` changes degree 0 alone: the
+    augmentation ε replaces ∂_0, and when `dual`, εᵀ replaces ∂_0ᵀ as the
+    coboundaries, so reduced H⁰ has rank b₀ − 1.
     """
+    below = augmentation_matrix(c) if (p == 0 and reduced) else boundary_matrix(c, p)
+    above = boundary_matrix(c, p + 1)
     if dual:
-        a = boundary_matrix(c, p + 1).transpose()
-        b = boundary_matrix(c, p).transpose()
-    else:
-        a = augmentation_matrix(c) if (p == 0 and reduced) else boundary_matrix(c, p)
-        b = boundary_matrix(c, p + 1)
-    return ChainBasis(a, b)
+        return ChainBasis(above.transpose(), below.transpose())
+    return ChainBasis(below, above)
 
 
 class ChainBasis:

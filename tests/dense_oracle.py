@@ -172,13 +172,11 @@ def dense_kernel_generators(columns):
 
 def dense_chain_basis(c, p, reduced=False, dual=False):
     """`chain_basis` on the dense transforms path."""
+    below = augmentation_matrix(c) if (p == 0 and reduced) else boundary_matrix(c, p)
+    above = boundary_matrix(c, p + 1)
     if dual:
-        a = boundary_matrix(c, p + 1).transpose()
-        b = boundary_matrix(c, p).transpose()
-    else:
-        a = augmentation_matrix(c) if (p == 0 and reduced) else boundary_matrix(c, p)
-        b = boundary_matrix(c, p + 1)
-    return DenseChainBasis(a, b)
+        return DenseChainBasis(above.transpose(), below.transpose())
+    return DenseChainBasis(below, above)
 
 
 class DenseChainBasis:

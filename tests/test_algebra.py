@@ -145,6 +145,10 @@ def test_invariant_factors_match_the_dense_path(a):
     dense = smith_normal_form(a, transforms=True)
     assert len(fast.diagonal) == min(a.rows, a.cols)
     assert (fast.rank, fast.diagonal) == (dense.rank, dense.diagonal)
+    # each unit pivot sits on its own row and splits off one diagonal 1
+    assert fast.pivot_rows <= set(range(a.rows))
+    assert len(fast.pivot_rows) <= fast.diagonal.count(1)
+    assert dense.pivot_rows == frozenset()
 
 
 def dense_homology(c):
@@ -324,6 +328,117 @@ def test_mod2_homology_matches_the_rank_mod2_oracle(facets, other, how):
 )
 def test_mod2_homology_matches_the_rank_mod2_oracle_on_pinned_complexes(build):
     assert_mod2_homology_matches_the_oracle(build())
+
+
+def boundary_below(c, p, reduced):
+    """The map whose columns the unit pivots of ∂_{p+1} clear: ∂_p, or ε at 0."""
+    return augmentation_matrix(c) if (p == 0 and reduced) else boundary_matrix(c, p)
+
+
+def assert_cleared_columns_lie_in_the_span_of_the_rest(c, reduced):
+    """a·b = 0 with b = ∂_{p+1}: the columns of a at the unit-pivot rows of b
+    are integer combinations of a's columns off those rows."""
+    cleared = 0
+    for p in range(c.dim + 1):
+        a = boundary_below(c, p, reduced)
+        rows = smith_normal_form(boundary_matrix(c, p + 1), transforms=False).pivot_rows
+        assert rows <= set(range(a.cols))
+        dense = [[col.get(i, 0) for i in range(a.rows)] for col in a.columns]
+        rest = [v for j, v in enumerate(dense) if j not in rows]
+        for j in sorted(rows):
+            assert dense_lattice_contains(rest, dense[j])
+        cleared += len(rows)
+    return cleared
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_facets, st.booleans(), st.booleans())
+def test_columns_at_unit_pivot_rows_lie_in_the_span_of_the_rest(facets, subdivide, reduced):
+    c = from_facets(facets)
+    if subdivide and len(c.simplices) <= 20:
+        c = barycentric_subdivision(c)
+    assert_cleared_columns_lie_in_the_span_of_the_rest(c, reduced)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_columns_at_unit_pivot_rows_lie_in_the_span_of_the_rest_with_torsion(reduced):
+    for c in (from_facets(RP2_FACETS), klein_bottle(3, 3)):
+        assert assert_cleared_columns_lie_in_the_span_of_the_rest(c, reduced) > 0
+
+
+def uncleared_homology(c, coefficients, reduced):
+    """`homology` with every boundary handed whole to the invariant-factor path."""
+    mats = [boundary_below(c, p, reduced) for p in range(c.dim + 2)]
+    diagonals = [smith_normal_form(m, transforms=False).diagonal for m in mats]
+    ranks = [_rank(d, coefficients) for d in diagonals]
+    return [
+        HomologyGroup(
+            p,
+            mats[p].cols - ranks[p] - ranks[p + 1],
+            () if coefficients == "Z2" else tuple(d for d in diagonals[p + 1] if d > 1),
+        )
+        for p in range(c.dim + 1)
+    ]
+
+
+def assert_clearing_keeps_homology(c):
+    for coefficients in ("Z", "Z2"):
+        for reduced in (False, True):
+            expected = uncleared_homology(c, coefficients, reduced)
+            assert homology(c, coefficients, reduced) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_facets, random_facets, st.integers(0, 2))
+def test_cleared_homology_matches_the_uncleared_smith_forms(facets, other, how):
+    assert_clearing_keeps_homology(random_complex(facets, other, how))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: from_facets(RP2_FACETS),
+        lambda: product(from_facets(RP2_FACETS), standard_model("circle", k=4)),
+        lambda: klein_bottle(8, 9),
+    ],
+    ids=["rp2", "rp2_x_circle4", "klein_8x9"],
+)
+def test_cleared_homology_matches_the_uncleared_smith_forms_with_torsion(build):
+    assert_clearing_keeps_homology(build())
+
+
+def smith_form_shapes(monkeypatch, c, **options):
+    """(rows, cols) of every matrix `homology(c, **options)` hands the Smith form."""
+    shapes = []
+    original = algebra.smith_normal_form
+
+    def recording(a, transforms=True):
+        shapes.append((a.rows, a.cols))
+        return original(a, transforms)
+
+    monkeypatch.setattr(algebra, "smith_normal_form", recording)
+    homology(c, **options)
+    return shapes
+
+
+def test_homology_hands_the_smith_form_only_uncleared_columns(monkeypatch):
+    # 288 triangles, 432 edges, 144 vertices; ∂₂ has rank 287, every pivot a
+    # unit, so ∂₁ reaches the Smith form with 432 − 287 = 145 columns
+    t = standard_model("torus_grid", a=12, b=12)
+    assert smith_form_shapes(monkeypatch, t) == [(288, 0), (432, 288), (144, 145), (0, 1)]
+    assert smith_form_shapes(monkeypatch, t, reduced=True)[-1] == (1, 1)
+
+
+def test_homology_clears_one_column_per_unit_pivot(monkeypatch):
+    # rank ∂₃ = 120 on RP²×S¹(4), but one of its invariant factors is 2, so
+    # its unit pivots, and the columns cleared from ∂₂, number 119
+    c = product(from_facets(RP2_FACETS), standard_model("circle", k=4))
+    n = [len(c.simplices_of_dim(p)) for p in range(4)]
+    d3 = smith_normal_form(boundary_matrix(c, 3), transforms=False)
+    assert (d3.rank, len(d3.pivot_rows), [d for d in d3.diagonal if d > 1]) == (120, 119, [2])
+    shapes = smith_form_shapes(monkeypatch, c, coefficients="Z2")
+    assert shapes[:2] == [(n[3], 0), (n[2], n[3])]
+    assert shapes[2] == (n[1], n[2] - len(d3.pivot_rows))
 
 
 def random_unimodular(rng, n):

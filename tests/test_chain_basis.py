@@ -50,16 +50,17 @@ RP2_FACETS = [
 
 def boundary_pair(c, p, reduced, dual):
     """The matrices `chain_basis(c, p, reduced, dual)` reads: cycles of a, boundaries b."""
+    below = augmentation_matrix(c) if (p == 0 and reduced) else boundary_matrix(c, p)
+    above = boundary_matrix(c, p + 1)
     if dual:
-        return boundary_matrix(c, p + 1).transpose(), boundary_matrix(c, p).transpose()
-    a = augmentation_matrix(c) if (p == 0 and reduced) else boundary_matrix(c, p)
-    return a, boundary_matrix(c, p + 1)
+        return above.transpose(), below.transpose()
+    return below, above
 
 
 def cases(c):
-    """Every distinct (p, reduced, dual): `reduced` only changes the degree-0 cycles."""
+    """Every distinct (p, reduced, dual): `reduced` only changes degree 0."""
     out = [(p, False, dual) for p in range(c.dim + 1) for dual in (False, True)]
-    return out + [(0, True, False)]
+    return out + [(0, True, False), (0, True, True)]
 
 
 def unit(i, k):
@@ -221,6 +222,16 @@ def test_chain_bases_match_the_dense_oracle_on_pinned_complexes(name):
 @pytest.mark.parametrize("name", list(INSTANCE_BUILDERS))
 def test_chain_bases_match_the_dense_oracle_on_the_doubles(name, doubles_instances):
     assert_complex_agrees(doubles_instances[name].model.complex)
+
+
+def test_reduced_cohomology_in_degree_zero_has_rank_one_less():
+    # εᵀ, the reduced coboundary into degree 0, kills the constant class
+    two_points = from_facets([[0], [1]])
+    assert chain_basis(two_points, 0, dual=True).orders == [0, 0]
+    assert chain_basis(two_points, 0, reduced=True, dual=True).orders == [0]
+    triangle = from_facets([[0, 1, 2]])
+    assert chain_basis(triangle, 0, dual=True).orders == [0]
+    assert chain_basis(triangle, 0, reduced=True, dual=True).orders == []
 
 
 def smith_column_matrices():

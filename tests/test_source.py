@@ -308,7 +308,9 @@ def test_the_dense_elimination_runs_on_leftover_blocks():
 
 def test_homology_reads_both_rings_from_one_smith_form():
     # Z/2 ranks are the odd invariant factors of the integral Smith form,
-    # so homology runs no elimination of its own and takes no option for it
+    # so homology runs no elimination of its own and takes no option for it;
+    # it hands each boundary, with the columns the degree above cleared left
+    # out, to `smith_normal_form` as a `SparseMatrix`
     assert list(inspect.signature(algebra.homology).parameters) == ["c", "coefficients", "reduced"]
     tree = ast.parse(inspect.getsource(algebra.homology))
     called = {
@@ -318,7 +320,7 @@ def test_homology_reads_both_rings_from_one_smith_form():
     }
     assert called == {
         "boundary_matrix", "augmentation_matrix", "smith_normal_form", "_rank",
-        "HomologyGroup", "ValueError", "range", "tuple",
+        "HomologyGroup", "ValueError", "range", "tuple", "SparseMatrix", "enumerate", "len",
     }
     paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
     assert [p.name for p in paths if "rank_mod2" in p.read_text(encoding="utf-8")] == []
