@@ -6,7 +6,8 @@ chosen coordinates, and a chain-level Mayer-Vietoris exactness checker.
 Invariant factors and bases both come from one sparse elimination of unit
 pivots, with the dense elimination run on the leftover block alone.
 Homology runs the degrees from the top down, and the unit pivots of ∂_{p+1}
-clear columns of ∂_p before its elimination starts.  Mod-2
+clear columns of ∂_p before its elimination starts; chain bases split the
+same pivots off the cycles before their kernel elimination.  Mod-2
 homology runs no elimination of its own: it is read from the odd integral
 invariant factors (the universal coefficient theorem).  All
 arithmetic is over Python's arbitrary-precision integers; nothing here may
@@ -150,14 +151,14 @@ def smith_normal_form(a, transforms=True):
     m, n = a.rows, a.cols
     if not transforms:
         rest = _eliminate_unit_pivots(a.columns, m)
-        block, width = rest.block, len(rest.live)
+        block, width = rest.block(), len(rest.live)
         _dense_smith(block, len(block), width)
         tail = [block[i][i] for i in range(min(len(block), width))]
-        count = len(rest.pivot_rows)
+        count = len(rest.pivots)
         diagonal = [1] * count + tail + [0] * (min(m, n) - count - len(tail))
         rank = sum(1 for d in diagonal if d)
         return SnfDecomposition(
-            None, None, None, None, None, rank, diagonal, frozenset(rest.pivot_rows))
+            None, None, None, None, None, rank, diagonal, frozenset(i for i, _ in rest.pivots))
     s = [[0] * n for _ in range(m)]
     for j, col in enumerate(a.columns):
         for i, x in col.items():
@@ -177,15 +178,24 @@ def smith_normal_form(a, transforms=True):
 
 @dataclass
 class _Elimination:
-    """What `_eliminate_unit_pivots` leaves: the rows of the pivots it split
-    off, and the non-pivot columns, split into those eliminated to zero
-    (`free`) and those of the leftover `block`, given densely as rows over
-    `live`."""
+    """What `_eliminate_unit_pivots` leaves of a·V.
 
-    pivot_rows: list
+    `pivots` holds one (row, column) pair per unit pivot, in pivot order:
+    the pivot's row and its column of a·V, which is the column as it stood
+    at pivot time.  `columns` holds the other columns of a·V (a pivot's is
+    empty there), split by index into those eliminated to zero (`free`) and
+    those of the leftover block (`live`).
+    """
+
+    pivots: list
+    columns: list
     free: list
     live: list
-    block: list
+
+    def block(self):
+        """The leftover block, as dense rows over `live`; zero rows left out."""
+        live = [self.columns[j] for j in self.live]
+        return [[col.get(i, 0) for col in live] for i in sorted(set().union(*live))]
 
 
 def _eliminate_unit_pivots(columns, m, tracked=None):
@@ -203,7 +213,7 @@ def _eliminate_unit_pivots(columns, m, tracked=None):
     eliminated matrix.  There the pivot columns carry a unit lower-triangular
     block on the pivot rows, and every other column is zero on those rows.
 
-    The pivot rows P are returned, and they clear columns of any matrix c
+    The pivots are returned with their rows P, and P clears columns of any matrix c
     with c·a = 0: from a·V = [[L, 0], [X, R]] with L unit lower-triangular
     on P, c[:, P]·L + c[:, P̄]·X = 0, so c[:, P] = −c[:, P̄]·X·L⁻¹ with L⁻¹
     integral.  Each column of c at P is then an integer combination of the
@@ -216,7 +226,7 @@ def _eliminate_unit_pivots(columns, m, tracked=None):
         for i in col:
             rows[i].add(j)
     pivot = [False] * len(cols)
-    pivot_rows = []
+    pivots = []
     progress = True
     while progress:
         progress = False
@@ -255,13 +265,11 @@ def _eliminate_unit_pivots(columns, m, tracked=None):
                 rows[i].discard(j)
             cols[j] = {}
             pivot[j] = True
-            pivot_rows.append(best)
+            pivots.append((best, col))
             progress = True
-    live_rows = [i for i, r in enumerate(rows) if r]
     live = [j for j, col in enumerate(cols) if col]
     free = [j for j, col in enumerate(cols) if not col and not pivot[j]]
-    block = [[cols[j].get(i, 0) for j in live] for i in live_rows]
-    return _Elimination(pivot_rows, free, live, block)
+    return _Elimination(pivots, cols, free, live)
 
 
 def _dense_smith(s, m, n):
@@ -477,12 +485,23 @@ def chain_basis(c, p, reduced=False, dual=False):
 class ChainBasis:
     """ker(a) / im(b) with generators expressed over the ambient chain basis.
 
-    `a` and `b` are `SparseMatrix`es; x is a cycle when `a.apply(x)` is empty.
-    The cycles are read in the basis of `_kernel_basis`.  Row operations
-    that bring the boundaries y to Smith form are column operations on yᵀ,
-    so the Smith columns of yᵀ, with transform M, give U_y = Mᵀ: each
-    generator is a row of M⁻¹ and each coordinate of a projection is a
-    column of M, read through the kernel basis.  Columns of divisor 1 are
+    `a` and `b` are `SparseMatrix`es with a·b = 0; x is a cycle when
+    `a.apply(x)` is empty.  Clearing splits the cycles: an untracked
+    elimination of b gives b·V = [[L, 0], [X, R]], L unit lower-triangular
+    on the pivot rows P (see `_eliminate_unit_pivots`), and its pivot
+    columns c_t are boundaries.  Subtracting multiples of the c_t in pivot
+    order clears any cycle on P, so ker a = span(c_t) ⊕ ker(a|P̄), where a|P̄
+    keeps the columns of a off P.  R lies in ker(a|P̄), and with the c_t it
+    spans im b, so H = ker(a|P̄) / span(R).  The kernel elimination thus runs
+    on the columns off P alone, and the boundaries y are R's live columns
+    read in that kernel basis.  Row operations that bring y to Smith form
+    are column operations on yᵀ, so the Smith columns of yᵀ, with transform
+    M, give U_y = Mᵀ: each generator is a row of M⁻¹ read through the kernel
+    basis (zero on P), and each coordinate of a projection is a column of M
+    read through the kernel's functionals.  Those read P̄ alone, so each is
+    moved onto P once, here: it must give on x what it gives on x with P
+    cleared, and running the pivots backwards,
+    g[r_t] = −(Σ_{i≠r_t} g_i·c_t[i])·c_t[r_t].  Columns of divisor 1 are
     boundaries and are dropped.  Torsion generators come first, in divisor
     order, then the free ones.
     """
@@ -492,18 +511,32 @@ class ChainBasis:
         for col in b.columns:
             if a.apply(col):
                 raise IncompatibleCochainError("boundary column is not a cycle")
-        basis, readers = _kernel_basis(a)
+        split = _eliminate_unit_pivots(b.columns, n)
+        on_p = {i for i, _ in split.pivots}
+        off_p = [j for j in range(n) if j not in on_p]
+        basis, readers = _kernel_basis(
+            SparseMatrix(a.rows, len(off_p), [a.columns[j] for j in off_p]))
         k = len(basis)
-        readers = SparseMatrix(n, k, readers)
+        basis = SparseMatrix(n, k, [{off_p[i]: x for i, x in v.items()} for v in basis])
+        readers = SparseMatrix(n, k, [{off_p[i]: x for i, x in r.items()} for r in readers])
         # boundaries in kernel coordinates, as yᵀ: one column per coordinate
         read = readers.transpose()
-        yt = SparseMatrix(k, b.cols, [read.apply(col) for col in b.columns]).transpose()
+        live = [split.columns[j] for j in split.live]
+        yt = SparseMatrix(k, len(live), [read.apply(col) for col in live]).transpose()
         block, free = _smith_columns(yt.columns, yt.rows)
         kept = [t for t in block + free if t[0] != 1]  # (order, functional, generator)
-        basis = SparseMatrix(n, k, basis)
         self.orders = [d for d, _, _ in kept]
         self.generators = [_dense(basis.apply(gen), n) for _, _, gen in kept]
         self._functionals = [readers.apply(f) for _, f, _ in kept]
+        for r, c in reversed(split.pivots):
+            for g in self._functionals:
+                # g[r] is still 0 here, so the sum may run over all of c
+                x = 0
+                for i, y in c.items():
+                    if i in g:
+                        x += g[i] * y
+                if x:
+                    g[r] = -x * c[r]
         self._a = a
 
     def group(self, degree):
@@ -514,6 +547,8 @@ class ChainBasis:
     def project(self, vec):
         if len(vec) != self._a.cols:
             raise IncompatibleCochainError("vector length does not fit")
+        if any(not issubclass(t, int) or issubclass(t, bool) for t in set(map(type, vec))):
+            raise IncompatibleCochainError("vector entries must be integers")
         if self._a.apply({i: v for i, v in enumerate(vec) if v}):
             raise IncompatibleCochainError("vector is not a cycle")
         coords = []
@@ -537,7 +572,7 @@ def _smith_columns(columns, m):
     """
     v = [{j: 1} for j in range(len(columns))]
     rest = _eliminate_unit_pivots(columns, m, v)
-    block, live = rest.block, rest.live
+    block, live = rest.block(), rest.live
     _, q, _, qinv = _dense_smith(block, len(block), len(live))
     v_live = SparseMatrix(len(columns), len(live), [v[j] for j in live])
     out = [
@@ -692,7 +727,8 @@ def mayer_vietoris_check(w, a_name, b_name):
 
     bases = {}
     for label, cx in (("Y", sub_y), ("A", sub_a), ("B", sub_b), ("W", w)):
-        for p in range(n + 2):
+        # in degree n + 1 only the connecting map reads a basis, that of W
+        for p in range(n + 2 if label == "W" else n + 1):
             bases[label, p] = chain_basis(cx, p)
 
     def alpha_columns(p):

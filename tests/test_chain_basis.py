@@ -8,6 +8,7 @@ projections of random cycles, and for kernels the count and the lattice.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +26,14 @@ from dense_oracle import (
     mul,
 )
 
+from test_algebra import klein_bottle
+
+from reebtop import algebra
 from reebtop.algebra import (
     ChainBasis,
     IntegerMatrix,
     SparseMatrix,
+    _eliminate_unit_pivots,
     _smith_columns,
     augmentation_matrix,
     boundary_matrix,
@@ -38,7 +43,9 @@ from reebtop.algebra import (
     lattices_equal,
     smith_normal_form,
 )
+from reebtop.cohomology import cochain_class, cohomology_basis
 from reebtop.complexes import barycentric_subdivision, from_facets, product
+from reebtop.errors import IncompatibleCochainError
 from reebtop.models import standard_model
 from reebtop.verify import INSTANCE_BUILDERS
 
@@ -86,6 +93,13 @@ def assert_bases_agree(fast, dense, b, rng):
     k = len(orders)
     for i, gen in enumerate(fast.generators):
         assert fast.project(gen) == unit(i, k)
+    # every boundary reads zero: the columns of b, those it pivots on
+    # included, and the pivot columns c_t of b·V, which the fast basis
+    # splits off before its kernel elimination
+    split = _eliminate_unit_pivots(b.columns, b.rows).pivots
+    for col in b.columns + [c for _, c in split]:
+        vec = [col.get(i, 0) for i in range(b.rows)]
+        assert fast.project(vec) == [0] * k
     # the fast generators in the dense basis: unimodular on the free part,
     # nothing on it from torsion, and onto (so an automorphism of) the torsion
     change = [dense.project(gen) for gen in fast.generators]
@@ -209,6 +223,8 @@ PINNED = {
         barycentric_subdivision(from_facets(RP2_FACETS))
     ),
     "rp2_x_circle": lambda: product(from_facets(RP2_FACETS), standard_model("circle", k=3)),
+    "klein_3x3": lambda: klein_bottle(3, 3),
+    "klein_8x9": lambda: klein_bottle(8, 9),
     "torus_3x3": lambda: standard_model("torus_grid", a=3, b=3),
     "genus2": lambda: standard_model("surface", genus=2, boundary=0),
 }
@@ -232,6 +248,55 @@ def test_reduced_cohomology_in_degree_zero_has_rank_one_less():
     triangle = from_facets([[0, 1, 2]])
     assert chain_basis(triangle, 0, dual=True).orders == [0]
     assert chain_basis(triangle, 0, reduced=True, dual=True).orders == []
+
+
+def smith_column_widths(monkeypatch, c, p, dual):
+    """Columns of each matrix that `chain_basis(c, p, dual=dual)` hands
+    `_smith_columns`: the kernel's, then the boundaries'."""
+    widths = []
+    original = algebra._smith_columns
+
+    def recording(columns, m):
+        widths.append(len(columns))
+        return original(columns, m)
+
+    monkeypatch.setattr(algebra, "_smith_columns", recording)
+    chain_basis(c, p, dual=dual)
+    monkeypatch.undo()
+    return widths
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: standard_model("torus_grid", a=12, b=12),
+        lambda: product(from_facets(RP2_FACETS), standard_model("circle", k=4)),
+    ],
+    ids=["torus_12x12", "rp2_x_circle4"],
+)
+def test_the_kernel_elimination_skips_the_unit_pivot_rows_of_the_boundaries(monkeypatch, build):
+    # the kernel elimination gets a.cols − |P| columns, and the boundaries'
+    # Smith columns one per kernel coordinate left, dim ker a − |P|
+    c = build()
+    for p in range(c.dim + 1):
+        for dual in (False, True):
+            a, b = boundary_pair(c, p, False, dual)
+            pivots = len(smith_normal_form(b, transforms=False).pivot_rows)
+            kernel = a.cols - smith_normal_form(a, transforms=False).rank
+            widths = smith_column_widths(monkeypatch, c, p, dual)
+            assert widths == [a.cols - pivots, kernel - pivots], (p, dual)
+
+
+def test_the_kernel_elimination_drops_one_column_per_unit_pivot(monkeypatch):
+    # rank ∂₃ = 120 on RP²×S¹(4), one invariant factor 2, so 119 unit pivots
+    c = product(from_facets(RP2_FACETS), standard_model("circle", k=4))
+    d3 = smith_normal_form(boundary_matrix(c, 3), transforms=False)
+    assert (d3.rank, len(d3.pivot_rows)) == (120, 119)
+    n2 = len(c.simplices_of_dim(2))
+    assert smith_column_widths(monkeypatch, c, 2, False)[0] == n2 - 119
+    t = standard_model("torus_grid", a=12, b=12)
+    # ∂₂ of the 12x12 torus has rank 287, all of it unit pivots
+    assert smith_column_widths(monkeypatch, t, 1, False)[0] == 432 - 287
 
 
 def smith_column_matrices():
@@ -290,6 +355,26 @@ def test_boundary_matrices_are_built_once_per_complex(name):
     assert answers(c) == fresh
 
 
+def non_integer_cycles(t):
+    """A cycle of the 3x3 torus scaled by 1/2, as floats and as fractions,
+    and the zero cycle written with bools."""
+    g = chain_basis(t, 1).generators[0]
+    return [[x * 0.5 for x in g], [Fraction(x, 2) for x in g], [False] * len(g)]
+
+
+def test_projection_refuses_entries_that_are_not_integers():
+    t = standard_model("torus_grid", a=3, b=3)
+    basis = chain_basis(t, 1)
+    for vec in non_integer_cycles(t):
+        with pytest.raises(IncompatibleCochainError, match="entries must be integers"):
+            basis.project(vec)
+    h = cohomology_basis(t, 1)[0][0]
+    with pytest.raises(IncompatibleCochainError, match="entries must be integers"):
+        cochain_class(t, 1, [0.5 * v for v in h.values])
+    assert basis.project([0] * len(basis.generators[0])) == [0, 0]
+    assert cochain_class(t, 1, [2 * v for v in h.values]).coordinates == (2, 0)
+
+
 def test_chain_basis_refuses_forged_input_under_optimize():
     result = run_optimized(
         """
@@ -314,6 +399,14 @@ def test_chain_basis_refuses_forged_input_under_optimize():
         edge = [1] + [0] * (a.cols - 1)
         print(refused(lambda: basis.project(edge)))
         print(refused(lambda: basis.project(basis.generators[0] + [0])))
+
+        from reebtop.cohomology import cochain_class, cohomology_basis
+        from test_chain_basis import non_integer_cycles
+
+        for vec in non_integer_cycles(t):
+            print(refused(lambda: basis.project(vec)))
+        h = cohomology_basis(t, 1)[0][0]
+        print(refused(lambda: cochain_class(t, 1, [0.5 * v for v in h.values])))
         """
     )
     assert result.returncode == 0, result.stderr
@@ -321,4 +414,4 @@ def test_chain_basis_refuses_forged_input_under_optimize():
         "boundary column is not a cycle",
         "vector is not a cycle",
         "vector length does not fit",
-    ]
+    ] + ["vector entries must be integers"] * 4

@@ -48,6 +48,8 @@ def test_what_the_benchmark_trace_reads():
     # perfbench/tracing.py binds the arguments of every `smith_normal_form`
     # call by name and reads `a.rows`, `a.cols` and `transforms` from them
     assert list(inspect.signature(smith_normal_form).parameters) == ["a", "transforms"]
+    # and it keys each `chain_basis` call by the arguments bound to these names
+    assert list(inspect.signature(algebra.chain_basis).parameters) == ["c", "p", "reduced", "dual"]
     c = standard_model("solid_torus", k=3)
 
     def size(p):
