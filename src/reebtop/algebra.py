@@ -1,6 +1,6 @@
 """Exact integer linear algebra for chain complexes.
 
-Sparse boundary operators, Smith normal form with unimodular transforms,
+Sparse boundary operators, Smith normal form with its column transforms,
 integral and mod-2 homology, homology generators with a projection onto
 chosen coordinates, and a chain-level Mayer-Vietoris exactness checker.
 Invariant factors and bases both come from one sparse elimination of unit
@@ -20,38 +20,6 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import BadCoverError, IncompatibleCochainError
-
-
-class IntegerMatrix:
-    """Dense integer matrix that remembers its shape even when degenerate."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries=None):
-        self.rows = rows
-        self.cols = cols
-        if entries is None:
-            entries = [[0] * cols for _ in range(rows)]
-        self.entries = entries
-
-    @property
-    def columns(self):
-        """One {row: nonzero} dict per column, as `SparseMatrix` stores them."""
-        return [
-            {i: row[j] for i, row in enumerate(self.entries) if row[j]}
-            for j in range(self.cols)
-        ]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntegerMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"IntegerMatrix({self.rows}x{self.cols})"
 
 
 class SparseMatrix:
@@ -115,65 +83,61 @@ def augmentation_matrix(c):
 
 @dataclass
 class SnfDecomposition:
-    """U * A * V = S with U, V unimodular and S diagonal, d_i | d_{i+1}.
+    """The Smith form of a matrix a, and with transforms the columns reaching it.
 
-    `diagonal` holds the min(rows, cols) diagonal entries of S: ones first,
-    then the invariant factors above one in divisor order, then zeros.  A
-    decomposition made with `transforms=False` carries only `rank`,
-    `diagonal` and `pivot_rows`, the rows where its sparse elimination took
-    a unit pivot; its U, S, V, Uinv and Vinv are None.  With transforms,
-    `pivot_rows` is empty.
+    `diagonal` holds the min(rows, cols) diagonal entries: ones first, then
+    the invariant factors above one in divisor order, then zeros.
+    `pivot_rows` holds the rows where the sparse elimination took a unit
+    pivot.  `columns`, None without transforms, holds one triple (d, v, r)
+    per column that is not a unit pivot's: a diagonal entry d, a column v of
+    a unimodular M with a·v ≡ 0 mod d (a·v = 0 where d = 0), and the row r
+    of M⁻¹, so r_s·v_t = δ_st.  The leftover block's columns come first, in
+    divisor order, zeros last, then those eliminated to zero.
     """
 
-    U: IntegerMatrix | None
-    S: IntegerMatrix | None
-    V: IntegerMatrix | None
-    Uinv: IntegerMatrix | None
-    Vinv: IntegerMatrix | None
     rank: int
     diagonal: list
-    pivot_rows: frozenset = frozenset()
+    pivot_rows: frozenset
+    columns: list | None = None
 
 
 def smith_normal_form(a, transforms=True):
     """Diagonalize by unimodular row and column operations.
 
-    `a` is read through its `columns` and never modified.  With `transforms`,
-    a dense elimination also records U, V and their inverses.  Without, only
-    the invariant factors are computed: unit pivots are eliminated sparsely
-    first and the dense elimination runs on the leftover block alone, whose
-    transforms are discarded.  The rows of those unit pivots come back as
+    `a` is read through its `columns` and never modified.  Unit pivots are
+    eliminated sparsely first and the dense elimination runs on the
+    leftover block alone.  The rows of those unit pivots come back as
     `pivot_rows`: for any matrix c with c·a = 0, the columns of c at those
     rows are integer combinations of its other columns (the lemma in
     `_eliminate_unit_pivots`).  `homology` runs from the top degree down and
     leaves them out of the Smith form of the boundary below.
+
+    With `transforms`, the elimination is tracked: a·V = [[L, 0], [X, R]],
+    L unit lower-triangular, and the dense P·R·Q = D of the leftover block R
+    finishes it with M = V·(1 ⊕ Q).  A step col_k -= q·col_j, j a pivot,
+    changes only column k of V and row j of V⁻¹, so on the non-pivot
+    columns the rows of M⁻¹ are those of Q⁻¹.  Those columns of M and rows
+    of M⁻¹ come back as `columns`.
     """
     m, n = a.rows, a.cols
-    if not transforms:
-        rest = _eliminate_unit_pivots(a.columns, m)
-        block, width = rest.block(), len(rest.live)
-        _dense_smith(block, len(block), width)
-        tail = [block[i][i] for i in range(min(len(block), width))]
-        count = len(rest.pivots)
-        diagonal = [1] * count + tail + [0] * (min(m, n) - count - len(tail))
-        rank = sum(1 for d in diagonal if d)
-        return SnfDecomposition(
-            None, None, None, None, None, rank, diagonal, frozenset(i for i, _ in rest.pivots))
-    s = [[0] * n for _ in range(m)]
-    for j, col in enumerate(a.columns):
-        for i, x in col.items():
-            s[i][j] = x
-    u, v, uinv, vinv = _dense_smith(s, m, n)
-    diagonal = [s[i][i] for i in range(min(m, n))]
-    return SnfDecomposition(
-        IntegerMatrix(m, m, u),
-        IntegerMatrix(m, n, s),
-        IntegerMatrix(n, n, v),
-        IntegerMatrix(m, m, uinv),
-        IntegerMatrix(n, n, vinv),
-        sum(1 for d in diagonal if d),
-        diagonal,
-    )
+    v = [{j: 1} for j in range(n)] if transforms else None
+    rest = _eliminate_unit_pivots(a.columns, m, v)
+    block, live = rest.block(), rest.live
+    q, qinv = _dense_smith(block, len(block), len(live))
+    tail = [block[i][i] for i in range(min(len(block), len(live)))]
+    count = len(rest.pivots)
+    diagonal = [1] * count + tail + [0] * (min(m, n) - count - len(tail))
+    snf = SnfDecomposition(
+        count + sum(1 for d in tail if d), diagonal, frozenset(i for i, _ in rest.pivots))
+    if transforms:
+        v_live = SparseMatrix(n, len(live), [v[j] for j in live])
+        snf.columns = [
+            (tail[i] if i < len(tail) else 0,
+             v_live.apply({t: row[i] for t, row in enumerate(q) if row[i]}),
+             {j: x for j, x in zip(live, qinv[i]) if x})
+            for i in range(len(live))
+        ] + [(0, v[j], {j: 1}) for j in rest.free]
+    return snf
 
 
 @dataclass
@@ -276,19 +240,11 @@ def _dense_smith(s, m, n):
     """Bring the m x n list of rows `s` to Smith normal form in place.
 
     Pivots always take the smallest available absolute value, which keeps
-    coefficient growth tame at this scale.  Returns (U, V, Uinv, Vinv) as
-    lists of rows with U * A * V = S.
+    coefficient growth tame at this scale.  Returns (V, Vinv) as lists of
+    rows with P * A * V = S; the unimodular row transform P is not kept.
     """
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-        for row in uinv:
-            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in s:
@@ -297,25 +253,12 @@ def _dense_smith(s, m, n):
             row[i], row[j] = row[j], row[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-        for row in uinv:
-            row[i] = -row[i]
-
     def add_row(i, j, coef):
         # row_i += coef * row_j
         si, sj = s[i], s[j]
         for k in range(n):
             if sj[k]:
                 si[k] += coef * sj[k]
-        ui, uj = u[i], u[j]
-        for k in range(m):
-            if uj[k]:
-                ui[k] += coef * uj[k]
-        for row in uinv:
-            if row[i]:
-                row[j] -= coef * row[i]
 
     def add_col(i, j, coef):
         # col_i += coef * col_j
@@ -360,7 +303,7 @@ def _dense_smith(s, m, n):
             # keeps coefficient growth in check
             i0, j0 = pivot_search(k)
             if i0 != k:
-                swap_rows(k, i0)
+                s[k], s[i0] = s[i0], s[k]
             if j0 != k:
                 swap_cols(k, j0)
             piv = s[k][k]
@@ -396,9 +339,9 @@ def _dense_smith(s, m, n):
                 break
             add_row(k, dirty, 1)
         if s[k][k] < 0:
-            negate_row(k)
+            s[k] = [-x for x in s[k]]
         k += 1
-    return u, v, uinv, vinv
+    return v, vinv
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +466,8 @@ class ChainBasis:
         read = readers.transpose()
         live = [split.columns[j] for j in split.live]
         yt = SparseMatrix(k, len(live), [read.apply(col) for col in live]).transpose()
-        block, free = _smith_columns(yt.columns, yt.rows)
-        kept = [t for t in block + free if t[0] != 1]  # (order, functional, generator)
+        # (order, functional, generator)
+        kept = [t for t in smith_normal_form(yt, transforms=True).columns if t[0] != 1]
         self.orders = [d for d, _, _ in kept]
         self.generators = [_dense(basis.apply(gen), n) for _, _, gen in kept]
         self._functionals = [readers.apply(f) for _, f, _ in kept]
@@ -558,41 +501,14 @@ class ChainBasis:
         return coords
 
 
-def _smith_columns(columns, m):
-    """The non-pivot columns of an m-row matrix a in Smith form, as (block, free).
-
-    One tracked unit-pivot elimination gives a·V = [[L, 0], [X, R]], L unit
-    lower-triangular, and the dense P·R·Q = D of the leftover block R
-    finishes it: M = V·(1 ⊕ Q).  A step col_k -= q·col_j, j a pivot, changes
-    only column k of V and row j of V⁻¹, so on the non-pivot columns the
-    rows of M⁻¹ are those of Q⁻¹.  Each triple (d, v, r) holds a diagonal
-    entry of D, the column of M and the row of M⁻¹, so r_s·v_t = δ_st.
-    `block` lists R's columns in divisor order, zeros last; `free` those
-    eliminated to zero, where d = 0.
-    """
-    v = [{j: 1} for j in range(len(columns))]
-    rest = _eliminate_unit_pivots(columns, m, v)
-    block, live = rest.block(), rest.live
-    _, q, _, qinv = _dense_smith(block, len(block), len(live))
-    v_live = SparseMatrix(len(columns), len(live), [v[j] for j in live])
-    out = [
-        (block[i][i] if i < len(block) else 0,
-         v_live.apply({t: row[i] for t, row in enumerate(q) if row[i]}),
-         {j: x for j, x in zip(live, qinv[i]) if x})
-        for i in range(len(live))
-    ]
-    return out, [(0, v[j], {j: 1}) for j in rest.free]
-
-
 def _kernel_basis(a):
     """A Z-basis of ker(a) and the functionals that read a cycle in it.
 
     Returns (basis, readers), lists of {index: nonzero} dicts with every x
     in ker(a) equal to Σ_s (readers[s]·x) basis[s]: the Smith columns of a
-    with diagonal entry 0, the free ones first.
+    with diagonal entry 0, in the order `smith_normal_form` lists them.
     """
-    block, free = _smith_columns(a.columns, a.rows)
-    kernel = free + [t for t in block if t[0] == 0]
+    kernel = [t for t in smith_normal_form(a, transforms=True).columns if t[0] == 0]
     return [v for _, v, _ in kernel], [r for _, _, r in kernel]
 
 

@@ -24,10 +24,6 @@ class CochainClass:
         self.values = tuple(values)
         self.coordinates = tuple(coordinates)
 
-    def value(self, simplex):
-        i = self.complex.positions(self.degree).get(tuple(simplex))
-        return 0 if i is None else self.values[i]
-
     def __repr__(self):
         return f"CochainClass(degree={self.degree}, coords={self.coordinates})"
 

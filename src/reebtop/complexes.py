@@ -12,7 +12,7 @@ boundaries come from one pass over codimension-one faces.
 The canonical order (each dimension's simplices sorted by the vertex
 positions, `sort_key`) is derived data like the star index: one sort on the
 first ordered query (`dim`, `simplices_of_dim`, `positions`, `f_vector`,
-`components`, `facets`).  Constructions that already know it hand it over
+`facets`).  Constructions that already know it hand it over
 instead: `from_facets` sorts integer position tuples, whose plain tuple
 order is the canonical one; `with_named` and `_with_parts` (same vertices
 and simplices, other names or assets) share it; `subcomplex` sorts its part
@@ -231,25 +231,6 @@ class SimplicialComplex:
 
     def closed_star(self, vertex):
         return closure(self.open_star(vertex))
-
-    def components(self):
-        """Partition of the vertices by edge connectivity."""
-        parent = {v: v for v in self.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for s in self._order().get(1, ()):
-            a, b = find(s[0]), find(s[1])
-            if a != b:
-                parent[a] = b
-        groups = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
-        return list(groups.values())
 
     # -- relabeling -------------------------------------------------------
 

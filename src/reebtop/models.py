@@ -32,6 +32,10 @@ def standard_model(name, **params):
         builder = _CATALOG[name]
     except KeyError:
         raise UnsupportedModelError(f"unknown model {name!r}") from None
+    for key, value in params.items():
+        # JSON's true and false are ints to Python, never sizes here
+        if isinstance(value, bool):
+            raise UnsupportedModelError(f"bad parameters for {name!r}: {key} is a boolean")
     try:
         return builder(**params)
     except TypeError as exc:

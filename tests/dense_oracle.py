@@ -1,30 +1,232 @@
-"""Dense boundary operators, lattice tests and homology bases, kept as
-oracles for the sparse ones.
+"""Dense integer matrices, a dense Smith normal form with all four
+transforms, and the dense boundary operators, lattice tests and homology
+bases built on them, kept as oracles for the sparse ones.
 
-The boundary builders are the ones `reebtop.algebra` used before boundary
-operators became `SparseMatrix`es; they share no code with the sparse path.
-The lattice tests are the ones it used before lattices were compared by
-invariant factors, and `DenseChainBasis` and `dense_kernel_generators` the
-ones it used before bases came from a tracked unit-pivot elimination: they
-read U and V of a dense Smith decomposition with transforms, where the
-package reads only the diagonal of sparse ones.  `rank_mod2` is the bitset
-elimination the package used for Z/2 homology before it read the odd
-invariant factors of the integral Smith form.  The dense matrix helpers
+`dense_smith_normal_form` is the package's former transforms path: one
+dense elimination of the whole matrix that records U, V and their inverses.
+It shares no elimination code with the package.  The boundary
+builders are the ones `reebtop.algebra` used before boundary operators
+became `SparseMatrix`es.  The lattice tests are the ones it used before
+lattices were compared by invariant factors, and `DenseChainBasis` and
+`dense_kernel_generators` the ones it used before bases came from a tracked
+unit-pivot elimination: they read U and V of the dense Smith form, where
+the package reads the Smith columns of sparse ones.  `rank_mod2` is the
+bitset elimination the package used for Z/2 homology before it read the
+odd invariant factors of the integral Smith form.  The dense matrix helpers
 (products, determinants, columns) serve these oracles and the Smith-form
 contract tests alone.
+
+From `reebtop` this module imports data types, boundary builders and
+errors only; `tests/test_source.py` pins that.
 """
 
 from itertools import compress
+from typing import NamedTuple
 
 from reebtop.algebra import (
     HomologyGroup,
-    IntegerMatrix,
     SparseMatrix,
     augmentation_matrix,
     boundary_matrix,
-    smith_normal_form,
 )
 from reebtop.errors import IncompatibleCochainError
+
+
+class IntegerMatrix:
+    """Dense integer matrix that remembers its shape even when degenerate."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows, cols, entries=None):
+        self.rows = rows
+        self.cols = cols
+        if entries is None:
+            entries = [[0] * cols for _ in range(rows)]
+        self.entries = entries
+
+    @property
+    def columns(self):
+        """One {row: nonzero} dict per column, as `SparseMatrix` stores them."""
+        return [
+            {i: row[j] for i, row in enumerate(self.entries) if row[j]}
+            for j in range(self.cols)
+        ]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, IntegerMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __repr__(self):
+        return f"IntegerMatrix({self.rows}x{self.cols})"
+
+
+class DenseSmith(NamedTuple):
+    """U * A * V = S with U, V unimodular and S diagonal, d_i | d_{i+1}.
+
+    `diagonal` holds the min(rows, cols) diagonal entries of S.
+    """
+
+    U: IntegerMatrix
+    S: IntegerMatrix
+    V: IntegerMatrix
+    Uinv: IntegerMatrix
+    Vinv: IntegerMatrix
+    rank: int
+    diagonal: list
+
+
+def dense_smith_normal_form(a):
+    """The Smith form of `a`, read through its `columns`, with all four
+    transforms, by dense elimination alone."""
+    m, n = a.rows, a.cols
+    s = [[0] * n for _ in range(m)]
+    for j, col in enumerate(a.columns):
+        for i, x in col.items():
+            s[i][j] = x
+    u, v, uinv, vinv = _diagonalize(s, m, n)
+    diagonal = [s[i][i] for i in range(min(m, n))]
+    return DenseSmith(
+        IntegerMatrix(m, m, u),
+        IntegerMatrix(m, n, s),
+        IntegerMatrix(n, n, v),
+        IntegerMatrix(m, m, uinv),
+        IntegerMatrix(n, n, vinv),
+        sum(1 for d in diagonal if d),
+        diagonal,
+    )
+
+
+def _diagonalize(s, m, n):
+    """Bring the m x n list of rows `s` to Smith normal form in place.
+
+    Pivots always take the smallest available absolute value, which keeps
+    coefficient growth tame at this scale.  Returns (U, V, Uinv, Vinv) as
+    lists of rows with U * A * V = S.
+    """
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+        for row in uinv:
+            row[i], row[j] = row[j], row[i]
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+        for row in uinv:
+            row[i] = -row[i]
+
+    def add_row(i, j, coef):
+        # row_i += coef * row_j
+        si, sj = s[i], s[j]
+        for k in range(n):
+            if sj[k]:
+                si[k] += coef * sj[k]
+        ui, uj = u[i], u[j]
+        for k in range(m):
+            if uj[k]:
+                ui[k] += coef * uj[k]
+        for row in uinv:
+            if row[i]:
+                row[j] -= coef * row[i]
+
+    def add_col(i, j, coef):
+        # col_i += coef * col_j
+        for row in s:
+            if row[j]:
+                row[i] += coef * row[j]
+        for row in v:
+            if row[j]:
+                row[i] += coef * row[j]
+        vi, vj = vinv[i], vinv[j]
+        for k in range(n):
+            if vi[k]:
+                vj[k] -= coef * vi[k]
+
+    def pivot_search(k):
+        best = None
+        best_val = None
+        for i in range(k, m):
+            row = s[i]
+            for j in range(k, n):
+                x = row[j]
+                if x and (best_val is None or abs(x) < best_val):
+                    best, best_val = (i, j), abs(x)
+                    if best_val == 1:
+                        return best
+        return best
+
+    def nearest_quotient(a, b):
+        # q minimizing |a - q*b|; keeps remainders at most |b|/2
+        q, r = divmod(a, b)
+        if 2 * abs(r) > abs(b):
+            q += 1
+        return q
+
+    k = 0
+    limit = min(m, n)
+    while k < limit:
+        if pivot_search(k) is None:
+            break
+        while True:
+            # always work from the smallest entry of the block; this is what
+            # keeps coefficient growth in check
+            i0, j0 = pivot_search(k)
+            if i0 != k:
+                swap_rows(k, i0)
+            if j0 != k:
+                swap_cols(k, j0)
+            piv = s[k][k]
+            for i in range(k + 1, m):
+                if s[i][k]:
+                    q = nearest_quotient(s[i][k], piv)
+                    if q:
+                        add_row(i, k, -q)
+            for j in range(k + 1, n):
+                if s[k][j]:
+                    q = nearest_quotient(s[k][j], piv)
+                    if q:
+                        add_col(j, k, -q)
+            if any(s[i][k] for i in range(k + 1, m)) or any(
+                s[k][j] for j in range(k + 1, n)
+            ):
+                continue  # a remainder smaller than the pivot is promoted next
+            # pivot must divide the remaining block for the divisor chain;
+            # a unit pivot divides everything
+            piv = s[k][k]
+            if piv == 1 or piv == -1:
+                break
+            dirty = None
+            for i in range(k + 1, m):
+                row = s[i]
+                for j in range(k + 1, n):
+                    if row[j] % piv:
+                        dirty = i
+                        break
+                if dirty is not None:
+                    break
+            if dirty is None:
+                break
+            add_row(k, dirty, 1)
+        if s[k][k] < 0:
+            negate_row(k)
+        k += 1
+    return u, v, uinv, vinv
 
 
 def identity(n):
@@ -148,7 +350,7 @@ def dense_lattice_contains(gens, vec):
     if not gens:
         return all(x == 0 for x in vec)
     a = IntegerMatrix(dim, len(gens), [[g[i] for g in gens] for i in range(dim)])
-    snf = smith_normal_form(a)
+    snf = dense_smith_normal_form(a)
     w = times_vector(snf.U, vec)
     for i, x in enumerate(w):
         d = snf.diagonal[i] if i < len(snf.diagonal) else 0
@@ -166,7 +368,7 @@ def dense_kernel_generators(columns):
         return []
     dim = len(columns[0])
     a = IntegerMatrix(dim, len(columns), [[col[i] for col in columns] for i in range(dim)])
-    snf = smith_normal_form(a)
+    snf = dense_smith_normal_form(a)
     return [column(snf.V, j) for j in range(snf.rank, len(columns))]
 
 
@@ -191,7 +393,7 @@ class DenseChainBasis:
         for col in b.columns:
             if a.apply(col):
                 raise IncompatibleCochainError("boundary column is not a cycle")
-        snf_a = smith_normal_form(a)
+        snf_a = dense_smith_normal_form(a)
         r = snf_a.rank
         vinv_tail = snf_a.Vinv.entries[r:]
         k = n - r
@@ -201,7 +403,7 @@ class DenseChainBasis:
         y = SparseMatrix(b.cols, k, [
             bt.apply({i: row[i] for i in compress(range(n), row)}) for row in vinv_tail
         ]).transpose()
-        snf_y = smith_normal_form(y)
+        snf_y = dense_smith_normal_form(y)
         diag = snf_y.diagonal + [0] * (k - len(snf_y.diagonal))
         kept = [i for i in range(k) if diag[i] != 1]
         generators = []

@@ -5,7 +5,9 @@ by scanning every simplex (or enumerating every proper face) before
 `SimplicialComplex` kept a vertex-to-star index; they share no code with
 `SimplicialComplex.cofaces`.  `scan_greedy_collapse` is the collapse search
 as it was before its candidate pools were kept sorted: it sorts the whole
-pool before every draw.
+pool before every draw.  `scan_components` is a flood fill over the edges,
+kept for the tests that count components since `SimplicialComplex` lost
+its own partition, which only they read.
 """
 
 import itertools
@@ -26,6 +28,30 @@ def scan_link(a, simplex):
             part.add(t)
     verts = {v for t in part for v in t}
     return SimplicialComplex([v for v in a.vertices if v in verts], part)
+
+
+def scan_components(a):
+    """Partition of the vertices by edge connectivity: each part in vertex
+    order, the parts in the order of their first vertices."""
+    neighbours = {v: set() for v in a.vertices}
+    for s in a.simplices:
+        if len(s) == 2:
+            neighbours[s[0]].add(s[1])
+            neighbours[s[1]].add(s[0])
+    seen, parts = set(), []
+    for v in a.vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, part = [v], set()
+        while stack:
+            u = stack.pop()
+            part.add(u)
+            for w in neighbours[u] - seen:
+                seen.add(w)
+                stack.append(w)
+        parts.append([u for u in a.vertices if u in part])
+    return parts
 
 
 def scan_open_star(a, vertex):

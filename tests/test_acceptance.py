@@ -9,7 +9,6 @@ import random
 from fractions import Fraction
 
 from reebtop.algebra import (
-    IntegerMatrix,
     betti_numbers,
     homology,
     smith_normal_form,
@@ -31,7 +30,14 @@ from reebtop.verify import (
 )
 
 from conftest import claim_by_suffix
-from dense_oracle import dense_boundary_matrix, determinant, is_zero, mul
+from dense_oracle import (
+    IntegerMatrix,
+    dense_boundary_matrix,
+    dense_smith_normal_form,
+    determinant,
+    is_zero,
+    mul,
+)
 
 
 def report(criterion, ok):
@@ -40,6 +46,7 @@ def report(criterion, ok):
 
 
 def test_criterion_01_smith_normal_form_suite():
+    # the package's Smith form against the dense oracle's U·A·V = S
     rng = random.Random(20240607)
     ok = True
     for _ in range(100):
@@ -47,11 +54,21 @@ def test_criterion_01_smith_normal_form_suite():
         a = IntegerMatrix(
             m, n, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         )
-        snf = smith_normal_form(a)
-        diag = [d for d in snf.diagonal if d]
-        ok &= mul(mul(snf.U, a), snf.V) == snf.S
-        ok &= abs(determinant(snf.U)) == 1 and abs(determinant(snf.V)) == 1
+        dense = dense_smith_normal_form(a)
+        ok &= mul(mul(dense.U, a), dense.V) == dense.S
+        ok &= abs(determinant(dense.U)) == 1 and abs(determinant(dense.V)) == 1
+        diag = [d for d in dense.diagonal if d]
         ok &= all(b % x == 0 for x, b in zip(diag, diag[1:]))
+        snf = smith_normal_form(a)
+        ok &= snf.diagonal == dense.diagonal
+        triples = snf.columns
+        for s, (_, _, r) in enumerate(triples):
+            for t, (_, v, _) in enumerate(triples):
+                ok &= sum(x * v.get(j, 0) for j, x in r.items()) == (s == t)
+        for d, v, _ in triples:
+            image = [sum(x * v.get(j, 0) for j, x in enumerate(row)) for row in a.entries]
+            ok &= all(y % d == 0 if d else y == 0 for y in image)
+        ok &= [d for d, _, _ in triples if d > 1] == [d for d in diag if d > 1]
     report("snf-suite", ok)
 
 

@@ -5,11 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import run_optimized
 from dense_oracle import (
+    IntegerMatrix,
     cells,
     dense_augmentation_matrix,
     dense_boundary_matrix,
     dense_kernel_generators,
     dense_lattice_contains,
+    dense_smith_normal_form,
     dense_transpose,
     determinant,
     identity,
@@ -23,7 +25,7 @@ from reebtop.algebra import (
     HomologyGroup,
     _rank,
     _restrict_chain,
-    IntegerMatrix,
+    SparseMatrix,
     augmentation_matrix,
     betti_numbers,
     boundary_matrix,
@@ -52,7 +54,8 @@ from reebtop.models import concentric_disc, standard_model
 
 
 def assert_snf_contract(a):
-    snf = smith_normal_form(a)
+    """The oracle's U·A·V = S, and the package's diagonal and Smith columns."""
+    snf = dense_smith_normal_form(a)
     assert mul(mul(snf.U, a), snf.V) == snf.S
     assert abs(determinant(snf.U)) == 1
     assert abs(determinant(snf.V)) == 1
@@ -65,13 +68,31 @@ def assert_snf_contract(a):
         for j in range(a.cols):
             if i != j:
                 assert snf.S.entries[i][j] == 0
+    fast = smith_normal_form(a)
+    assert (fast.rank, fast.diagonal) == (snf.rank, snf.diagonal)
+    assert_smith_columns(a, fast)
+
+
+def assert_smith_columns(a, snf):
+    """Each triple (d, v, r) of `snf.columns`: r_s·v_t = δ_st, and a·v ≡ 0
+    mod d, with a·v = 0 where d = 0; one per column that is not a unit pivot's."""
+    triples = snf.columns
+    assert len(triples) == a.cols - len(snf.pivot_rows)
+    for s, (_, _, r) in enumerate(triples):
+        for t, (_, v, _) in enumerate(triples):
+            assert sum(x * v.get(j, 0) for j, x in r.items()) == (s == t)
+    sparse = SparseMatrix(a.rows, a.cols, a.columns)
+    for d, v, _ in triples:
+        image = sparse.apply(v)
+        assert all(y % d == 0 for y in image.values()) if d else image == {}
+    assert [d for d, _, _ in triples if d > 1] == [d for d in snf.diagonal if d > 1]
 
 
 def test_snf_zero_matrix():
     a = IntegerMatrix(2, 3)
     snf = smith_normal_form(a)
     assert snf.rank == 0
-    assert snf.S.entries == [[0, 0, 0], [0, 0, 0]]
+    assert dense_smith_normal_form(a).S.entries == [[0, 0, 0], [0, 0, 0]]
     assert_snf_contract(a)
 
 
@@ -142,18 +163,24 @@ def test_invariant_factors_match_the_dense_path(a):
     before = [row[:] for row in a.entries]
     fast = smith_normal_form(a, transforms=False)
     assert a.entries == before
-    dense = smith_normal_form(a, transforms=True)
+    assert fast.columns is None
+    dense = dense_smith_normal_form(a)
     assert len(fast.diagonal) == min(a.rows, a.cols)
     assert (fast.rank, fast.diagonal) == (dense.rank, dense.diagonal)
     # each unit pivot sits on its own row and splits off one diagonal 1
     assert fast.pivot_rows <= set(range(a.rows))
     assert len(fast.pivot_rows) <= fast.diagonal.count(1)
-    assert dense.pivot_rows == frozenset()
+    # tracking the elimination changes none of it
+    tracked = smith_normal_form(a, transforms=True)
+    assert a.entries == before
+    assert (tracked.rank, tracked.diagonal, tracked.pivot_rows) == (
+        fast.rank, fast.diagonal, fast.pivot_rows)
+    assert_smith_columns(a, tracked)
 
 
 def dense_homology(c):
-    """Integral homology read off the S diagonals of the transforms path."""
-    snfs = [smith_normal_form(boundary_matrix(c, p)) for p in range(c.dim + 2)]
+    """Integral homology read off the S diagonals of the dense oracle."""
+    snfs = [dense_smith_normal_form(boundary_matrix(c, p)) for p in range(c.dim + 2)]
 
     def diagonal(snf):
         return [snf.S.entries[i][i] for i in range(min(snf.S.rows, snf.S.cols))]
@@ -232,8 +259,7 @@ def test_homology_matches_the_dense_path_with_torsion(build, torsion):
 def test_invariant_factors_build_no_transforms():
     c = standard_model("solid_torus", k=3)
     snf = smith_normal_form(boundary_matrix(c, 3), transforms=False)
-    assert snf.U is None and snf.V is None and snf.S is None
-    assert snf.Uinv is None and snf.Vinv is None
+    assert snf.columns is None
 
 
 def test_boundary_edge():
@@ -708,7 +734,7 @@ def test_lattice_tests_match_the_transforms_oracle(case):
     assert all(dense_lattice_contains(kernel, v) for v in dense_kernel)
     free = [i for i, d in enumerate(orders) if d == 0]
     dense = IntegerMatrix(len(free), len(gens1), [[g[i] for g in gens1] for i in free])
-    assert map_rank(gens1, orders) == smith_normal_form(dense).rank
+    assert map_rank(gens1, orders) == dense_smith_normal_form(dense).rank
 
 
 def test_lattice_tests_refuse_vectors_of_the_wrong_length():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import run_optimized
 from dense_oracle import (
     DenseChainBasis,
+    IntegerMatrix,
     dense_boundary_matrix,
     dense_chain_basis,
     dense_kernel_generators,
@@ -26,15 +27,13 @@ from dense_oracle import (
     mul,
 )
 
-from test_algebra import klein_bottle
+from test_algebra import assert_smith_columns, klein_bottle
 
 from reebtop import algebra
 from reebtop.algebra import (
     ChainBasis,
-    IntegerMatrix,
     SparseMatrix,
     _eliminate_unit_pivots,
-    _smith_columns,
     augmentation_matrix,
     boundary_matrix,
     chain_basis,
@@ -252,15 +251,16 @@ def test_reduced_cohomology_in_degree_zero_has_rank_one_less():
 
 def smith_column_widths(monkeypatch, c, p, dual):
     """Columns of each matrix that `chain_basis(c, p, dual=dual)` hands
-    `_smith_columns`: the kernel's, then the boundaries'."""
+    `smith_normal_form` with transforms: the kernel's, then the boundaries'."""
     widths = []
-    original = algebra._smith_columns
+    original = algebra.smith_normal_form
 
-    def recording(columns, m):
-        widths.append(len(columns))
-        return original(columns, m)
+    def recording(a, transforms=True):
+        if transforms:
+            widths.append(a.cols)
+        return original(a, transforms)
 
-    monkeypatch.setattr(algebra, "_smith_columns", recording)
+    monkeypatch.setattr(algebra, "smith_normal_form", recording)
     chain_basis(c, p, dual=dual)
     monkeypatch.undo()
     return widths
@@ -320,17 +320,15 @@ def smith_column_matrices():
 def test_smith_columns_invert_and_diagonalize():
     # each triple is (divisor, column of the transform M, row of M⁻¹)
     for a in smith_column_matrices():
-        block, free = _smith_columns(a.columns, a.rows)
-        triples = block + free
-        for s, (_, _, r) in enumerate(triples):
-            for t, (_, v, _) in enumerate(triples):
-                assert sum(x * v.get(j, 0) for j, x in r.items()) == (s == t)
-        snf = smith_normal_form(a, transforms=False)
-        zeros = [v for d, v, _ in triples if d == 0]
-        assert all(not a.apply(v) for v in zeros)
-        assert len(zeros) == a.cols - snf.rank
-        assert all(d == 0 for d, _, _ in free)
-        assert [d for d, _, _ in block if d > 1] == [d for d in snf.diagonal if d > 1]
+        snf = smith_normal_form(a, transforms=True)
+        assert_smith_columns(a, snf)
+        assert snf.diagonal == smith_normal_form(a, transforms=False).diagonal
+        # the block's divisors in divisor order, then every zero, one per kernel vector
+        divisors = [d for d, _, _ in snf.columns]
+        zeros = divisors.count(0)
+        assert zeros == a.cols - snf.rank
+        assert divisors == [d for d in divisors if d] + [0] * zeros
+        assert all(b % x == 0 for x, b in zip(divisors, divisors[1:]) if b)
 
 
 def answers(c):

@@ -345,6 +345,24 @@ def test_cli_bad_recipe_exits_two(tmp_path, capsys):
     assert "unknown step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        {"id": "s", "op": "standard", "name": "sphere", "n": True},
+        {"id": "i", "op": "standard", "name": "interval", "k": True},
+        {"id": "t", "op": "standard", "name": "torus_grid", "a": 3, "b": False},
+        {"id": "s", "op": "standard", "name": "sphere", "params": {"n": True}},
+    ],
+)
+def test_cli_refuses_a_boolean_model_parameter(tmp_path, capsys, step):
+    # JSON's true is the int 1 to Python; it must not build a model of size 1
+    recipe = write_json(tmp_path / "r.json", [step])
+    out = tmp_path / "h.json"
+    assert main(["homology", "--recipe", recipe, "--out", str(out)]) == 2
+    assert "is a boolean" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_file_exits_two(tmp_path, capsys):
     assert main(["build", "--recipe", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()

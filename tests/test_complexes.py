@@ -9,6 +9,7 @@ from conftest import run_optimized
 from scan_oracle import (
     scan_boundary_subcomplex,
     scan_coface_table,
+    scan_components,
     scan_face_counts,
     scan_facets,
     scan_link,
@@ -249,7 +250,7 @@ def test_disjoint_union_examples():
     assert_summands_are_tagged_copies(two, pt, pt)
     c3 = standard_model("circle", k=3)
     cc = disjoint_union(c3, c3)
-    assert len(cc.components()) == 2
+    assert len(scan_components(cc)) == 2
     assert_summands_are_tagged_copies(cc, c3, c3)
     s = standard_model("sphere", n=2)
     t = standard_model("tripod")
@@ -302,7 +303,7 @@ def test_boundary_examples():
     assert boundary_subcomplex(tri).f_vector() == (3, 3)
     ann = standard_model("annulus", k=4)
     rim = boundary_subcomplex(ann)
-    assert len(rim.components()) == 2
+    assert len(scan_components(rim)) == 2
     sphere = standard_model("sphere", n=2)
     assert not boundary_subcomplex(sphere).simplices
 

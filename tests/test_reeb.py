@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reeb_oracle import reeb_isomorphic, scan_reeb_graph
+from scan_oracle import scan_components
 
 from reebtop.branched import as_model, attach_flap, bouquet
 from reebtop.complexes import (
@@ -385,7 +386,7 @@ def upper_link_pieces(field, v):
     c, vals = field.complex, field.values
     lk = link(c, (v,))
     above = [u for u in lk.vertices if vals[u] > vals[v]]
-    return len(lk.subcomplex(lk.full_subcomplex(above)).components())
+    return len(scan_components(lk.subcomplex(lk.full_subcomplex(above))))
 
 
 def split_vertices(field):

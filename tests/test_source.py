@@ -292,20 +292,59 @@ def dense_smith_callers(source):
 
 
 def test_the_dense_elimination_runs_on_leftover_blocks():
-    # besides the public transforms path of `smith_normal_form`, the dense
-    # elimination only finishes the block a unit-pivot elimination leaves:
-    # for invariant factors, and in `_smith_columns` for every basis
+    # the dense elimination only finishes the block a unit-pivot elimination
+    # leaves, in the one Smith routine, for invariant factors and bases alike
     paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
     calls = {
         (path.name, *call)
         for path in paths
         for call in dense_smith_callers(path.read_text(encoding="utf-8"))
     }
-    assert calls == {
-        ("algebra.py", "smith_normal_form", "s"),
-        ("algebra.py", "smith_normal_form", "block"),
-        ("algebra.py", "_smith_columns", "block"),
+    assert calls == {("algebra.py", "smith_normal_form", "block")}
+
+
+# what `tests/dense_oracle.py` may take from the package besides its errors:
+# data types and boundary builders, no elimination
+ORACLE_MAY_IMPORT = {"HomologyGroup", "SparseMatrix", "boundary_matrix", "augmentation_matrix"}
+
+
+def oracle_leaks(source):
+    """(module, name) of each import of `source` from `reebtop` that is not
+    an error, a data type or a boundary builder; a whole module is (module, None)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "reebtop":
+            found |= {
+                (node.module, alias.name)
+                for alias in node.names
+                if node.module != "reebtop.errors" and alias.name not in ORACLE_MAY_IMPORT
+            }
+        elif isinstance(node, ast.Import):
+            found |= {(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "reebtop"}
+    return found
+
+
+def test_oracle_leaks_are_detected():
+    elimination = [
+        "smith_normal_form", "chain_basis", "ChainBasis", "kernel_generators",
+        "_eliminate_unit_pivots", "_dense_smith",
+    ]
+    source = (
+        "from reebtop.algebra import SparseMatrix, boundary_matrix, " + ", ".join(elimination) + "\n"
+        "from reebtop.errors import IncompatibleCochainError\n"
+    )
+    assert oracle_leaks(source) == {("reebtop.algebra", name) for name in elimination}
+    assert oracle_leaks("from reebtop import algebra\nimport reebtop.cohomology as c\n") == {
+        ("reebtop", "algebra"), ("reebtop.cohomology", None),
     }
+    assert oracle_leaks("import random\nfrom itertools import compress\n") == set()
+
+
+def test_the_dense_oracle_shares_no_elimination_with_the_package():
+    # the oracle checks the package's Smith forms and bases with its own
+    # dense elimination, so it may not borrow the package's
+    source = (Path(__file__).resolve().parent / "dense_oracle.py").read_text(encoding="utf-8")
+    assert oracle_leaks(source) == set()
 
 
 def test_homology_reads_both_rings_from_one_smith_form():
@@ -445,7 +484,7 @@ def test_only_complexes_reads_the_stored_order():
     assert readers == {"complexes.py"}
 
 
-IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 
 def definitions(source):
@@ -466,9 +505,10 @@ def definitions(source):
 
 
 def names_read(source):
-    """Every name `source` reads: as a name, as an attribute, or as an
-    identifier inside a string constant other than a docstring (the trace
-    names what it wraps in strings)."""
+    """(names, attributes) that `source` reads.  `names` are the bare names
+    it loads; `attributes` the attributes it loads, and the last part of
+    each string constant, other than a docstring, that is a whole dotted
+    name (the trace names what it wraps as `"layer.function"`)."""
     tree = ast.parse(source)
     docstrings = {
         id(node.body[0].value)
@@ -478,30 +518,37 @@ def names_read(source):
         and isinstance(node.body[0], ast.Expr)
         and isinstance(node.body[0].value, ast.Constant)
     }
-    read = set()
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
+            attributes.add(node.attr)
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and id(node) not in docstrings
+            and DOTTED.fullmatch(node.value)
         ):
-            read.update(IDENTIFIER.findall(node.value))
-    return read
+            attributes.add(node.value.rsplit(".", 1)[-1])
+    return names, attributes
 
 
 def unread_definitions(sources, readers, kept):
-    """Definitions of `sources`, other than those in `kept`, whose last name
-    no source in `readers` reads."""
-    read = set().union(*map(names_read, readers))
+    """Definitions of `sources`, other than those in `kept`, that no source
+    in `readers` reads: a function or class by its name or as an attribute,
+    a method as an attribute alone."""
+    names, attributes = set(), set()
+    for reader in readers:
+        n, a = names_read(reader)
+        names |= n
+        attributes |= a
     return [
         name
         for source in sources
         for name in definitions(source)
-        if name.rsplit(".", 1)[-1] not in read and name not in kept
+        if name not in kept
+        and name.rsplit(".", 1)[-1] not in (attributes if "." in name else names | attributes)
     ]
 
 
@@ -512,14 +559,27 @@ def test_unread_definitions_are_detected():
         "class Box:\n    def __init__(self):\n        pass\n"
         "    def read(self):\n        return used()\n"
         "    def only_tests(self):\n        pass\n"
+        "    def traced_method(self):\n        pass\n"
         "def traced():\n    pass\n"
         "def kept():\n    pass\n"
     )
-    reader = "x = Box().read\nTRACED = {'mod.traced'}\n"
+    reader = "x = Box().read\nTRACED = {'mod.traced', 'mod.Box.traced_method'}\n"
     assert unread_definitions([source], [source, reader], {"kept"}) == [
         "unused", "Box.only_tests",
     ]
     assert unread_definitions([source], [source, reader, "unused(Box().only_tests)"], {"kept"}) == []
+    # a method is not read by a bare name, such as a local variable of the same name
+    assert unread_definitions([source], [source, reader, "only_tests = 1\nunused(only_tests)"], {"kept"}) == [
+        "Box.only_tests",
+    ]
+    # nor by a string that is no dotted name, such as a report key
+    assert unread_definitions(
+        [source], [source, reader, "report = {'unused': 1, 'only_tests': 2, 'x y.unused': 3}"], {"kept"}
+    ) == ["unused", "Box.only_tests"]
+    # a function is read by its bare name, and both by the last part of a dotted name
+    assert unread_definitions(
+        [source], [source, reader, "unused\nHOOK = 'pkg.Box.only_tests'"], {"kept"}
+    ) == []
 
 
 # read by the tests alone, and kept
