@@ -6,8 +6,10 @@ chosen coordinates, and a chain-level Mayer-Vietoris exactness checker.
 Invariant factors and bases both come from one sparse elimination of unit
 pivots, with the dense elimination run on the leftover block alone.
 Homology runs the degrees from the top down, and the unit pivots of ∂_{p+1}
-clear columns of ∂_p before its elimination starts; chain bases split the
-same pivots off the cycles before their kernel elimination.  Mod-2
+clear columns of ∂_p before its elimination starts.  Chain bases read one
+cleared, tracked reduction per boundary and direction, kept on the complex:
+the reduction of ∂_{p+1} splits its pivots off the cycles of degree p, and
+the reduction of ∂_p is their kernel elimination.  Mod-2
 homology runs no elimination of its own: it is read from the odd integral
 invariant factors (the universal coefficient theorem).  All
 arithmetic is over Python's arbitrary-precision integers; nothing here may
@@ -75,6 +77,15 @@ def boundary_matrix(c, p):
     return matrix
 
 
+def _coboundary_matrix(c, p):
+    """∂_pᵀ, from (p-1)-cochains to p-cochains; kept on the complex and
+    read-only, as `boundary_matrix` is."""
+    matrix = c._coboundaries.get(p)
+    if matrix is None:
+        matrix = c._coboundaries[p] = boundary_matrix(c, p).transpose()
+    return matrix
+
+
 def augmentation_matrix(c):
     """The map sending every vertex to 1; replaces the degree-0 boundary."""
     n = len(c.simplices_of_dim(0))
@@ -92,13 +103,19 @@ class SnfDecomposition:
     per column that is not a unit pivot's: a diagonal entry d, a column v of
     a unimodular M with a·v ≡ 0 mod d (a·v = 0 where d = 0), and the row r
     of M⁻¹, so r_s·v_t = δ_st.  The leftover block's columns come first, in
-    divisor order, zeros last, then those eliminated to zero.
+    divisor order, zeros last, then those eliminated to zero.  With
+    transforms, `pivots` and `leftover` keep what a chain basis splits off
+    the cycles when a is its boundaries: one (row, column) pair per unit
+    pivot, in pivot order, with the column of a·V as it stood at pivot
+    time, and the leftover block's columns of a·V as {row: nonzero} dicts.
     """
 
     rank: int
     diagonal: list
     pivot_rows: frozenset
     columns: list | None = None
+    pivots: list | None = None
+    leftover: list | None = None
 
 
 def smith_normal_form(a, transforms=True):
@@ -137,6 +154,7 @@ def smith_normal_form(a, transforms=True):
              {j: x for j, x in zip(live, qinv[i]) if x})
             for i in range(len(live))
         ] + [(0, v[j], {j: 1}) for j in rest.free]
+        snf.pivots, snf.leftover = rest.pivots, [rest.columns[j] for j in live]
     return snf
 
 
@@ -417,29 +435,100 @@ def chain_basis(c, p, reduced=False, dual=False):
     coordinates modulo their orders.  `reduced` changes degree 0 alone: the
     augmentation ε replaces ∂_0, and when `dual`, εᵀ replaces ∂_0ᵀ as the
     coboundaries, so reduced H⁰ has rank b₀ − 1.
+
+    The basis reads two reductions its complex keeps (`_reduction`): the
+    boundaries' split is the reduction of ∂_{p+1} (of ∂_pᵀ when `dual`),
+    and the kernel elimination that of ∂_p (of ∂_{p+1}ᵀ), whose columns are
+    exactly those off the split's pivot rows.  ∂_p·∂_{p+1} = 0 is checked
+    once per complex and degree.  Reduced degree 0 is built by `ChainBasis`.
     """
-    below = augmentation_matrix(c) if (p == 0 and reduced) else boundary_matrix(c, p)
-    above = boundary_matrix(c, p + 1)
+    if p == 0 and reduced:
+        eps = augmentation_matrix(c)
+        if dual:
+            return ChainBasis(_coboundary_matrix(c, 1), eps.transpose())
+        return ChainBasis(eps, boundary_matrix(c, 1))
+    if p not in c._cycles_checked:
+        _check_cycles(boundary_matrix(c, p), boundary_matrix(c, p + 1))
+        c._cycles_checked.add(p)
     if dual:
-        return ChainBasis(above.transpose(), below.transpose())
-    return ChainBasis(below, above)
+        return _KeptChainBasis(
+            _coboundary_matrix(c, p + 1), _reduction(c, p, True), _reduction(c, p + 1, True))
+    return _KeptChainBasis(boundary_matrix(c, p), _reduction(c, p + 1, False), _reduction(c, p, False))
+
+
+def _check_cycles(a, b):
+    """Refuse boundaries b unless a·b = 0."""
+    for col in b.columns:
+        if a.apply(col):
+            raise IncompatibleCochainError("boundary column is not a cycle")
+
+
+@dataclass
+class _Reduction:
+    """What chain bases read of the tracked Smith form of one cleared matrix.
+
+    As the boundaries' split: `pivots`, (row, column) per unit pivot in
+    pivot order, and `leftover`, the leftover block's columns (see
+    `SnfDecomposition`).  As the kernel elimination: `kernel`, the (v, r)
+    of each Smith column of divisor 0, over the matrix's whole column index.
+    """
+
+    pivots: list
+    leftover: list
+    kernel: list
+
+
+def _reduce(a, split=None):
+    """The reduction of `a` on its columns off the pivot rows of `split`."""
+    on_p = {i for i, _ in split.pivots} if split is not None else ()
+    kept = [j for j in range(a.cols) if j not in on_p]
+    snf = smith_normal_form(
+        SparseMatrix(a.rows, len(kept), [a.columns[j] for j in kept]), transforms=True)
+    kernel = [
+        ({kept[i]: x for i, x in v.items()}, {kept[i]: x for i, x in r.items()})
+        for d, v, r in snf.columns if d == 0
+    ]
+    return _Reduction(snf.pivots, snf.leftover, kernel)
+
+
+def _reduction(c, p, dual):
+    """The reduction of ∂_p (of ∂_pᵀ when `dual`), built once per complex.
+
+    It is cleared (see `homology`) by the reduction one step before it: that
+    of ∂_{p+1}, so the primal reductions run from the top down, or that of
+    ∂_{p-1}ᵀ, so the dual ones run from the bottom up.  Each therefore
+    depends on the complex alone, not on the order bases are asked for.
+    """
+    red = c._reductions.get((p, dual))
+    if red is None:
+        if dual:
+            before = _reduction(c, p - 1, True) if p > 0 else None
+            red = _reduce(_coboundary_matrix(c, p), before)
+        else:
+            before = _reduction(c, p + 1, False) if p <= c.dim else None
+            red = _reduce(boundary_matrix(c, p), before)
+        c._reductions[p, dual] = red
+    return red
 
 
 class ChainBasis:
     """ker(a) / im(b) with generators expressed over the ambient chain basis.
 
     `a` and `b` are `SparseMatrix`es with a·b = 0; x is a cycle when
-    `a.apply(x)` is empty.  Clearing splits the cycles: an untracked
-    elimination of b gives b·V = [[L, 0], [X, R]], L unit lower-triangular
-    on the pivot rows P (see `_eliminate_unit_pivots`), and its pivot
-    columns c_t are boundaries.  Subtracting multiples of the c_t in pivot
-    order clears any cycle on P, so ker a = span(c_t) ⊕ ker(a|P̄), where a|P̄
-    keeps the columns of a off P.  R lies in ker(a|P̄), and with the c_t it
-    spans im b, so H = ker(a|P̄) / span(R).  The kernel elimination thus runs
-    on the columns off P alone, and the boundaries y are R's live columns
-    read in that kernel basis.  Row operations that bring y to Smith form
-    are column operations on yᵀ, so the Smith columns of yᵀ, with transform
-    M, give U_y = Mᵀ: each generator is a row of M⁻¹ read through the kernel
+    `a.apply(x)` is empty.  Clearing splits the cycles.  Any b′ with
+    im b′ = im b serves in place of b; `chain_basis` reads the boundaries
+    cleared by the reduction one degree further on, which keeps the image
+    by the lemma in `_eliminate_unit_pivots`.  A tracked elimination of b′
+    gives b′·V = [[L, 0], [X, R]], L unit lower-triangular on the pivot
+    rows P, and its pivot columns c_t are boundaries.  Subtracting multiples
+    of the c_t in pivot order clears any cycle on P, so
+    ker a = span(c_t) ⊕ ker(a|P̄), where a|P̄ keeps the columns of a off P.
+    R lies in ker(a|P̄), and with the c_t it spans im b′ = im b, so
+    H = ker(a|P̄) / span(R).  The kernel elimination thus runs on the
+    columns off P alone, and the boundaries y are R's live columns read in
+    that kernel basis.  Row operations that bring y to Smith form are
+    column operations on yᵀ, so the Smith columns of yᵀ, with transform M,
+    give U_y = Mᵀ: each generator is a row of M⁻¹ read through the kernel
     basis (zero on P), and each coordinate of a projection is a column of M
     read through the kernel's functionals.  Those read P̄ alone, so each is
     moved onto P once, here: it must give on x what it gives on x with P
@@ -447,25 +536,25 @@ class ChainBasis:
     g[r_t] = −(Σ_{i≠r_t} g_i·c_t[i])·c_t[r_t].  Columns of divisor 1 are
     boundaries and are dropped.  Torsion generators come first, in divisor
     order, then the free ones.
+
+    `ChainBasis(a, b)` checks a·b = 0 and reduces b itself, uncleared, and
+    a off its pivot rows; nothing is kept between calls.
     """
 
     def __init__(self, a, b):
-        n = a.cols
-        for col in b.columns:
-            if a.apply(col):
-                raise IncompatibleCochainError("boundary column is not a cycle")
-        split = _eliminate_unit_pivots(b.columns, n)
-        on_p = {i for i, _ in split.pivots}
-        off_p = [j for j in range(n) if j not in on_p]
-        basis, readers = _kernel_basis(
-            SparseMatrix(a.rows, len(off_p), [a.columns[j] for j in off_p]))
-        k = len(basis)
-        basis = SparseMatrix(n, k, [{off_p[i]: x for i, x in v.items()} for v in basis])
-        readers = SparseMatrix(n, k, [{off_p[i]: x for i, x in r.items()} for r in readers])
+        _check_cycles(a, b)
+        split = _reduce(b)
+        self._read(a, split, _reduce(a, split))
+
+    def _read(self, a, split, kernel):
+        """The basis from the split of the boundaries and the kernel of a|P̄."""
+        n, k = a.cols, len(kernel.kernel)
+        basis = SparseMatrix(n, k, [v for v, _ in kernel.kernel])
+        readers = SparseMatrix(n, k, [r for _, r in kernel.kernel])
         # boundaries in kernel coordinates, as yᵀ: one column per coordinate
         read = readers.transpose()
-        live = [split.columns[j] for j in split.live]
-        yt = SparseMatrix(k, len(live), [read.apply(col) for col in live]).transpose()
+        live = [read.apply(col) for col in split.leftover]
+        yt = SparseMatrix(k, len(live), live).transpose()
         # (order, functional, generator)
         kept = [t for t in smith_normal_form(yt, transforms=True).columns if t[0] != 1]
         self.orders = [d for d, _, _ in kept]
@@ -499,6 +588,13 @@ class ChainBasis:
             x = sum(c * vec[i] for i, c in f.items())
             coords.append(x % d if d >= 2 else x)
         return coords
+
+
+class _KeptChainBasis(ChainBasis):
+    """A `ChainBasis` read from the reductions its complex keeps."""
+
+    def __init__(self, a, split, kernel):
+        self._read(a, split, kernel)
 
 
 def _kernel_basis(a):

@@ -54,7 +54,7 @@ class SimplicialComplex:
 
     __slots__ = (
         "vertices", "simplices", "named", "assets", "_index", "_by_dim", "_stars", "_positions",
-        "_boundaries", "_parts", "_closed",
+        "_boundaries", "_coboundaries", "_reductions", "_cycles_checked", "_parts", "_closed",
     )
 
     def __init__(self, vertices, simplices, named=None, assets=None):
@@ -75,6 +75,9 @@ class SimplicialComplex:
         self._stars = None  # derived: {vertex: simplices containing it}
         self._positions = {}  # derived: {p: {p-simplex: index in simplices_of_dim(p)}}
         self._boundaries = {}  # derived: {p: algebra.boundary_matrix(self, p)}
+        self._coboundaries = {}  # derived: {p: algebra._coboundary_matrix(self, p)}
+        self._reductions = {}  # derived: {(p, dual): algebra._reduction(self, p, dual)}
+        self._cycles_checked = set()  # derived: degrees p with ∂_p·∂_{p+1} = 0 checked
         self._parts = {}  # derived: {name: subcomplex(name)}
         self._closed = False  # derived: known to be closed under faces
 

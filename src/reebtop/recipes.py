@@ -66,8 +66,26 @@ def parse_recipe(data):
                 raise RecipeError(
                     f"reference to unknown step {ref!r}", step=i, field="ref"
                 )
+        for f in _OPS[op].labels:
+            if f in step and _holds_bool(step[f]):
+                raise RecipeError(
+                    f"step {sid!r}: {f!r} holds a boolean, not a vertex label",
+                    step=i, field=f,
+                )
         seen.add(sid)
     return Recipe(tuple(dict(s) for s in data))
+
+
+def _holds_bool(value):
+    """Is a JSON boolean anywhere in `value`, its lists and its objects' values?
+
+    Python reads true as 1, so a boolean label would merge with the label 1.
+    """
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
 
 
 def _as_complex(value):
@@ -110,18 +128,20 @@ class _Op:
     required: tuple  # fields the step must carry
     refs: tuple  # fields naming earlier steps: one id, or a list of ids
     build: Callable  # (step, values by id) -> the step's value
+    labels: tuple = ()  # fields holding vertex labels, at any depth
 
 
 # builders look library functions up on their modules at call time
 _OPS = {
     "standard": _Op(("name",), (), _standard),
     "from_facets": _Op(
-        ("facets",), (), lambda s, v: complexes.from_facets(s["facets"], s.get("named"))
+        ("facets",), (), lambda s, v: complexes.from_facets(s["facets"], s.get("named")),
+        ("facets", "named"),
     ),
     "disjoint_union": _Op(
         ("a", "b"), ("a", "b"), lambda s, v: complexes.disjoint_union(*_ab(s, v))
     ),
-    "wedge": _Op(("a", "p", "b", "q"), ("a", "b"), _wedge),
+    "wedge": _Op(("a", "p", "b", "q"), ("a", "b"), _wedge, ("p", "q")),
     "product": _Op(("a", "b"), ("a", "b"), lambda s, v: complexes.product(*_ab(s, v))),
     "double": _Op(("x",), ("x",), lambda s, v: complexes.double(_x(s, v))),
     "subdivide": _Op(
@@ -133,7 +153,7 @@ _OPS = {
     "attach_double": _Op(
         ("x", "ys"), ("x",), lambda s, v: branched.attach_double(v[s["x"]], s["ys"])
     ),
-    "bouquet": _Op(("models", "basepoints"), ("models",), _bouquet),
+    "bouquet": _Op(("models", "basepoints"), ("models",), _bouquet, ("basepoints",)),
 }
 
 

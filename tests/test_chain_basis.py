@@ -46,7 +46,7 @@ from reebtop.cohomology import cochain_class, cohomology_basis
 from reebtop.complexes import barycentric_subdivision, from_facets, product
 from reebtop.errors import IncompatibleCochainError
 from reebtop.models import standard_model
-from reebtop.verify import INSTANCE_BUILDERS
+from reebtop.verify import INSTANCE_BUILDERS, build_instance
 
 RP2_FACETS = [
     [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
@@ -251,7 +251,9 @@ def test_reduced_cohomology_in_degree_zero_has_rank_one_less():
 
 def smith_column_widths(monkeypatch, c, p, dual):
     """Columns of each matrix that `chain_basis(c, p, dual=dual)` hands
-    `smith_normal_form` with transforms: the kernel's, then the boundaries'."""
+    `smith_normal_form` with transforms, in call order: the reductions `c`
+    does not keep yet, the kernel elimination last of them, then the
+    boundaries' Smith form."""
     widths = []
     original = algebra.smith_normal_form
 
@@ -266,7 +268,20 @@ def smith_column_widths(monkeypatch, c, p, dual):
     return widths
 
 
-@pytest.mark.parametrize(
+def cleared_pivot_counts(c, dual):
+    """{q: unit pivots of the reduction of ∂_q}, by untracked eliminations:
+    ∂_q off the pivot rows of ∂_{q+1} from the top down, or with `dual`
+    ∂_qᵀ off those of ∂_{q-1}ᵀ from the bottom up."""
+    counts, cleared = {}, ()
+    for q in range(c.dim + 2) if dual else range(c.dim + 1, -1, -1):
+        m = boundary_matrix(c, q).transpose() if dual else boundary_matrix(c, q)
+        kept = [col for j, col in enumerate(m.columns) if j not in cleared]
+        cleared = smith_normal_form(SparseMatrix(m.rows, len(kept), kept), transforms=False).pivot_rows
+        counts[q] = len(cleared)
+    return counts
+
+
+TORUS_AND_RP2_X_CIRCLE = pytest.mark.parametrize(
     "build",
     [
         lambda: standard_model("torus_grid", a=12, b=12),
@@ -274,29 +289,136 @@ def smith_column_widths(monkeypatch, c, p, dual):
     ],
     ids=["torus_12x12", "rp2_x_circle4"],
 )
+
+
+@TORUS_AND_RP2_X_CIRCLE
 def test_the_kernel_elimination_skips_the_unit_pivot_rows_of_the_boundaries(monkeypatch, build):
-    # the kernel elimination gets a.cols − |P| columns, and the boundaries'
-    # Smith columns one per kernel coordinate left, dim ker a − |P|
+    # on a fresh complex, the basis at p reduces each boundary it needs once,
+    # each cleared by the one before: ∂_q on n_q − |P_{q+1}| columns from the
+    # top down to p, or ∂_qᵀ on n_{q−1} − |P_{q−1}| from the bottom up to
+    # p + 1.  The last is the kernel elimination, a off the split's pivot
+    # rows P, and the boundaries' Smith columns are one per kernel
+    # coordinate left, dim ker a − |P|
     c = build()
-    for p in range(c.dim + 1):
-        for dual in (False, True):
-            a, b = boundary_pair(c, p, False, dual)
-            pivots = len(smith_normal_form(b, transforms=False).pivot_rows)
+    n = [len(c.simplices_of_dim(q)) for q in range(c.dim + 2)]
+    for dual in (False, True):
+        pivots = cleared_pivot_counts(c, dual)
+        for p in range(c.dim + 1):
+            a, _ = boundary_pair(c, p, False, dual)
             kernel = a.cols - smith_normal_form(a, transforms=False).rank
-            widths = smith_column_widths(monkeypatch, c, p, dual)
-            assert widths == [a.cols - pivots, kernel - pivots], (p, dual)
+            if dual:
+                reductions = [n[q - 1] - pivots[q - 1] if q else 0 for q in range(p + 2)]
+                split = pivots[p]
+            else:
+                reductions = [n[q] - pivots.get(q + 1, 0) for q in range(c.dim + 1, p - 1, -1)]
+                split = pivots[p + 1]
+            widths = smith_column_widths(monkeypatch, build(), p, dual)
+            assert widths == reductions + [kernel - split], (p, dual)
 
 
 def test_the_kernel_elimination_drops_one_column_per_unit_pivot(monkeypatch):
-    # rank ∂₃ = 120 on RP²×S¹(4), one invariant factor 2, so 119 unit pivots
+    # rank ∂₃ = 120 on RP²×S¹(4), one invariant factor 2, so 119 unit pivots;
+    # ∂₃ is the top boundary, so nothing clears it
     c = product(from_facets(RP2_FACETS), standard_model("circle", k=4))
     d3 = smith_normal_form(boundary_matrix(c, 3), transforms=False)
     assert (d3.rank, len(d3.pivot_rows)) == (120, 119)
     n2 = len(c.simplices_of_dim(2))
-    assert smith_column_widths(monkeypatch, c, 2, False)[0] == n2 - 119
+    assert smith_column_widths(monkeypatch, c, 2, False)[-2] == n2 - 119
     t = standard_model("torus_grid", a=12, b=12)
     # ∂₂ of the 12x12 torus has rank 287, all of it unit pivots
-    assert smith_column_widths(monkeypatch, t, 1, False)[0] == 432 - 287
+    assert smith_column_widths(monkeypatch, t, 1, False)[-2] == 432 - 287
+
+
+@TORUS_AND_RP2_X_CIRCLE
+def test_each_boundary_is_reduced_once_per_direction(monkeypatch, build):
+    # every primal and every dual basis of a complex together run one tracked
+    # elimination per boundary ∂_0 .. ∂_{dim+1} and direction, plus one per
+    # basis for the Smith form of its boundaries; a second round runs only
+    # the latter, and no basis runs an untracked elimination
+    c = build()
+    calls = {"tracked": 0, "untracked": 0}
+    original = algebra._eliminate_unit_pivots
+
+    def counting(columns, m, tracked=None):
+        calls["untracked" if tracked is None else "tracked"] += 1
+        return original(columns, m, tracked)
+
+    monkeypatch.setattr(algebra, "_eliminate_unit_pivots", counting)
+    keys = [(p, dual) for p in range(c.dim + 1) for dual in (False, True)]
+    for p, dual in keys:
+        chain_basis(c, p, dual=dual)
+    assert calls == {"tracked": 2 * (c.dim + 2) + len(keys), "untracked": 0}
+    for p, dual in reversed(keys):
+        chain_basis(c, p, dual=dual)
+    assert calls == {"tracked": 2 * (c.dim + 2) + 2 * len(keys), "untracked": 0}
+
+
+def test_the_cycle_check_runs_once_per_complex_and_degree(monkeypatch):
+    # the primal and the dual basis at p test the same ∂_p·∂_{p+1} = 0
+    c = product(from_facets(RP2_FACETS), standard_model("circle", k=4))
+    checked = []
+    original = algebra._check_cycles
+
+    def recording(a, b):
+        checked.append((a.rows, a.cols, b.cols))
+        return original(a, b)
+
+    monkeypatch.setattr(algebra, "_check_cycles", recording)
+    for _ in range(2):
+        for p in range(c.dim + 1):
+            for dual in (False, True):
+                chain_basis(c, p, dual=dual)
+    n = [len(c.simplices_of_dim(p)) for p in range(c.dim + 2)]
+    assert checked == [(n[p - 1] if p else 0, n[p], n[p + 1]) for p in range(c.dim + 1)]
+
+
+def test_kept_bases_refuse_a_boundary_that_is_not_a_cycle():
+    # a failed check is not remembered: both directions refuse, every time
+    t = standard_model("torus_grid", a=3, b=3)
+    b = boundary_matrix(t, 2)
+    t._boundaries[2] = SparseMatrix(b.rows, b.cols, [{0: 1}] + b.columns[1:])
+    for dual in (False, True, False):
+        with pytest.raises(IncompatibleCochainError, match="boundary column is not a cycle"):
+            chain_basis(t, 1, dual=dual)
+
+
+KEPT = {
+    "torus_12x12": lambda: standard_model("torus_grid", a=12, b=12),
+    "rp2_x_circle4": lambda: product(from_facets(RP2_FACETS), standard_model("circle", k=4)),
+    "klein_8x8": lambda: klein_bottle(8, 8),
+    "genus2": lambda: standard_model("surface", genus=2, boundary=0),
+    "sd_annulus": lambda: barycentric_subdivision(standard_model("annulus", k=4)),
+    **{
+        name: lambda name=name: build_instance(name).model.complex
+        for name in INSTANCE_BUILDERS
+    },
+}
+
+
+def basis_state(basis):
+    return basis.orders, basis.generators, basis._functionals
+
+
+@pytest.mark.parametrize("name", list(KEPT))
+def test_kept_bases_do_not_depend_on_the_request_order(name):
+    # the reductions a complex keeps depend on the complex alone: a basis
+    # asked for first on a fresh complex, or after the others in ascending,
+    # descending or shuffled order, has the same orders, generators and
+    # functionals, and its groups and projections agree with the oracle
+    build = KEPT[name]
+    keys = cases(build())
+    shuffled = list(keys)
+    random.Random(7).shuffle(shuffled)
+    fresh = {key: basis_state(chain_basis(build(), *key)) for key in keys}
+    for order in (keys, keys[::-1], shuffled):
+        c = build()
+        for key in order:
+            assert basis_state(chain_basis(c, *key)) == fresh[key], key
+    for key in keys:
+        basis = chain_basis(c, *key)
+        assert basis.group(key[0]) == dense_chain_basis(c, *key).group(key[0]), key
+        k = len(basis.orders)
+        assert [basis.project(g) for g in basis.generators] == [unit(i, k) for i in range(k)]
 
 
 def smith_column_matrices():

@@ -363,6 +363,46 @@ def test_cli_refuses_a_boolean_model_parameter(tmp_path, capsys, step):
     assert not out.exists()
 
 
+BOOLEAN_LABELS = [
+    ([{"id": "x", "op": "from_facets", "facets": [[0, True], [1, 2]]}], 0, "facets"),
+    ([{"id": "x", "op": "from_facets", "facets": [[0, 1], [1, 2]], "named": {"e": [[False]]}}],
+     0, "named"),
+    (ALL_OPS_RECIPE[:2] + [{"id": "w", "op": "wedge", "a": "c", "p": True, "b": "f", "q": 2}],
+     2, "p"),
+    (ALL_OPS_RECIPE[:2] + [{"id": "w", "op": "wedge", "a": "c", "p": 0, "b": "f", "q": True}],
+     2, "q"),
+    (ALL_OPS_RECIPE[:2] + [
+        {"id": "b", "op": "bouquet", "models": ["c", "f"], "basepoints": [0, True]}], 2, "basepoints"),
+]
+
+
+@pytest.mark.parametrize("steps, step, field", BOOLEAN_LABELS, ids=["facets", "named", "p", "q", "basepoints"])
+def test_cli_refuses_a_boolean_vertex_label(tmp_path, capsys, steps, step, field):
+    # true == 1 in Python: a boolean label would merge with, or find, the vertex 1
+    with pytest.raises(RecipeError) as err:
+        parse_recipe(steps)
+    assert (err.value.step, err.value.field) == (step, field)
+    recipe = write_json(tmp_path / "r.json", steps)
+    out = tmp_path / "b.json"
+    assert main(["build", "--recipe", recipe, "--out", str(out)]) == 2
+    assert f"{field!r} holds a boolean" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_label_one_is_still_a_vertex_label(tmp_path):
+    steps = [
+        {"id": "x", "op": "from_facets", "facets": [[0, 1], [1, 2]], "named": {"e": [[1, 2]]}},
+        {"id": "y", "op": "from_facets", "facets": [[1, 3]]},
+        {"id": "w", "op": "wedge", "a": "x", "p": 1, "b": "y", "q": 1},
+        {"id": "b", "op": "bouquet", "models": ["x", "y"], "basepoints": [1, 1]},
+    ]
+    values, _ = run_recipe(parse_recipe(steps))
+    assert values["x"].vertices == (0, 1, 2)
+    assert values["x"].named_part("e") == {(1,), (2,), (1, 2)}
+    assert len(values["w"].vertices) == 4
+    assert len(values["b"].complex.vertices) == 4
+
+
 def test_cli_missing_file_exits_two(tmp_path, capsys):
     assert main(["build", "--recipe", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
