@@ -25,8 +25,8 @@ from . import verify
 from .algebra import homology
 from .branched import CollapseCertificate, collapse_to
 from .cohomology import ring_report
-from .errors import RecipeError, ToolkitError
-from .recipes import load_recipe, parse_recipe, run_recipe, value_to_json, _as_complex
+from .errors import MalformedFieldError, ToolkitError
+from .recipes import load_pieces, load_recipe, read_json, run_recipe, value_to_json, _as_complex
 from .reeb import VertexField, field_from_json, graph_invariants, reeb_graph
 
 
@@ -62,7 +62,8 @@ def _reeb(args, final):
         field = VertexField.from_asset(complex_, args.asset)
     elif args.field:
         with open(args.field, encoding="utf-8") as fh:
-            field = field_from_json(json.load(fh), complex_)
+            data = read_json(fh.read(), "field file", MalformedFieldError)
+        field = field_from_json(data, complex_)
     else:
         raise ToolkitError("reeb needs --asset or --field")
     graph = reeb_graph(field)
@@ -106,23 +107,7 @@ def _verify_doubles(args):
 
 
 def _verify_bouquet(args):
-    if args.pieces:
-        with open(args.pieces, encoding="utf-8") as fh:
-            data = json.load(fh)
-        items = data.get("pieces") if isinstance(data, dict) else None
-        if not isinstance(items, list) or "last" not in data or not all(
-            isinstance(item, dict) and "recipe" in item and isinstance(item.get("sigma"), str)
-            for item in items
-        ):
-            raise RecipeError(
-                'pieces file needs a "pieces" list of {"recipe", "sigma"} and a "last" recipe'
-            )
-        pieces = [
-            (run_recipe(parse_recipe(item["recipe"]))[1], item["sigma"]) for item in items
-        ]
-        last = run_recipe(parse_recipe(data["last"]))[1]
-    else:
-        pieces, last = verify.default_bouquet_pieces()
+    pieces, last = load_pieces(args.pieces) if args.pieces else verify.default_bouquet_pieces()
     report = verify.verify_bouquet_assembly(pieces, last)
     report.pop("model", None)
     report["command"] = args.command
@@ -253,7 +238,7 @@ def main(argv=None):
         else:
             sys.stdout.write(text)
         return 0 if report.get("pass", True) else 1
-    except (ToolkitError, OSError, json.JSONDecodeError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -746,6 +746,43 @@ def remove_open_star(a, vertex, boundary_name=None):
 # ---------------------------------------------------------------------------
 
 
+# The kinds of value a JSON file may hold: every reader of a recipe, a
+# complex file or a pieces file tests its fields against them.  `what` names
+# a kind in a refusal, and `holds(value)` tests a value.
+Kind = namedtuple("Kind", ["what", "holds"])
+
+
+def _list_of(holds):
+    return lambda value: isinstance(value, list) and all(map(holds, value))
+
+
+def _object_of(holds):
+    return lambda value: isinstance(value, dict) and all(map(holds, value.values()))
+
+
+# JSON's true and false are the ints 1 and 0 to Python, never sizes or labels
+SIZE = Kind("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool))
+NAME = Kind("a name", lambda value: isinstance(value, str))
+NAMES = Kind("a list of names", _list_of(NAME.holds))
+OBJECT = Kind("an object", lambda value: isinstance(value, dict))
+LABEL = Kind("a vertex label (an integer or a string)", lambda v: NAME.holds(v) or SIZE.holds(v))
+LABELS = Kind("a list of vertex labels", _list_of(LABEL.holds))
+FACETS = Kind("a list of facets, each a list of vertex labels", _list_of(LABELS.holds))
+NAMED = Kind("an object of facet lists", _object_of(FACETS.holds))
+VALUES = Kind("an object of value lists", _object_of(lambda value: isinstance(value, list)))
+
+
+def _rational(value, what):
+    """`value` as a Fraction, the rational kind; `what` names it when it is
+    refused.  A boolean is refused, for the reason given at `SIZE`."""
+    if isinstance(value, bool):
+        raise MalformedFieldError(f"{what} is not rational: {value!r} is a boolean")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise MalformedFieldError(f"{what} is not rational: {exc}") from None
+
+
 def _label(v):
     if isinstance(v, (int, str)):
         return v
@@ -778,68 +815,43 @@ def complex_to_json(c):
     return data
 
 
-def _rational(value, what):
-    """`value` as a Fraction; `what` names it when it is refused.
-
-    `Fraction` takes a boolean as 0 or 1, so a JSON `true` or `false` is
-    refused here rather than read as a number.
-    """
-    if isinstance(value, bool):
-        raise MalformedFieldError(f"{what} is not rational: {value!r} is a boolean")
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise MalformedFieldError(f"{what} is not rational: {exc}") from None
+_COMPLEX_FILE = {"vertices": LABELS, "facets": FACETS, "named": NAMED, "assets": VALUES}
 
 
 def complex_from_json(data):
     """Inverse of `complex_to_json`: the vertices array fixes the order."""
-    if not (
-        isinstance(data, dict)
-        and isinstance(data.get("vertices"), list)
-        and isinstance(data.get("facets"), list)
-    ):
+    if not (isinstance(data, dict) and "vertices" in data and "facets" in data):
         raise MalformedFacetError('complex needs a "vertices" list and a "facets" list')
-    order = list(data["vertices"])
-    if any(isinstance(v, (list, dict)) for v in order):
-        raise MalformedFacetError("a vertex label is a list or an object")
+    for key, kind in _COMPLEX_FILE.items():
+        if key in data and not kind.holds(data[key]):
+            raise MalformedFacetError(f"complex {key!r} is not {kind.what}")
+    order = data["vertices"]
     index = {v: i for i, v in enumerate(order)}
-    if len(index) != len(order):
-        raise MalformedFacetError("duplicate vertex in file")
 
     def decode(f, unlisted=MalformedFacetError):
-        if not isinstance(f, list):
-            raise MalformedFacetError(f"facet {f!r} is not a list of vertices")
         if not f:
             raise MalformedFacetError("empty facet")
         for v in f:
-            if isinstance(v, (list, dict)) or v not in index:
+            if v not in index:
                 raise unlisted(f"facet {f!r} names {v!r}, not a listed vertex")
         t = tuple(sorted(f, key=index.__getitem__))
         if len(set(t)) != len(t):
             raise MalformedFacetError(f"facet {f!r} repeats a vertex")
         return t
 
-    def table(key):
-        value = data.get(key, {})
-        if not isinstance(value, dict):
-            raise MalformedFacetError(f'"{key}" must be an object')
-        return value
-
     simplices = closure(decode(f) for f in data["facets"])
     named = {}
-    for name, fs in table("named").items():
-        if not isinstance(fs, list):
-            raise MalformedFacetError(f"named part {name!r} is not a list of facets")
+    for name, fs in data.get("named", {}).items():
         part = closure(decode(f, BadNameError) for f in fs)
         if not part <= simplices:
             raise BadNameError(f"named part {name!r} leaves the complex")
         named[name] = part
     assets = {}
-    for name, values in table("assets").items():
-        if not isinstance(values, list) or len(values) != len(order):
+    for name, values in data.get("assets", {}).items():
+        if len(values) != len(order):
             raise MalformedFacetError(f"asset {name!r} has wrong length")
         assets[name] = {
             v: _rational(values[i], f"asset {name!r} value") for i, v in enumerate(order)
         }
+    # the constructor refuses a vertex listed twice
     return SimplicialComplex(order, simplices, named, assets)

@@ -6,9 +6,8 @@ class ToolkitError(Exception):
 
 
 class MalformedFacetError(ToolkitError):
-    """A facet repeats a vertex or uses unorderable vertex identifiers, or a
-    complex file lacks its vertex or facet list, names a vertex it does not
-    list, or holds named parts or assets of the wrong shape."""
+    """A facet is empty, repeats a vertex or has unorderable vertices, or a complex
+    file lacks a list, holds a field not of its kind or names an unlisted vertex."""
 
 
 class BadNameError(ToolkitError):

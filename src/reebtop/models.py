@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 from .complexes import (
+    SIZE,
     _with_parts,
     barycentric_subdivision,
     boundary_subcomplex,
@@ -33,9 +34,8 @@ def standard_model(name, **params):
     except KeyError:
         raise UnsupportedModelError(f"unknown model {name!r}") from None
     for key, value in params.items():
-        # JSON's true and false are ints to Python, never sizes here
-        if isinstance(value, bool):
-            raise UnsupportedModelError(f"bad parameters for {name!r}: {key} is a boolean")
+        if not SIZE.holds(value):
+            raise UnsupportedModelError(f"bad parameters for {name!r}: {key} is not {SIZE.what}")
     try:
         return builder(**params)
     except TypeError as exc:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import branched, complexes, models
-from .complexes import SimplicialComplex
+from .complexes import FACETS, LABEL, LABELS, NAME, NAMED, NAMES, OBJECT
 from .errors import RecipeError
 
 
@@ -29,14 +29,19 @@ class Recipe:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def read_json(text, what, error=RecipeError):
+    """`text` as JSON; `error` names it `what` if it is not JSON or nests too deep."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+
+
 def parse_recipe(data):
     """Validate a non-empty step list (or text); raise RecipeError with
     location."""
     if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise RecipeError(f"recipe is not valid JSON: {exc}") from exc
+        data = read_json(data, "recipe")
     if isinstance(data, dict) and "steps" in data:
         data = data["steps"]
     if not isinstance(data, list):
@@ -48,12 +53,12 @@ def parse_recipe(data):
         if not isinstance(step, dict):
             raise RecipeError("step must be an object", step=i)
         sid = step.get("id")
-        if not isinstance(sid, str) or not sid:
+        if not NAME.holds(sid) or not sid:
             raise RecipeError("missing step id", step=i, field="id")
         if sid in seen:
             raise RecipeError(f"duplicate id {sid!r}", step=i, field="id")
         op = step.get("op")
-        if not isinstance(op, str) or op not in _OPS:
+        if not NAME.holds(op) or op not in _OPS:
             raise RecipeError(f"unknown op {op!r}", step=i, field="op")
         for f in _OPS[op].required:
             if f not in step:
@@ -62,30 +67,15 @@ def parse_recipe(data):
         for f in _OPS[op].refs:
             refs += step[f] if isinstance(step[f], (list, tuple)) else [step[f]]
         for ref in refs:
-            if not isinstance(ref, str) or ref not in seen:
+            if not NAME.holds(ref) or ref not in seen:
                 raise RecipeError(
                     f"reference to unknown step {ref!r}", step=i, field="ref"
                 )
-        for f in _OPS[op].labels:
-            if f in step and _holds_bool(step[f]):
-                raise RecipeError(
-                    f"step {sid!r}: {f!r} holds a boolean, not a vertex label",
-                    step=i, field=f,
-                )
+        for f, kind in _OPS[op].kinds.items():
+            if f in step and not kind.holds(step[f]):
+                raise RecipeError(f"step {sid!r}: {f!r} is not {kind.what}", step=i, field=f)
         seen.add(sid)
     return Recipe(tuple(dict(s) for s in data))
-
-
-def _holds_bool(value):
-    """Is a JSON boolean anywhere in `value`, its lists and its objects' values?
-
-    Python reads true as 1, so a boolean label would merge with the label 1.
-    """
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, bool)
 
 
 def _as_complex(value):
@@ -128,32 +118,34 @@ class _Op:
     required: tuple  # fields the step must carry
     refs: tuple  # fields naming earlier steps: one id, or a list of ids
     build: Callable  # (step, values by id) -> the step's value
-    labels: tuple = ()  # fields holding vertex labels, at any depth
+    kinds: dict = field(default_factory=dict)  # {field: the complexes.Kind it holds}
 
 
 # builders look library functions up on their modules at call time
 _OPS = {
-    "standard": _Op(("name",), (), _standard),
+    "standard": _Op(("name",), (), _standard, {"name": NAME, "params": OBJECT}),
     "from_facets": _Op(
         ("facets",), (), lambda s, v: complexes.from_facets(s["facets"], s.get("named")),
-        ("facets", "named"),
+        {"facets": FACETS, "named": NAMED},
     ),
     "disjoint_union": _Op(
         ("a", "b"), ("a", "b"), lambda s, v: complexes.disjoint_union(*_ab(s, v))
     ),
-    "wedge": _Op(("a", "p", "b", "q"), ("a", "b"), _wedge, ("p", "q")),
+    "wedge": _Op(("a", "p", "b", "q"), ("a", "b"), _wedge, {"p": LABEL, "q": LABEL}),
     "product": _Op(("a", "b"), ("a", "b"), lambda s, v: complexes.product(*_ab(s, v))),
     "double": _Op(("x",), ("x",), lambda s, v: complexes.double(_x(s, v))),
     "subdivide": _Op(
         ("x",), ("x",), lambda s, v: complexes.barycentric_subdivision(_x(s, v))
     ),
     "attach_flap": _Op(
-        ("x", "sigma"), ("x",), lambda s, v: branched.attach_flap(v[s["x"]], s["sigma"])
+        ("x", "sigma"), ("x",), lambda s, v: branched.attach_flap(v[s["x"]], s["sigma"]),
+        {"sigma": NAME},
     ),
     "attach_double": _Op(
-        ("x", "ys"), ("x",), lambda s, v: branched.attach_double(v[s["x"]], s["ys"])
+        ("x", "ys"), ("x",), lambda s, v: branched.attach_double(v[s["x"]], s["ys"]),
+        {"ys": NAMES},
     ),
-    "bouquet": _Op(("models", "basepoints"), ("models",), _bouquet, ("basepoints",)),
+    "bouquet": _Op(("models", "basepoints"), ("models",), _bouquet, {"basepoints": LABELS}),
 }
 
 
@@ -164,8 +156,6 @@ def run_recipe(recipe):
     for i, step in enumerate(recipe.steps):
         try:
             value = _OPS[step["op"]].build(step, values)
-        except RecipeError:
-            raise
         except Exception as exc:
             raise RecipeError(f"step {step['id']!r} failed: {exc}", step=i) from exc
         values[step["id"]] = value
@@ -178,9 +168,22 @@ def load_recipe(path):
         return parse_recipe(fh.read())
 
 
+def load_pieces(path):
+    """The (model, sigma) pieces and the last model of a `verify-bouquet`
+    file: `{"pieces": [{"recipe": steps, "sigma": name}, ...], "last": steps}`."""
+    with open(path, encoding="utf-8") as fh:
+        data = read_json(fh.read(), "pieces file")
+    items = data.get("pieces") if isinstance(data, dict) else None
+    if not (isinstance(items, list) and items and "last" in data):
+        raise RecipeError('pieces file needs a non-empty "pieces" list and a "last" recipe')
+    for i, item in enumerate(items):
+        if not (isinstance(item, dict) and "recipe" in item and NAME.holds(item.get("sigma"))):
+            raise RecipeError(f'piece {i} needs a "recipe" and a "sigma" that is {NAME.what}')
+    pieces = [(run_recipe(parse_recipe(item["recipe"]))[1], item["sigma"]) for item in items]
+    return pieces, run_recipe(parse_recipe(data["last"]))[1]
+
+
 def value_to_json(value):
     if isinstance(value, branched.BranchedModel):
         return value.to_json()
-    if isinstance(value, SimplicialComplex):
-        return complexes.complex_to_json(value)
-    raise RecipeError(f"cannot serialize {type(value).__name__}")
+    return complexes.complex_to_json(value)

@@ -1,10 +1,20 @@
 import argparse
+import contextlib
+import copy
+import io
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import run_optimized
 from reebtop.algebra import betti_numbers
 from reebtop.cli import COMMANDS, build_parser, main
+from reebtop.complexes import complex_from_json, complex_to_json
 from reebtop.errors import RecipeError
 from reebtop.graphs import Multigraph
 from reebtop.recipes import parse_recipe, run_recipe
@@ -359,7 +369,7 @@ def test_cli_refuses_a_boolean_model_parameter(tmp_path, capsys, step):
     recipe = write_json(tmp_path / "r.json", [step])
     out = tmp_path / "h.json"
     assert main(["homology", "--recipe", recipe, "--out", str(out)]) == 2
-    assert "is a boolean" in capsys.readouterr().err
+    assert "is not an integer" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -385,7 +395,7 @@ def test_cli_refuses_a_boolean_vertex_label(tmp_path, capsys, steps, step, field
     recipe = write_json(tmp_path / "r.json", steps)
     out = tmp_path / "b.json"
     assert main(["build", "--recipe", recipe, "--out", str(out)]) == 2
-    assert f"{field!r} holds a boolean" in capsys.readouterr().err
+    assert f": {field!r} is not " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -401,6 +411,217 @@ def test_the_label_one_is_still_a_vertex_label(tmp_path):
     assert values["x"].named_part("e") == {(1,), (2,), (1, 2)}
     assert len(values["w"].vertices) == 4
     assert len(values["b"].complex.vertices) == 4
+    # a string label names a vertex by its canonical label, as the grid
+    # torus's vertex (0, 0) is written
+    steps += [
+        {"id": "t", "op": "standard", "name": "torus_grid", "a": 3, "b": 3},
+        {"id": "tw", "op": "wedge", "a": "t", "p": "(0,0)", "b": "y", "q": 1},
+        {"id": "tb", "op": "bouquet", "models": ["t", "x"], "basepoints": ["(0,0)", 1]},
+    ]
+    values, _ = run_recipe(parse_recipe(steps))
+    assert (len(values["tw"].vertices), len(values["tb"].complex.vertices)) == (9 + 1, 9 + 2)
+
+
+# values that a JSON reader once took for something else: a float equal to
+# an integer label merged with it, NaN and Infinity were written back as
+# "nan" and "inf", a string was read as a list of one-letter facets
+NOT_OF_THEIR_KIND = [
+    ([{"id": "x", "op": "from_facets", "facets": [[0, 1], [1.0, 2]]}], 0, "facets"),
+    ([{"id": "x", "op": "from_facets", "facets": [[0, float("nan")], [1, 2]]}], 0, "facets"),
+    ([{"id": "x", "op": "from_facets", "facets": [[0, float("inf")], [1, 2]]}], 0, "facets"),
+    ([{"id": "x", "op": "from_facets", "facets": [[0, 1.5], [1, 2]]}], 0, "facets"),
+    ([{"id": "x", "op": "from_facets", "facets": "ab"}], 0, "facets"),
+    ([{"id": "x", "op": "from_facets", "facets": [[0, 1]], "named": {"e": "ab"}}], 0, "named"),
+    (ALL_OPS_RECIPE[:2] + [{"id": "w", "op": "wedge", "a": "c", "p": float("nan"), "b": "f", "q": 2}],
+     2, "p"),
+    (ALL_OPS_RECIPE[:2] + [
+        {"id": "b", "op": "bouquet", "models": ["c", "f"], "basepoints": [0, 1.5]}], 2, "basepoints"),
+    ([ALL_OPS_RECIPE[8], {"id": "fl", "op": "attach_flap", "x": "t", "sigma": ["meridian"]}],
+     1, "sigma"),
+    ([ALL_OPS_RECIPE[10], {"id": "ad", "op": "attach_double", "x": "an", "ys": [["core"]]}],
+     1, "ys"),
+    ([{"id": "s", "op": "standard", "name": ["sphere"], "n": 2}], 0, "name"),
+    ([{"id": "s", "op": "standard", "name": "sphere", "params": [["n", 2]]}], 0, "params"),
+]
+
+
+@pytest.mark.parametrize("steps, step, field", NOT_OF_THEIR_KIND)
+def test_cli_refuses_a_recipe_value_not_of_its_kind(tmp_path, capsys, steps, step, field):
+    with pytest.raises(RecipeError) as err:
+        parse_recipe(steps)
+    assert (err.value.step, err.value.field) == (step, field)
+    recipe = write_json(tmp_path / "r.json", steps)
+    out = tmp_path / "b.json"
+    assert main(["build", "--recipe", recipe, "--out", str(out)]) == 2
+    assert f"error: step {steps[step]['id']!r}: {field!r} is not " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", [True, 1.0, None, float("nan")], ids=["true", "1.0", "null", "NaN"])
+@pytest.mark.parametrize("where", ["vertices", "facets", "named"])
+def test_cli_refuses_a_complex_file_label_not_of_its_kind(tmp_path, capsys, label, where):
+    complex_ = {"vertices": [0, 1, 2], "facets": [[0, 1], [1, 2]], "named": {"e": [[1, 2]]}}
+    if where == "vertices":
+        complex_["vertices"][1] = label
+    else:
+        complex_[where] = [[0, label]] if where == "facets" else {"e": [[label, 2]]}
+    field = write_json(tmp_path / "f.json", {"complex": complex_, "values": [0, 2, 1]})
+    out = tmp_path / "g.json"
+    assert main(["reeb", "--field", field, "--out", str(out)]) == 2
+    assert f"error: complex {where!r} is not " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_pieces_file_with_no_pieces(tmp_path, capsys):
+    # with nothing to check, the bouquet suite would pass on one claim
+    pieces = write_json(tmp_path / "pieces.json", {"pieces": [], "last": SPHERE})
+    out = tmp_path / "v.json"
+    assert main(["verify-bouquet", "--pieces", pieces, "--out", str(out)]) == 2
+    assert 'needs a non-empty "pieces" list' in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, what", [
+    ("build", "--recipe", "recipe"),
+    ("reeb", "--field", "field file"),
+    ("verify-bouquet", "--pieces", "pieces file"),
+])
+def test_cli_refuses_json_nested_too_deeply(tmp_path, capsys, command, flag, what):
+    # valid JSON that the parser cannot read is bad input, not an internal error
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main([command, flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {what} is not valid JSON: maximum recursion")
+
+
+# Mutated recipes: one value of a valid recipe, at any depth, is swapped for
+# a value of another kind.  Sizes stay small, so nothing is built large.
+RECIPES_TO_MUTATE = [SPHERE, ALL_OPS_RECIPE, ALL_OPS_RECIPE[8:10], ALL_OPS_RECIPE[:4]]
+ODD_VALUES = [True, False, None, 0, -1, 2, 1.0, 1.5, float("nan"), float("inf"), "", "ab", [], {}]
+
+
+def mutate(steps, rnd):
+    """A copy of `steps` with one value swapped: for an odd value, for the
+    value as a string or wrapped in a list or object, or nested deeply."""
+    steps = copy.deepcopy(steps)
+    holder = rnd.choice(steps)
+    key = rnd.choice(sorted(holder))
+    while isinstance(holder[key], (list, dict)) and holder[key] and rnd.random() < 0.6:
+        holder = holder[key]
+        key = rnd.randrange(len(holder)) if isinstance(holder, list) else rnd.choice(sorted(holder))
+    value = holder[key]
+    swaps = [
+        lambda: rnd.choice(ODD_VALUES),
+        lambda: str(value),
+        lambda: [value],
+        lambda: {"v": value},
+        lambda: [value] if rnd.random() < 0.5 else value,
+    ]
+    new = rnd.choice(swaps)()
+    for _ in range(rnd.choice([0, 0, 0, 0, 5, 40])):
+        new = [new]
+    holder[key] = new
+    return steps
+
+
+mutated_recipes = st.builds(
+    mutate, st.sampled_from(RECIPES_TO_MUTATE), st.randoms(use_true_random=False)
+)
+
+
+def exit_codes(recipes, commands=("build", "homology")):
+    """The exit code of each command on each recipe, with the error output
+    of each run that exits 3."""
+    codes, internal = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, steps in enumerate(recipes):
+            path = Path(tmp) / f"r{i}.json"
+            path.write_text(json.dumps(steps))
+            for command in commands:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([command, "--recipe", str(path), "--out", str(Path(tmp) / "o.json")])
+                codes.append(code)
+                if code == 3:
+                    internal.append((steps, err.getvalue()))
+    return codes, internal
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_recipes)
+def test_a_mutated_recipe_never_exits_three(steps):
+    codes, internal = exit_codes([steps])
+    assert set(codes) <= {0, 1, 2} and not internal, internal
+
+
+def test_mutated_recipes_never_exit_three_under_optimize():
+    # asserts are stripped under `python -O`; no refusal may rest on one
+    recipes = [mutate(RECIPES_TO_MUTATE[i % 4], random.Random(i)) for i in range(20)]
+    assert len({json.dumps(r) for r in recipes}) == 20
+    result = run_optimized(
+        """
+        from test_cli import RECIPES_TO_MUTATE, exit_codes, mutate
+        import random
+
+        recipes = [mutate(RECIPES_TO_MUTATE[i % 4], random.Random(i)) for i in range(20)]
+        codes, internal = exit_codes(recipes)
+        print(" ".join(map(str, codes)))
+        print(internal)
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    codes, internal = result.stdout.splitlines()
+    assert set(map(int, codes.split())) <= {0, 1, 2} and internal == "[]", internal
+    # the sample holds refusals and acceptances both
+    assert {0, 2} <= set(map(int, codes.split()))
+
+
+def build_round_trips(steps, tmp):
+    """If `build` accepts `steps`, its output read back and written again is
+    the output, apart from the digest, the seed and a model's branch loci."""
+    recipe, out = Path(tmp) / "r.json", Path(tmp) / "o.json"
+    recipe.write_text(json.dumps(steps))
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["build", "--recipe", str(recipe), "--out", str(out)])
+    if code != 0:
+        return False
+    written = json.loads(out.read_text())
+    del written["recipe_digest"], written["seed"]
+    written.pop("branch_loci", None)
+    assert complex_to_json(complex_from_json(written)) == written
+    return True
+
+
+@st.composite
+def facets_recipes(draw):
+    """A `from_facets` recipe over int labels or over string labels, with
+    named parts made of faces of its facets."""
+    pool = draw(st.sampled_from([
+        st.integers(-3, 12),
+        st.sampled_from(["a", "b", "c", "d", "e", "(0,0)", "(0,1)", "1/2", "x y"]),
+    ]))
+    facet = st.lists(pool, min_size=1, max_size=4, unique=True)
+    facets = draw(st.lists(facet, min_size=1, max_size=6))
+    named = {}
+    for name in draw(st.lists(st.sampled_from(["e", "core", "rim"]), max_size=2, unique=True)):
+        owners = draw(st.lists(st.sampled_from(facets), max_size=3))
+        named[name] = [f[: draw(st.integers(1, len(f)))] for f in owners]
+    step = {"id": "x", "op": "from_facets", "facets": facets}
+    if named or draw(st.booleans()):
+        step["named"] = named
+    return [step]
+
+
+@settings(max_examples=60, deadline=None)
+@given(facets_recipes())
+def test_build_output_round_trips_for_from_facets_recipes(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert build_round_trips(steps, tmp)
+
+
+@pytest.mark.parametrize("last", range(len(ALL_OPS_RECIPE)), ids=[s["id"] for s in ALL_OPS_RECIPE])
+def test_build_output_round_trips_for_every_op(tmp_path, last):
+    assert build_round_trips(ALL_OPS_RECIPE[: last + 1], tmp_path)
 
 
 def test_cli_missing_file_exits_two(tmp_path, capsys):

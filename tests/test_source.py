@@ -1,12 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
 
 import reebtop
-from reebtop import algebra, cli, complexes, errors, reeb
+from reebtop import algebra, cli, complexes, errors, recipes, reeb
 from reebtop.algebra import augmentation_matrix, boundary_matrix, smith_normal_form
 from reebtop.branched import collapse_to
 from reebtop.complexes import SimplicialComplex
@@ -603,3 +604,65 @@ def test_every_definition_is_read_by_the_package_or_the_benchmark():
     sources = [path.read_text(encoding="utf-8") for path in package]
     readers = sources + [path.read_text(encoding="utf-8") for path in bench]
     assert set(unread_definitions(sources, readers, set(reebtop.__all__))) == UNREAD_KEPT
+
+
+def is_bool_test(node):
+    """Is `node` an `isinstance` or `issubclass` call whose class argument
+    names `bool`?"""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("isinstance", "issubclass")
+        and len(node.args) == 2
+        and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+    )
+
+
+def bool_tests(source):
+    """The definition around each test for `bool` in `source`: a function or
+    class by its name, a method as `Class.method`, a module-level assignment
+    by its target."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            scopes = [
+                (f"{top.name}.{n.name}" if isinstance(n, ast.FunctionDef) else top.name, n)
+                for n in top.body
+            ]
+        elif isinstance(top, ast.Assign):
+            scopes = [(ast.unparse(top.targets[0]), top)]
+        else:
+            scopes = [(getattr(top, "name", f"line {top.lineno}"), top)]
+        found += [name for name, scope in scopes for node in ast.walk(scope) if is_bool_test(node)]
+    return found
+
+
+def test_bool_tests_are_detected():
+    source = (
+        "KIND = lambda v: isinstance(v, int) and not isinstance(v, bool)\n"
+        "def reader(v):\n    return isinstance(v, (bool, str))\n"
+        "class Basis:\n    def project(self, vec):\n        return issubclass(type(vec), bool)\n"
+        "def other(v):\n    return isinstance(v, int) or bool(v)\n"
+    )
+    assert bool_tests(source) == ["KIND", "reader", "Basis.project"]
+
+
+def test_only_the_kinds_test_for_a_json_boolean():
+    # what a JSON value may be is decided once, by the kinds of `complexes`
+    # (`SIZE` and the rational reader `_rational`); `ChainBasis.project`
+    # refuses booleans in library vectors, which are not JSON
+    found = {
+        (path.name, name)
+        for path in sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+        for name in bool_tests(path.read_text(encoding="utf-8"))
+    }
+    assert found == {
+        ("complexes.py", "SIZE"),
+        ("complexes.py", "_rational"),
+        ("algebra.py", "ChainBasis.project"),
+    }
+    # the per-reader checks the kinds replace stay gone
+    assert not hasattr(recipes, "_holds_bool")
+    assert [f.name for f in dataclasses.fields(recipes._Op)] == ["required", "refs", "build", "kinds"]
+    kinds = [kind for op in recipes._OPS.values() for kind in op.kinds.values()]
+    assert kinds and all(isinstance(kind, complexes.Kind) for kind in kinds)
