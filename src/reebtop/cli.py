@@ -27,7 +27,7 @@ from .branched import CollapseCertificate, collapse_to
 from .cohomology import ring_report
 from .errors import MalformedFieldError, ToolkitError
 from .recipes import load_pieces, load_recipe, read_json, run_recipe, value_to_json, _as_complex
-from .reeb import VertexField, field_from_json, graph_invariants, reeb_graph
+from .reeb import VertexField, field_from_json, graph_invariants, reeb_graph, smoothed_reeb_graph
 
 
 def _build(args, final):
@@ -66,9 +66,7 @@ def _reeb(args, final):
         field = field_from_json(data, complex_)
     else:
         raise ToolkitError("reeb needs --asset or --field")
-    graph = reeb_graph(field)
-    if args.smooth_degree_2:
-        graph = graph.smoothed()
+    graph = smoothed_reeb_graph(field) if args.smooth_degree_2 else reeb_graph(field)
     return {
         "command": args.command,
         "graph": graph.to_json(),

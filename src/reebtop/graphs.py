@@ -45,8 +45,9 @@ class Multigraph:
     def betti1(self):
         return len(self.edges) - len(self.nodes) + self.betti0()
 
-    def smoothed(self):
-        """Contract every degree-two node whose two edge slots differ.
+    def smoothed(self, keep=()):
+        """Contract every degree-two node whose two edge slots differ,
+        except the nodes in `keep`.
 
         A pure cycle ends as one node carrying a loop; path endpoints and
         branch nodes are untouched.  One pass in node order suffices: a
@@ -64,7 +65,7 @@ class Multigraph:
         nodes = []
         for node in self.nodes:
             ids = sorted(incident.get(node, ()))
-            if len(ids) != 2 or any(edges[i][0] == edges[i][1] for i in ids):
+            if len(ids) != 2 or node in keep or any(edges[i][0] == edges[i][1] for i in ids):
                 nodes.append(node)
                 continue
             a, b = (edges[i][0] if edges[i][1] == node else edges[i][1] for i in ids)

@@ -14,7 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import branched, complexes, models
-from .complexes import FACETS, LABEL, LABELS, NAME, NAMED, NAMES, OBJECT
+from .complexes import FACETS, LABEL, LABELS, NAME, NAMED, NAMES, OBJECT, SIZE
 from .errors import RecipeError
 
 
@@ -60,18 +60,26 @@ def parse_recipe(data):
         op = step.get("op")
         if not NAME.holds(op) or op not in _OPS:
             raise RecipeError(f"unknown op {op!r}", step=i, field="op")
-        for f in _OPS[op].required:
+        spec = _OPS[op]
+        for f in spec.required:
             if f not in step:
                 raise RecipeError(f"{op} needs {f!r}", step=i, field=f)
+        extra = sorted(set(step) - {"id", "op"} - set(spec.refs) - set(spec.kinds))
+        if extra and op != "standard":  # its other fields are model parameters
+            f = extra[0]
+            raise RecipeError(f"step {sid!r}: {op} takes no field {f!r}", step=i, field=f)
         refs = []
-        for f in _OPS[op].refs:
-            refs += step[f] if isinstance(step[f], (list, tuple)) else [step[f]]
+        for f, kind in spec.refs.items():
+            if isinstance(step[f], list) != (kind is NAMES):
+                what = "a list of step ids" if kind is NAMES else "one step id"
+                raise RecipeError(f"step {sid!r}: {f!r} is not {what}", step=i, field=f)
+            refs += step[f] if kind is NAMES else [step[f]]
         for ref in refs:
             if not NAME.holds(ref) or ref not in seen:
                 raise RecipeError(
                     f"reference to unknown step {ref!r}", step=i, field="ref"
                 )
-        for f, kind in _OPS[op].kinds.items():
+        for f, kind in spec.kinds.items():
             if f in step and not kind.holds(step[f]):
                 raise RecipeError(f"step {sid!r}: {f!r} is not {kind.what}", step=i, field=f)
         seen.add(sid)
@@ -116,36 +124,42 @@ def _bouquet(step, values):
 @dataclass(frozen=True)
 class _Op:
     required: tuple  # fields the step must carry
-    refs: tuple  # fields naming earlier steps: one id, or a list of ids
+    refs: dict  # {field naming earlier steps: NAME for one id, NAMES for a list}
     build: Callable  # (step, values by id) -> the step's value
-    kinds: dict = field(default_factory=dict)  # {field: the complexes.Kind it holds}
+    kinds: dict = field(default_factory=dict)  # {other field: the complexes.Kind it holds}
 
 
-# builders look library functions up on their modules at call time
+_AB = {"a": NAME, "b": NAME}
+_X = {"x": NAME}
+
+# builders look library functions up on their modules at call time; a step
+# may carry only the fields its op declares, apart from `standard`'s model
+# parameters
 _OPS = {
-    "standard": _Op(("name",), (), _standard, {"name": NAME, "params": OBJECT}),
+    "standard": _Op(("name",), {}, _standard, {"name": NAME, "params": OBJECT}),
     "from_facets": _Op(
-        ("facets",), (), lambda s, v: complexes.from_facets(s["facets"], s.get("named")),
+        ("facets",), {}, lambda s, v: complexes.from_facets(s["facets"], s.get("named")),
         {"facets": FACETS, "named": NAMED},
     ),
     "disjoint_union": _Op(
-        ("a", "b"), ("a", "b"), lambda s, v: complexes.disjoint_union(*_ab(s, v))
+        ("a", "b"), _AB, lambda s, v: complexes.disjoint_union(*_ab(s, v))
     ),
-    "wedge": _Op(("a", "p", "b", "q"), ("a", "b"), _wedge, {"p": LABEL, "q": LABEL}),
-    "product": _Op(("a", "b"), ("a", "b"), lambda s, v: complexes.product(*_ab(s, v))),
-    "double": _Op(("x",), ("x",), lambda s, v: complexes.double(_x(s, v))),
-    "subdivide": _Op(
-        ("x",), ("x",), lambda s, v: complexes.barycentric_subdivision(_x(s, v))
-    ),
+    "wedge": _Op(("a", "p", "b", "q"), _AB, _wedge, {"p": LABEL, "q": LABEL}),
+    "product": _Op(("a", "b"), _AB, lambda s, v: complexes.product(*_ab(s, v))),
+    "double": _Op(("x",), _X, lambda s, v: complexes.double(_x(s, v))),
+    "subdivide": _Op(("x",), _X, lambda s, v: complexes.barycentric_subdivision(_x(s, v))),
+    # `seed` is accepted and changes nothing: the flap's certificate needs no search
     "attach_flap": _Op(
-        ("x", "sigma"), ("x",), lambda s, v: branched.attach_flap(v[s["x"]], s["sigma"]),
-        {"sigma": NAME},
+        ("x", "sigma"), _X, lambda s, v: branched.attach_flap(v[s["x"]], s["sigma"]),
+        {"sigma": NAME, "seed": SIZE},
     ),
     "attach_double": _Op(
-        ("x", "ys"), ("x",), lambda s, v: branched.attach_double(v[s["x"]], s["ys"]),
+        ("x", "ys"), _X, lambda s, v: branched.attach_double(v[s["x"]], s["ys"]),
         {"ys": NAMES},
     ),
-    "bouquet": _Op(("models", "basepoints"), ("models",), _bouquet, {"basepoints": LABELS}),
+    "bouquet": _Op(
+        ("models", "basepoints"), {"models": NAMES}, _bouquet, {"basepoints": LABELS}
+    ),
 }
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import random
@@ -217,17 +218,25 @@ def test_cli_reeb_smooths_once(tmp_path, monkeypatch):
         tmp_path / "r.json",
         [{"id": "t", "op": "standard", "name": "torus_grid", "a": 4, "b": 4}],
     )
+    import reebtop.cli
+
     calls = []
-    original = Multigraph.smoothed
 
-    def counted(self):
-        calls.append(self)
-        return original(self)
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(Multigraph, "smoothed", counted)
-    args = ["reeb", "--recipe", recipe, "--asset", "height", "--smooth-degree-2"]
-    assert main(args + ["--out", str(tmp_path / "g.json")]) == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(Multigraph, "smoothed", counted("smoothed", Multigraph.smoothed))
+    monkeypatch.setattr(reebtop.cli, "reeb_graph", counted("reeb_graph", reebtop.cli.reeb_graph))
+    args = ["reeb", "--recipe", recipe, "--asset", "height"]
+    # the smoothed graph is written by arcs: no raw graph, no smoothing pass
+    assert main(args + ["--smooth-degree-2", "--out", str(tmp_path / "g.json")]) == 0
+    assert calls == []
+    # the raw report smooths once, for its invariants
+    assert main(args + ["--out", str(tmp_path / "raw.json")]) == 0
+    assert sorted(calls) == ["reeb_graph", "smoothed"]
 
 
 def test_cli_torus_reeb_invariants(tmp_path):
@@ -239,6 +248,44 @@ def test_cli_torus_reeb_invariants(tmp_path):
     assert main(["reeb", "--recipe", recipe, "--asset", "height", "--out", str(out)]) == 0
     inv = read_json(out)["invariants"]
     assert inv["degrees"] == [1, 1, 3, 3] and inv["betti0"] == 1 and inv["betti1"] == 1
+
+
+def random_torus_field(seed, a=5, b=5):
+    """Pairwise distinct values, as 'p/7' strings, on the a×b torus grid."""
+    picks = random.Random(seed).sample(range(-(10**4), 10**4), a * b)
+    return {"values": [f"{x}/7" for x in picks]}
+
+
+TORUS_4 = [{"id": "t", "op": "standard", "name": "torus_grid", "a": 4, "b": 4}]
+TORUS_5 = [{"id": "t", "op": "standard", "name": "torus_grid", "a": 5, "b": 5}]
+
+# sha256 of raw `reeb` reports (no --smooth-degree-2), taken before the
+# smoothed graph got its own writer; the raw sweep must keep them byte for byte
+RAW_REEB_REPORTS = {
+    "torus_4_height": (TORUS_4, None),
+    "sphere": (SPHERE, {"values": ["0/1", "1/1", "2/1", "3/1"]}),
+    "torus_5_random_1": (TORUS_5, random_torus_field(1)),
+    "torus_5_random_2": (TORUS_5, random_torus_field(2)),
+}
+RAW_REEB_DIGESTS = {
+    "torus_4_height": "a542d92a1b5ab7da8d67a91cb6e152d4cadeedc2e8befdb2f7e9a525743e503c",
+    "sphere": "0f0e9523f59443c3d7e331f73c8b964021d761b559faaa63b5a3fcd73a6f3773",
+    "torus_5_random_1": "642ad3ef830eb7e3171141836959cd4c4a940f2e411ef1bf88e0573ffa41fad5",
+    "torus_5_random_2": "75cfb02f03faa5c8837b9219b9ecdeb028935917f8424c003d2cde0a51a39418",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_REEB_REPORTS))
+def test_cli_raw_reeb_reports_are_pinned(tmp_path, name):
+    steps, field = RAW_REEB_REPORTS[name]
+    args = ["reeb", "--recipe", write_json(tmp_path / "r.json", steps)]
+    if field is None:
+        args += ["--asset", "height"]
+    else:
+        args += ["--field", write_json(tmp_path / "f.json", field)]
+    out = tmp_path / "g.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RAW_REEB_DIGESTS[name]
 
 
 def test_cli_build_round_trip(tmp_path):
@@ -455,6 +502,45 @@ def test_cli_refuses_a_recipe_value_not_of_its_kind(tmp_path, capsys, steps, ste
     assert main(["build", "--recipe", recipe, "--out", str(out)]) == 2
     assert f"error: step {steps[step]['id']!r}: {field!r} is not " in capsys.readouterr().err
     assert not out.exists()
+
+
+# a misspelt field was dropped without a word; a list in a one-id field
+# failed in its builder, naming no field; a string in a list-of-ids field
+# was read as a list of one-letter ids
+MISSHAPEN_STEPS = [
+    ([{"id": "x", "op": "from_facets", "facets": [[0, 1], [1, 2]], "nmed": {"e": [[1, 2]]}}],
+     0, "nmed", "from_facets takes no field 'nmed'"),
+    (ALL_OPS_RECIPE[:1] + [{"id": "d", "op": "double", "x": "c", "y": "c"}],
+     1, "y", "double takes no field 'y'"),
+    (ALL_OPS_RECIPE[:1] + [{"id": "u", "op": "disjoint_union", "a": ["c"], "b": "c"}],
+     1, "a", "'a' is not one step id"),
+    (ALL_OPS_RECIPE[:1] + [{"id": "b", "op": "bouquet", "models": "c", "basepoints": [0]}],
+     1, "models", "'models' is not a list of step ids"),
+]
+
+
+@pytest.mark.parametrize("steps, step, field, message", MISSHAPEN_STEPS)
+def test_cli_refuses_a_step_field_its_op_does_not_declare(
+    tmp_path, capsys, steps, step, field, message
+):
+    with pytest.raises(RecipeError) as err:
+        parse_recipe(steps)
+    assert (err.value.step, err.value.field) == (step, field)
+    recipe = write_json(tmp_path / "r.json", steps)
+    out = tmp_path / "b.json"
+    assert main(["build", "--recipe", recipe, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: step {steps[step]['id']!r}: {message}\n"
+    assert not out.exists()
+
+
+def test_standard_steps_hand_their_other_fields_to_the_model(tmp_path, capsys):
+    # a `standard` step's fields beyond `name` and `params` are model
+    # parameters, which `standard_model` checks itself
+    steps = [{"id": "s", "op": "standard", "name": "sphere", "n": 2, "bogus": 1}]
+    parse_recipe(steps)
+    recipe = write_json(tmp_path / "r.json", steps)
+    assert main(["build", "--recipe", recipe]) == 2
+    assert "bogus" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("label", [True, 1.0, None, float("nan")], ids=["true", "1.0", "null", "NaN"])
@@ -692,7 +778,9 @@ def test_cli_reeb_field_carrying_its_complex(tmp_path):
     out = tmp_path / "g.json"
     assert main(["reeb", "--field", field, "--out", str(out)]) == 0
     rep = read_json(out)
-    assert rep["recipe_digest"] is None and rep["invariants"]["degrees"] == [1, 1]
+    # values 0, 2, 1 on the path 0-1-2: minima at 0 and 2, and the maximum
+    # 1, where the two branches meet, stays as a node of degree two
+    assert rep["recipe_digest"] is None and rep["invariants"]["degrees"] == [1, 1, 2]
 
 
 def test_cli_internal_error_exits_three(tmp_path, capsys, monkeypatch):

@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import run_optimized
+from persistence_oracle import complex_pairs, graph_pairs, loops
 from reeb_oracle import reeb_isomorphic, scan_reeb_graph
 from scan_oracle import scan_components
 
+from reebtop.algebra import betti_numbers
 from reebtop.branched import as_model, attach_flap, bouquet
 from reebtop.complexes import (
     SimplicialComplex,
@@ -34,6 +37,7 @@ from reebtop.reeb import (
     field_from_json,
     graph_invariants,
     reeb_graph,
+    smoothed_reeb_graph,
 )
 from reebtop.verify import (
     INSTANCE_BUILDERS,
@@ -95,6 +99,39 @@ def test_reeb_graph_refuses_a_complex_not_closed_under_faces():
         reeb_graph(field)
 
 
+def test_arc_writer_refuses_a_complex_not_closed_under_faces():
+    # the same refusal as `reeb_graph`, for a missing vertex and for a
+    # missing edge far from the lowest vertex
+    c = SimplicialComplex([0, 1, 2], [(0, 1, 2)])
+    field = VertexField(c, {0: 0, 1: 1, 2: 2})
+    with pytest.raises(InvariantViolationError, match=r"closure misses \(0,\) < \(0, 1, 2\)"):
+        smoothed_reeb_graph(field)
+    d = from_facets([[0, 1, 2], [1, 2, 3]])
+    gap = SimplicialComplex(d.vertices, d.simplices - {(2, 3)})
+    field = VertexField(gap, {0: 3, 1: 2, 2: 1, 3: 0})
+    for writer in (reeb_graph, smoothed_reeb_graph):
+        with pytest.raises(InvariantViolationError, match=r"closure misses \(2, 3\) < \(1, 2, 3\)"):
+            writer(field)
+
+
+def test_arc_writer_refuses_a_complex_not_closed_under_faces_under_optimize():
+    result = run_optimized(
+        """
+        from reebtop.complexes import SimplicialComplex
+        from reebtop.errors import InvariantViolationError
+        from reebtop.reeb import VertexField, smoothed_reeb_graph
+
+        c = SimplicialComplex([0, 1, 2], [(0, 1, 2)])
+        try:
+            smoothed_reeb_graph(VertexField(c, {0: 0, 1: 1, 2: 2}))
+        except InvariantViolationError as exc:
+            print("refused:", exc)
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["refused: closure misses (0,) < (0, 1, 2)"]
+
+
 def test_duplicate_values_rejected():
     c = from_facets([[0, 1]])
     with pytest.raises(NonInjectiveFieldError):
@@ -109,18 +146,30 @@ def test_betti0_matches_complex():
 
 
 def test_circle_smooths_to_loop():
+    # the minimum 0 and the maximum 5 stay, joined by the two arcs 0-1-...-5
+    # and 0-5; the four regular vertices between them are contracted
     c = standard_model("circle", k=6)
     inv = graph_invariants(reeb_graph(heights(c)))
-    assert inv == {"nodes": 1, "edges": 1, "degrees": [2], "betti0": 1, "betti1": 1}
+    assert inv == {"nodes": 2, "edges": 2, "degrees": [2, 2], "betti0": 1, "betti1": 1}
 
 
 def test_one_complex_reeb_matches_smoothed_source():
-    # on a graph, the Reeb construction reproduces the smoothed source graph
+    # on a graph, the Reeb construction reproduces the source graph smoothed
+    # at every vertex but the local extrema of the field
     c3 = standard_model("circle", k=3)
     figure8 = wedge(c3, 0, c3, 0)
     field = heights(figure8)
     inv = graph_invariants(reeb_graph(field))
-    src = Multigraph(figure8.vertices, figure8.simplices_of_dim(1)).smoothed()
+    edges = figure8.simplices_of_dim(1)
+
+    def below(v):  # for each neighbour of v, whether it lies below v
+        return {field.values[u] < field.values[v] for e in edges if v in e for u in e if u != v}
+
+    extrema = {v for v in figure8.vertices if len(below(v)) == 1}
+    src = Multigraph(figure8.vertices, edges).smoothed(extrema)
+    # heights 0..4 in vertex order: the wedge point 0 is the minimum, and
+    # each loop keeps its maximum (2 and 4) with two arcs down to it
+    assert inv["degrees"] == [2, 2, 4]
     assert inv["nodes"] == len(src.nodes)
     assert inv["edges"] == len(src.edges)
     assert inv["degrees"] == src.degree_multiset()
@@ -304,9 +353,24 @@ def assert_same_sweep(field):
     assert fast.graph.nodes == slow.graph.nodes
     assert fast.graph.edges == slow.graph.edges
     assert fast.values == slow.values
-    for a, b in ((fast, slow), (fast.smoothed(), slow.smoothed())):
+    arcs = smoothed_reeb_graph(field)
+    for a, b in ((fast, slow), (fast.smoothed(), slow.smoothed()), (arcs, fast.smoothed())):
         assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+    assert_persistence(field, (fast, fast.smoothed(), arcs))
     return fast
+
+
+def assert_persistence(field, graphs):
+    """The H0 pairs of f and of -f on the complex are those of every graph,
+    and no graph has more loops than the complex."""
+    c = field.complex
+    b1 = betti_numbers(c)[1] if c.dim >= 1 else 0
+    for sign in (1, -1):
+        pairs = complex_pairs(field, sign)
+        for g in graphs:
+            assert graph_pairs(g, sign) == pairs
+    for g in graphs:
+        assert loops(g) <= b1
 
 
 small_facet_lists = st.lists(
@@ -524,3 +588,98 @@ def test_isomorphism_oracle_keeps_values_and_multiplicities():
     loop = ReebGraph(Multigraph([p, q], [(p, q), (p, q)]), {p: 0, q: 1})
     eight = ReebGraph(Multigraph([p, q], [(p, p), (p, q)]), {p: 0, q: 1})
     assert reeb_isomorphic(loop, loop) and not reeb_isomorphic(loop, eight)
+
+
+def bowtie():
+    """Two triangles pinched at the vertex v."""
+    return from_facets([["a", "b", "v"], ["c", "d", "v"]])
+
+
+def figure_eight():
+    c3 = standard_model("circle", k=3)
+    return wedge(c3, 0, c3, 0)
+
+
+def sphere_wedge_torus():
+    return wedge(standard_model("sphere", n=2), 0, standard_model("torus_grid", a=4, b=4), (0, 0))
+
+
+PINCHED = {
+    "bowtie": bowtie,
+    "circle": lambda: standard_model("circle", k=6),
+    "figure_eight": figure_eight,
+    "sphere_wedge_torus": sphere_wedge_torus,
+    "pants_band": lambda: build_instance("pants_band").model.complex,
+    "pants_two_discs": lambda: build_instance("pants_two_discs").model.complex,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINCHED))
+def test_arc_writer_matches_the_smoothed_sweep_on_pinched_inputs(name):
+    c = PINCHED[name]()
+    rng = random.Random(name)
+    count = 20 if len(c.simplices) < 100 else 4
+    fields = [heights(c), negated_heights(c)] + [random_field(c, rng) for _ in range(count)]
+    kept = 0
+    for field in fields:
+        assert_same_sweep(field)
+        g = smoothed_reeb_graph(field)
+        assert g.is_smoothed and g.smoothed() is g
+        index = {n: i for i, n in enumerate(g.graph.nodes)}
+        ordered = [g.values[n] for n in g.graph.nodes]
+        assert ordered == sorted(ordered)
+        assert all(index[u] < index[w] for u, w in g.graph.edges)
+        assert g.graph.edges == sorted(g.graph.edges, key=lambda e: (index[e[0]], index[e[1]]))
+        degree = g.graph.degrees()
+        kept += sum(degree[n] == 2 for n in g.graph.nodes)
+    # the fields reach critical nodes of degree two, which the rule keeps
+    assert kept > 0
+
+
+def test_bowtie_keeps_its_pinched_maximum():
+    # f = 0, 1, 2, 3, 4 on a, b, c, d, v: the minima a and c start one arc
+    # each, b and d are regular, and the two arcs end together at v
+    field = VertexField(bowtie(), dict(zip("abcdv", range(5))))
+    expected = {
+        "smoothed": True,
+        "nodes": [
+            {"id": 0, "value": "0/1", "degree": 1},
+            {"id": 1, "value": "2/1", "degree": 1},
+            {"id": 2, "value": "4/1", "degree": 2},
+        ],
+        "edges": [[0, 2], [1, 2]],
+    }
+    assert smoothed_reeb_graph(field).to_json() == expected
+    raw = reeb_graph(field)
+    assert raw.smoothed().to_json() == expected
+    # contracting the maximum, as smoothing by degree alone does, leaves one
+    # edge between the two minima, and the H0 oracle refuses that graph
+    bare = raw.graph.smoothed()
+    assert len(bare.nodes) == 2 and len(bare.edges) == 1
+    dropped = ReebGraph(bare, {n: raw.values[n] for n in bare.nodes})
+    assert graph_pairs(dropped) != complex_pairs(field)
+
+
+def test_arc_writer_on_an_empty_complex_and_isolated_points():
+    empty = VertexField(SimplicialComplex([], []), {})
+    assert smoothed_reeb_graph(empty).to_json() == reeb_graph(empty).smoothed().to_json()
+    points = SimplicialComplex([0, 1, 2], [(0,), (2,)])
+    for values in ([0, 1, 2], [2, 0, 1]):
+        field = VertexField.from_array(points, values)
+        g = smoothed_reeb_graph(field)
+        assert json.dumps(g.to_json()) == json.dumps(reeb_graph(field).smoothed().to_json())
+        assert [d["degree"] for d in g.to_json()["nodes"]] == [0, 0]
+
+
+def test_value_order_past_the_floats():
+    # values whose floats tie, and values too large for a float: the sweep
+    # orders the vertices by their exact values all the same
+    c = standard_model("torus_grid", a=3, b=4)
+    tiny = Fraction(1, 10**30)
+    close = [Fraction(1, 3) + k * tiny for k in range(len(c.vertices))]
+    huge = [Fraction(10**400) * (-1) ** k + k for k in range(len(c.vertices))]
+    rng = random.Random(8)
+    for values in (close, huge):
+        for _ in range(3):
+            rng.shuffle(values)
+            assert_same_sweep(VertexField.from_array(c, values))
