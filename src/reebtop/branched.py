@@ -341,69 +341,78 @@ def _greedy_collapse(c, protected, point_goal, rng, budget):
     Only the simplices outside `protected` can go, and every coface of one of
     them lies outside too, so the search keeps to them.  The alive set stays
     closed under faces, where a face has exactly one proper coface exactly
-    when it has one of codimension one; the table holds those only.
-    Candidates are staged per dimension as their ranks in `sort_key` order
-    among the removable simplices, and `rng` draws one.  Returns the steps
-    (None when the attempt gets stuck or runs out of budget) and the
-    simplices outside `protected` still alive.
+    when it has one of codimension one.  Each removable d-simplex is known
+    by its rank r in `sort_key` order among the removable d-simplices, and
+    keeps two integers: `count[d][r]`, how many live codimension-one cofaces
+    it has, and `total[d][r]`, the sum of their ranks among the (d+1)-
+    simplices, which is the rank of the only one when the count is 1.
+    Liveness is one `bytearray` per dimension.  Candidates are staged per
+    dimension as sorted ranks, and `rng` draws one.  Returns the steps (None
+    when the attempt gets stuck or runs out of budget; no steps when `c` is
+    its goal already) and the simplices outside `protected` still alive.
     """
-    alive = set(c.simplices - protected)
-    cofaces = {s: set() for s in alive}
-    for s in alive:
-        if len(s) > 1:
-            for g in itertools.combinations(s, len(s) - 1):
-                up = cofaces.get(g)
-                if up is not None:
-                    up.add(s)
-    order = {d: [s for s in c.simplices_of_dim(d) if s in alive] for d in range(c.dim + 1)}
+    order = {
+        d: [s for s in group if s not in protected] if protected else group
+        for d, group in c._order().items()
+    }
     rank = {s: r for group in order.values() for r, s in enumerate(group)}
-    pools = {}  # d -> sorted ranks of the staged d-simplices
-
-    def stage(f):
-        pool = pools.setdefault(len(f) - 1, [])
-        r = rank[f]
-        i = bisect.bisect_left(pool, r)
-        if i == len(pool) or pool[i] != r:
-            pool.insert(i, r)
-
-    for f, up in cofaces.items():
-        if len(up) == 1:
-            stage(f)
+    count = {d: [0] * len(group) for d, group in order.items()}
+    total = {d: [0] * len(group) for d, group in order.items()}
+    live = {d: bytearray(b"\x01") * len(group) for d, group in order.items()}
+    left = len(rank)
+    for d, group in order.items():
+        if d:
+            below, sums = count[d - 1], total[d - 1]
+            for r, s in enumerate(group):
+                for g in itertools.combinations(s, d):
+                    q = rank.get(g)
+                    if q is not None:
+                        below[q] += 1
+                        sums[q] += r
+    # d -> sorted ranks of the staged d-simplices, the top dimension first
+    pools = {
+        d: [r for r, n in enumerate(counts) if n == 1]
+        for d, counts in sorted(count.items(), reverse=True)
+    }
+    # the live set stays closed under faces, so one live simplex is a vertex
+    goal = 1 if point_goal else 0
     steps = []
-    done = 0
-    while done < budget:
+    while len(steps) < budget and left > goal:
         free = None
-        for d in sorted(pools, reverse=True):
-            pool = pools[d]
+        for d, pool in pools.items():
             while pool:
-                # a drawn candidate leaves the pool, removed or found stale
-                f = order[d][pool.pop(rng.randrange(len(pool)))]
-                if f in alive and len(cofaces[f]) == 1:
-                    free = (f, next(iter(cofaces[f])))
+                # a drawn candidate leaves the pool, removed or found stale;
+                # a removed simplex has no live coface, so a count of 1 is free
+                r = pool.pop(rng.randrange(len(pool)))
+                if count[d][r] == 1:
+                    free = (d, r)
                     break
             if free:
                 break
-            del pools[d]
         if free is None:
             break
-        f, tau = free
-        for gone in (tau, f):
-            alive.discard(gone)
-            for g in itertools.combinations(gone, len(gone) - 1):
-                up = cofaces.get(g)
-                if up is not None:
-                    up.discard(gone)
-                    # g keeps an alive coface, so g is alive too
-                    if len(up) == 1:
-                        stage(g)
+        d, r = free
+        t = total[d][r]
+        f, tau = order[d][r], order[d + 1][t]
+        for e, gone, at in ((d + 1, tau, t), (d, f, r)):
+            live[e][at] = 0
+            left -= 1
+            if e:
+                below, sums = count[e - 1], total[e - 1]
+                for g in itertools.combinations(gone, e):
+                    q = rank.get(g)
+                    if q is not None:
+                        below[q] -= 1
+                        sums[q] -= at
+                        # g keeps a live coface, so g is live too
+                        if below[q] == 1:
+                            pool = pools[e - 1]
+                            i = bisect.bisect_left(pool, q)
+                            if i == len(pool) or pool[i] != q:
+                                pool.insert(i, q)
         steps.append((f, tau))
-        done += 1
-        if point_goal:
-            if len(alive) == 1 and len(next(iter(alive))) == 1:
-                return steps, alive
-        elif not alive:
-            return steps, alive
-    return None, alive
+    alive = {s for d, group in order.items() for s, on in zip(group, live[d]) if on}
+    return (steps if left == goal else None), alive
 
 
 def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
@@ -411,7 +420,9 @@ def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
 
     `target` is a subcomplex (complex, or set of simplices) or the string
     "point".  Success returns a replayable certificate; running out of
-    free faces or budget is inconclusive, not a refutation.  A complex not
+    free faces or budget is inconclusive, not a refutation.  A complex that
+    is already its target (one vertex, or the whole subcomplex) gets the
+    empty certificate with `restarts_used` 0.  A complex not
     closed under faces, or a target that is not a subcomplex, is refused
     with `InvariantViolationError`; fewer than one restart or a negative
     budget with `ValueError`.
@@ -428,8 +439,6 @@ def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
         protected = frozenset(part)
         point_goal = False
     _check_closed(c, protected)
-    if not point_goal and protected == c.simplices:
-        return CollapseCertificate((), "subcomplex", seed, 0)
     for attempt in range(restarts):
         rng = random.Random(seed + attempt)
         steps, _ = _greedy_collapse(c, protected, point_goal, rng, budget)

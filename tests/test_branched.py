@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 import re
+import tracemalloc
 
 import pytest
 from conftest import run_optimized
@@ -455,6 +457,47 @@ def test_collapse_pools_draw_as_the_resorting_search(monkeypatch):
     assert certificates() == fast
 
 
+def link_disc_collapses():
+    """The flapped concentric_disc(16, 16) (rings 2, 5 and 8), seeds 0 to 2:
+    to a point, and back onto the disc."""
+    disc = concentric_disc(16, 16)
+    m = disc
+    for ring in (2, 5, 8):
+        m = attach_flap(m, f"ring_{ring}")
+    out = []
+    for seed in range(3):
+        out.append(collapse_to(m.complex, "point", seed=seed))
+        out.append(collapse_to(m.complex, disc, seed=seed))
+    return out
+
+
+def test_link_disc_collapses_draw_as_the_resorting_search(monkeypatch):
+    fast = link_disc_collapses()
+    assert all(isinstance(x, CollapseCertificate) for x in fast)
+    monkeypatch.setattr(branched, "_greedy_collapse", scan_greedy_collapse)
+    assert link_disc_collapses() == fast
+
+
+def test_collapse_search_keeps_no_coface_sets():
+    # two integers per simplex: on the flapped concentric_disc(30, 30) (5701
+    # simplices) one search peaks at 0.65 MB, where a set of cofaces per
+    # simplex (at least 216 bytes each) took 2.86 MB
+    m = concentric_disc(30, 30)
+    for ring in (2, 5):
+        m = attach_flap(m, f"ring_{ring}")
+    c = m.complex
+    assert len(c.simplices) == 5701
+    c.f_vector()  # the canonical order is the complex's own, built before
+    tracemalloc.start()
+    try:
+        steps, alive = branched._greedy_collapse(c, frozenset(), True, random.Random(0), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps is not None and len(alive) == 1
+    assert peak < 1_000_000
+
+
 def relative_collapses():
     """Collapses onto subcomplexes, two of them inconclusive, seeds 0 to 4.
 
@@ -530,6 +573,19 @@ def test_collapse_refuses_bad_search_limits(restarts, budget):
     disc = standard_model("disc", n=2)
     with pytest.raises(ValueError, match="need restarts >= 1 and budget >= 0"):
         collapse_to(disc, "point", restarts=restarts, budget=budget)
+
+
+@pytest.mark.parametrize("budget", [0, 10**6])
+def test_a_point_collapses_to_a_point_with_no_step(budget):
+    point = from_facets([["a"]])
+    cert = collapse_to(point, "point", seed=5, restarts=1, budget=budget)
+    assert cert == CollapseCertificate((), "point", 5, 0)
+    assert replay_certificate(point, cert) == {("a",)}
+
+
+def test_two_points_do_not_collapse_to_a_point():
+    failed = collapse_to(from_facets([["a"], ["b"]]), "point", restarts=2)
+    assert failed == CollapseFailure(2, 10**6)
 
 
 def test_collapse_runs_the_smallest_search_limits():

@@ -234,9 +234,10 @@ def test_cli_reeb_smooths_once(tmp_path, monkeypatch):
     # the smoothed graph is written by arcs: no raw graph, no smoothing pass
     assert main(args + ["--smooth-degree-2", "--out", str(tmp_path / "g.json")]) == 0
     assert calls == []
-    # the raw report smooths once, for its invariants
+    # the raw report sweeps for its graph and reads its invariants from the
+    # arc writer: it smooths nothing either
     assert main(args + ["--out", str(tmp_path / "raw.json")]) == 0
-    assert sorted(calls) == ["reeb_graph", "smoothed"]
+    assert calls == ["reeb_graph"]
 
 
 def test_cli_torus_reeb_invariants(tmp_path):
@@ -323,6 +324,15 @@ def test_cli_collapse_disc(tmp_path):
     assert main(["collapse", "--recipe", recipe, "--target", "point", "--out", str(out)]) == 0
     rep = read_json(out)
     assert rep["pass"] and rep["steps"]
+
+
+def test_cli_collapse_of_a_point_passes_with_no_step(tmp_path):
+    recipe = write_json(tmp_path / "r.json", [{"id": "p", "op": "from_facets", "facets": [["a"]]}])
+    out = tmp_path / "c.json"
+    assert main(["collapse", "--recipe", recipe, "--target", "point", "--out", str(out)]) == 0
+    rep = read_json(out)
+    assert rep["pass"] and rep["steps"] == []
+    assert (rep["winning_seed"], rep["restarts_used"]) == (0, 0)
 
 
 def test_cli_collapse_sphere_inconclusive(tmp_path):

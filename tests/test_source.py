@@ -1,13 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import builtins
 import dataclasses
 import inspect
 import re
 from pathlib import Path
 
 import reebtop
-from reebtop import algebra, cli, complexes, errors, recipes, reeb
+from reebtop import algebra, branched, cli, complexes, errors, recipes, reeb
 from reebtop.algebra import augmentation_matrix, boundary_matrix, smith_normal_form
 from reebtop.branched import collapse_to
 from reebtop.complexes import SimplicialComplex
@@ -666,3 +667,67 @@ def test_only_the_kinds_test_for_a_json_boolean():
     assert [f.name for f in dataclasses.fields(recipes._Op)] == ["required", "refs", "build", "kinds"]
     kinds = [kind for op in recipes._OPS.values() for kind in op.kinds.values()]
     assert kinds and all(isinstance(kind, complexes.Kind) for kind in kinds)
+
+
+CHECKERS = ("replay_certificate", "_coface_table")
+
+
+def checker_search_overlap(source, search="_greedy_collapse"):
+    """What the certificate checkers share with the collapse search in `source`.
+
+    Returns the names, other than builtins, that the search calls (a bare
+    name, or the last part of an attribute such as `c._order`) or defines
+    in its body and that a checker reads, plus each checker the search names.
+    """
+    tops = {
+        node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+    }
+
+    def loaded(fn):
+        return {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        }
+
+    owned = set()
+    for node in ast.walk(tops[search]):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            owned.add(node.func.id)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owned.add(node.func.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node is not tops[search]:
+            owned.add(node.name)
+    owned -= set(dir(builtins))
+    read = set().union(*(loaded(tops[name]) for name in CHECKERS))
+    return sorted(owned & read) + sorted(loaded(tops[search]) & set(CHECKERS))
+
+
+def test_checker_search_overlaps_are_detected():
+    checkers = (
+        "def replay_certificate(c, cert):\n    alive = set(c.simplices)\n    return len(alive)\n"
+        "def _coface_table(c):\n    return _proper_faces(c)\n"
+    )
+    # shared local names, builtins and attributes the search only reads are fine
+    fine = "def _greedy_collapse(c):\n    alive = set(c.simplices)\n    return len(alive)\n"
+    assert checker_search_overlap(fine + checkers) == []
+    bad = [
+        ("def _greedy_collapse(c):\n    return _proper_faces(c)\n", ["_proper_faces"]),
+        ("def _greedy_collapse(c):\n    return _coface_table(c)\n", ["_coface_table"]),
+        ("def _greedy_collapse(c):\n    f = replay_certificate\n", ["replay_certificate"]),
+    ]
+    for search, found in bad:
+        assert checker_search_overlap(search + checkers) == found, search
+    # a helper the search defines, or a method it calls, read by a checker
+    source = (
+        "def _greedy_collapse(c):\n    def stage(f):\n        pass\n    return c._order()\n"
+        "def replay_certificate(c, cert):\n    return stage(c._order)\n"
+        "def _coface_table(c):\n    pass\n"
+    )
+    assert checker_search_overlap(source) == ["_order", "stage"]
+
+
+def test_the_certificate_checker_shares_nothing_with_the_collapse_search():
+    # `replay_certificate` and its coface table check what the search
+    # found, so they may reach the complex only through what it does not use
+    assert checker_search_overlap(Path(branched.__file__).read_text(encoding="utf-8")) == []

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from reebtop.algebra import SparseMatrix, smith_normal_form
 from reebtop.branched import BranchedModel
-from reebtop.complexes import barycentric_subdivision
+from reebtop.complexes import barycentric_subdivision, boundary_subcomplex
 from reebtop.errors import InconsistentHandleDataError
+from reebtop.graphs import classify_vertex_link
 from reebtop.models import concentric_disc, standard_model
 from reebtop import verify
 from reebtop.verify import (
@@ -153,6 +154,15 @@ def test_cup_vanishing_fails_when_a_class_is_lost(monkeypatch, doubles_instances
     assert claim["expected"] == {"1+1": {"pairs": 1, "vanished": 1}}
     assert claim["computed"] == {"1+1": {"pairs": 0, "vanished": 0}}
     assert not claim["pass"] and not report["pass"]
+
+
+def test_the_solid_torus_base_is_bounded_by_a_closed_surface():
+    # an n = 3 base is a 3-manifold with boundary: its boundary is a closed
+    # surface, where every vertex link is a circle, so no pinch can hide there
+    base, _, _ = INSTANCE_BUILDERS["solid_torus_core"]
+    rim = boundary_subcomplex(base())
+    assert rim.dim == 2 and not boundary_subcomplex(rim).simplices
+    assert [classify_vertex_link(rim, v) for v in rim.vertices] == ["circle"] * 9
 
 
 @pytest.mark.parametrize("name", list(INSTANCE_BUILDERS))
