@@ -345,11 +345,12 @@ def _greedy_collapse(c, protected, point_goal, rng, budget):
     by its rank r in `sort_key` order among the removable d-simplices, and
     keeps two integers: `count[d][r]`, how many live codimension-one cofaces
     it has, and `total[d][r]`, the sum of their ranks among the (d+1)-
-    simplices, which is the rank of the only one when the count is 1.
-    Liveness is one `bytearray` per dimension.  Candidates are staged per
-    dimension as sorted ranks, and `rng` draws one.  Returns the steps (None
-    when the attempt gets stuck or runs out of budget; no steps when `c` is
-    its goal already) and the simplices outside `protected` still alive.
+    simplices, which is the rank of the only one when the count is 1.  A
+    removed simplex has no live coface, so its count is 0: the search keeps
+    no liveness but `left`, the number of live simplices.  Candidates are
+    staged per dimension as sorted ranks, and `rng` draws one.  Returns the
+    steps: none when `c` is its goal already, None when the attempt gets
+    stuck or runs out of budget.
     """
     order = {
         d: [s for s in group if s not in protected] if protected else group
@@ -358,7 +359,6 @@ def _greedy_collapse(c, protected, point_goal, rng, budget):
     rank = {s: r for group in order.values() for r, s in enumerate(group)}
     count = {d: [0] * len(group) for d, group in order.items()}
     total = {d: [0] * len(group) for d, group in order.items()}
-    live = {d: bytearray(b"\x01") * len(group) for d, group in order.items()}
     left = len(rank)
     for d, group in order.items():
         if d:
@@ -394,9 +394,8 @@ def _greedy_collapse(c, protected, point_goal, rng, budget):
         d, r = free
         t = total[d][r]
         f, tau = order[d][r], order[d + 1][t]
+        left -= 2
         for e, gone, at in ((d + 1, tau, t), (d, f, r)):
-            live[e][at] = 0
-            left -= 1
             if e:
                 below, sums = count[e - 1], total[e - 1]
                 for g in itertools.combinations(gone, e):
@@ -411,8 +410,7 @@ def _greedy_collapse(c, protected, point_goal, rng, budget):
                             if i == len(pool) or pool[i] != q:
                                 pool.insert(i, q)
         steps.append((f, tau))
-    alive = {s for d, group in order.items() for s, on in zip(group, live[d]) if on}
-    return (steps if left == goal else None), alive
+    return steps if left == goal else None
 
 
 def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
@@ -441,7 +439,7 @@ def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
     _check_closed(c, protected)
     for attempt in range(restarts):
         rng = random.Random(seed + attempt)
-        steps, _ = _greedy_collapse(c, protected, point_goal, rng, budget)
+        steps = _greedy_collapse(c, protected, point_goal, rng, budget)
         if steps is not None:
             return CollapseCertificate(
                 tuple(steps), "point" if point_goal else "subcomplex", seed + attempt, attempt

@@ -66,13 +66,11 @@ def _reeb(args, final):
         field = field_from_json(data, complex_)
     else:
         raise ToolkitError("reeb needs --asset or --field")
-    # the invariants are those of the smoothed graph, which the sweep writes by arcs
-    smoothed = smoothed_reeb_graph(field)
-    graph = smoothed if args.smooth_degree_2 else reeb_graph(field)
+    graph = smoothed_reeb_graph(field) if args.smooth_degree_2 else reeb_graph(field)
     return {
         "command": args.command,
         "graph": graph.to_json(),
-        "invariants": graph_invariants(smoothed),
+        "invariants": graph_invariants(graph),
         "pass": True,
     }
 

@@ -112,7 +112,8 @@ def scan_coface_table(simplices):
 
 
 def scan_greedy_collapse(c, protected, point_goal, rng, budget):
-    """One greedy collapse attempt, re-sorting the candidate pool at each draw."""
+    """One greedy collapse attempt, re-sorting the candidate pool at each draw;
+    returns the steps, or None when it gets stuck or runs out of budget."""
     alive = set(c.simplices)
     cofaces = scan_coface_table(c.simplices)
     by_dim = {}
@@ -161,7 +162,7 @@ def scan_greedy_collapse(c, protected, point_goal, rng, budget):
         done += 1
         if point_goal:
             if len(alive) == 1 and len(next(iter(alive))) == 1:
-                return steps, alive
+                return steps
         elif alive == protected:
-            return steps, alive
-    return None, alive
+            return steps
+    return None

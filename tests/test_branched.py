@@ -490,11 +490,12 @@ def test_collapse_search_keeps_no_coface_sets():
     c.f_vector()  # the canonical order is the complex's own, built before
     tracemalloc.start()
     try:
-        steps, alive = branched._greedy_collapse(c, frozenset(), True, random.Random(0), 10**6)
+        steps = branched._greedy_collapse(c, frozenset(), True, random.Random(0), 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert steps is not None and len(alive) == 1
+    left = replay_certificate(c, CollapseCertificate(tuple(steps), "point", 0, 0))
+    assert len(left) == 1 and len(next(iter(left))) == 1
     assert peak < 1_000_000
 
 

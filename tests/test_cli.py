@@ -234,10 +234,9 @@ def test_cli_reeb_smooths_once(tmp_path, monkeypatch):
     # the smoothed graph is written by arcs: no raw graph, no smoothing pass
     assert main(args + ["--smooth-degree-2", "--out", str(tmp_path / "g.json")]) == 0
     assert calls == []
-    # the raw report sweeps for its graph and reads its invariants from the
-    # arc writer: it smooths nothing either
+    # the raw report smooths once, for its invariants
     assert main(args + ["--out", str(tmp_path / "raw.json")]) == 0
-    assert calls == ["reeb_graph"]
+    assert sorted(calls) == ["reeb_graph", "smoothed"]
 
 
 def test_cli_torus_reeb_invariants(tmp_path):

@@ -670,14 +670,18 @@ def test_only_the_kinds_test_for_a_json_boolean():
 
 
 CHECKERS = ("replay_certificate", "_coface_table")
+# methods of the builtin containers: calling `pool.pop` shares no data
+CONTAINER_METHODS = set().union(*(dir(t) for t in (set, dict, list, tuple, bytearray, str, int)))
 
 
 def checker_search_overlap(source, search="_greedy_collapse"):
     """What the certificate checkers share with the collapse search in `source`.
 
-    Returns the names, other than builtins, that the search calls (a bare
-    name, or the last part of an attribute such as `c._order`) or defines
-    in its body and that a checker reads, plus each checker the search names.
+    Returns the names that a checker reads and that the search defines in
+    its body, stores as an attribute (such as a table kept on the complex,
+    `c._cofaces = ...`) or calls, as a bare name other than a builtin or as
+    the last part of an attribute such as `c._order` other than a method of
+    a builtin container; plus each checker the search names.
     """
     tops = {
         node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
@@ -695,7 +699,10 @@ def checker_search_overlap(source, search="_greedy_collapse"):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             owned.add(node.func.id)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            owned.add(node.func.attr)
+            if node.func.attr not in CONTAINER_METHODS:
+                owned.add(node.func.attr)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            owned.add(node.attr)
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node is not tops[search]:
             owned.add(node.name)
     owned -= set(dir(builtins))
@@ -705,16 +712,23 @@ def checker_search_overlap(source, search="_greedy_collapse"):
 
 def test_checker_search_overlaps_are_detected():
     checkers = (
-        "def replay_certificate(c, cert):\n    alive = set(c.simplices)\n    return len(alive)\n"
+        "def replay_certificate(c, cert):\n    alive = set(c.simplices)\n"
+        "    alive.discard(cert)\n    return len(alive)\n"
         "def _coface_table(c):\n    return _proper_faces(c)\n"
     )
-    # shared local names, builtins and attributes the search only reads are fine
-    fine = "def _greedy_collapse(c):\n    alive = set(c.simplices)\n    return len(alive)\n"
+    # shared local names, builtins, attributes the search only reads and
+    # methods of builtin containers are fine
+    fine = (
+        "def _greedy_collapse(c):\n    alive = set(c.simplices)\n"
+        "    alive.discard(c)\n    return len(alive)\n"
+    )
     assert checker_search_overlap(fine + checkers) == []
     bad = [
         ("def _greedy_collapse(c):\n    return _proper_faces(c)\n", ["_proper_faces"]),
         ("def _greedy_collapse(c):\n    return _coface_table(c)\n", ["_coface_table"]),
         ("def _greedy_collapse(c):\n    f = replay_certificate\n", ["replay_certificate"]),
+        # a table the search keeps on the complex, read back by a checker
+        ("def _greedy_collapse(c):\n    c.simplices = {}\n", ["simplices"]),
     ]
     for search, found in bad:
         assert checker_search_overlap(search + checkers) == found, search
