@@ -597,17 +597,6 @@ class _KeptChainBasis(ChainBasis):
         self._read(a, split, kernel)
 
 
-def _kernel_basis(a):
-    """A Z-basis of ker(a) and the functionals that read a cycle in it.
-
-    Returns (basis, readers), lists of {index: nonzero} dicts with every x
-    in ker(a) equal to Σ_s (readers[s]·x) basis[s]: the Smith columns of a
-    with diagonal entry 0, in the order `smith_normal_form` lists them.
-    """
-    kernel = [t for t in smith_normal_form(a, transforms=True).columns if t[0] == 0]
-    return [v for _, v, _ in kernel], [r for _, _, r in kernel]
-
-
 def _dense(vec, n):
     return [vec.get(i, 0) for i in range(n)]
 
@@ -662,8 +651,8 @@ def kernel_generators(columns):
     """
     if not columns:
         return []
-    basis, _ = _kernel_basis(_column_matrix(columns, len(columns[0])))
-    return [_dense(vec, len(columns)) for vec in basis]
+    kernel = _reduce(_column_matrix(columns, len(columns[0]))).kernel
+    return [_dense(vec, len(columns)) for vec, _ in kernel]
 
 
 def relation_vectors(orders):

@@ -420,10 +420,12 @@ def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
     "point".  Success returns a replayable certificate; running out of
     free faces or budget is inconclusive, not a refutation.  A complex that
     is already its target (one vertex, or the whole subcomplex) gets the
-    empty certificate with `restarts_used` 0.  A complex not
-    closed under faces, or a target that is not a subcomplex, is refused
-    with `InvariantViolationError`; fewer than one restart or a negative
-    budget with `ValueError`.
+    empty certificate with `restarts_used` 0.  The empty complex has no
+    point to reach, since no removal makes a vertex: it gets a definite
+    failure, with no attempt run.  A complex not closed under faces, or a
+    target that is not a subcomplex, is refused with
+    `InvariantViolationError`; fewer than one restart or a negative budget
+    with `ValueError`.
     """
     if restarts < 1 or budget < 0:
         raise ValueError(f"need restarts >= 1 and budget >= 0, got {restarts} and {budget}")
@@ -437,6 +439,8 @@ def collapse_to(c, target, seed=0, restarts=32, budget=10**6):
         protected = frozenset(part)
         point_goal = False
     _check_closed(c, protected)
+    if point_goal and not c.simplices:
+        return CollapseFailure(0, budget, "the empty complex has no point")
     for attempt in range(restarts):
         rng = random.Random(seed + attempt)
         steps = _greedy_collapse(c, protected, point_goal, rng, budget)

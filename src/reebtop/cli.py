@@ -91,7 +91,7 @@ def _collapse(args, final):
         report["winning_seed"] = outcome.seed
         report["restarts_used"] = outcome.restarts_used
     else:
-        report["status"] = "inconclusive"
+        report["status"] = outcome.reason
         report["restarts"] = outcome.restarts
         report["budget"] = outcome.budget
     return report

@@ -10,6 +10,15 @@ from __future__ import annotations
 from collections import Counter
 
 
+def _find(parent, x):
+    """The root of `x` in the union-find `parent` (a list or a dict), halving
+    the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class Multigraph:
     def __init__(self, nodes=(), edges=()):
         self.nodes = list(nodes)
@@ -29,21 +38,11 @@ class Multigraph:
 
     def betti0(self):
         parent = {n: n for n in self.nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in self.edges:
-            a, b = find(u), find(v)
+            a, b = _find(parent, u), _find(parent, v)
             if a != b:
                 parent[a] = b
-        return len({find(n) for n in self.nodes})
-
-    def betti1(self):
-        return len(self.edges) - len(self.nodes) + self.betti0()
+        return len({_find(parent, n) for n in self.nodes})
 
     def smoothed(self, keep=()):
         """Contract every degree-two node whose two edge slots differ,

@@ -9,12 +9,12 @@ nodes, those with one edge down and one up, to recover the Morse-style
 picture; a degree-two node whose edges both go down (or both up) is a
 pinch where two components meet and end (or start), and stays.
 
-`reeb_graph` finds both kinds of component in one sweep over the vertices
-in value order v_0, v_1, ....  A simplex is active at level i when its
-lowest vertex is no later than v_i and its highest no earlier, and on slab
-i (between v_i and v_(i+1)) when it is active at both ends.  Two active
-simplices are joined when one is a facet of the other.  Write A_i and S_i
-for the simplices active at level i and on slab i.  Then
+One sweep over the vertices in value order v_0, v_1, ... finds both kinds
+of component, and has two outputs.  A simplex is active at level i when
+its lowest vertex is no later than v_i and its highest no earlier, and on
+slab i (between v_i and v_(i+1)) when it is active at both ends.  Two
+active simplices are joined when one is a facet of the other.  Write A_i
+and S_i for the simplices active at level i and on slab i.  Then
 
     A_i = S_(i-1) + born_i,    S_i = A_i - dies_i,
 
@@ -24,9 +24,12 @@ simplex of that star is active at level i and reaches the vertex v_i
 through faces that contain it, so all of it lies in the one level
 component K_i through v_i.  Every other component of S_(i-1) is a
 component of A_i and of S_i with the same members: it passes through the
-level untouched.  The sweep therefore keeps one union-find over the
-active simplices and, at level i, joins born_i and the slab components
-that meet the star into K_i.
+level untouched.  A component of S_(i-1) that meets the star holds a
+simplex through v_i with a vertex below it, and so the edge from v_i down
+to that simplex's lowest vertex, joined to it through the faces that hold
+both ends.  The sweep therefore keeps one union-find over the active
+simplices and, at level i, joins born_i and the components of the edges
+down from v_i into K_i.
 
 Leaving the level, K_i needs rebuilding only where the upper link of v_i
 (the faces opposite v_i of the born simplices) has two or more
@@ -50,47 +53,45 @@ survives.  Merges need no test on the lower link: they are the joins at
 the level step.
 
 So where the upper link does not split, K_i stays whole in the
-union-find and its dead members stay in the set.  Each component keeps
-its member ranks in a heap whose top is its least live simplex; dead
-ranks are dropped lazily when they reach the top, and heaps merge small
-into large.  At a split vertex the live members of K_i are joined again
-through their facets on the slab, and the dead ones met there are
-dropped, so each dead member is visited at most once.  Whether the upper
-link splits is decided by a local union-find over its 1-skeleton.
-Simplices are named by their rank in the canonical order, so the sweep
-compares no `Fraction`.  For S simplices of dimension at most d and an
-output of R nodes and edges, the work is O(S·d + S·log² S) for the stars
-and the heaps (a rank moves O(log S) times, at O(log S) a push), plus
-O(d·Σ|K_i|) over the split vertices only, plus O(R·log R) for the output
-order.  Rebuilding K_i at every vertex cost O(S·d + Σ|K_i|), which grows
-like V^1.5 on height fields; rescanning every simplex at every level
-cost O(V·S).
+union-find and its dead members stay in the set.  At a split vertex only
+the live members of K_i are joined again, through their live facets (an
+edge, whose facets are vertices and never live on a slab, needs no
+lookup), and the dead ones are dropped, so each dead member is visited at
+most once.  Whether the upper link splits is decided by a local
+union-find over its 1-skeleton.  For S simplices of dimension at most d
+the tables take O(S·d), and the rebuilds O(d·Σ|K_i|) over the split
+vertices only.  That last term is the cost that remains: a random field
+on the 8x8 torus (384 simplices) has about 19 split vertices, whose
+rebuilds visit about 2000 live members.  Rescanning every simplex at
+every level cost O(V·S).
 
-`smoothed_reeb_graph` runs the same sweep and writes the smoothed graph
-by arcs, with no raw graph in between.  A component that passes through a
-level untouched is a regular raw node, so it gets no node at all: every
-slab component carries the node where its arc began.  Only K_i ends arcs,
-one for each slab component below that meets the star of v_i (each holds
-an edge from v_i down, so only those edges are looked up), and only K_i
-starts them, one for each slab component of K_i minus dies_i.  K_i gets
-a node, named by v_i, unless exactly one arc ends there and exactly one
-leaves; then the leaving component carries the arc on.  Nodes come out in
-value order, and the edges, from the node where an arc began to the one
-where it ends, are sorted by node positions once at the end.  So nothing
-is sorted per level, and nothing is smoothed afterwards.  Components keep
-plain member lists, merged small into large; dead members stay until the
-next split, where only the live members of K_i are joined again through
-their live facets.  An edge, whose facets are vertices and never live on
-a slab, needs no lookup there.  Simplices are numbered in set order, since
-the output reads no simplex order.  The work is O(S·d) for the lists,
-O(S·log S) for the merges, O(R·log R) for the output, and O(d·Σ|K_i|)
-over the split vertices.  That last term is the cost that remains: a
-random field on the 8x8 torus (384 simplices) has about 19 split
-vertices, whose rebuilds visit about 2000 live members.
+`reeb_graph` writes the raw graph.  Simplices are numbered by their rank
+in the canonical order, so the sweep compares no `Fraction`, and each
+component keeps its member numbers in a heap whose top is its least live
+simplex, which names its node; dead numbers are dropped lazily when they
+reach the top, and heaps merge small into large, for O(S·log² S) (a
+number moves O(log S) times, at O(log S) a push).  The nodes of a level
+and the edges of a slab are sorted by least member, O(R·log R) for an
+output of R nodes and edges.
+
+`smoothed_reeb_graph` writes the smoothed graph by arcs, with no raw
+graph in between.  A component that passes through a level untouched is
+a regular raw node, so it gets no node at all: every slab component
+carries the node where its arc began.  Only K_i ends arcs, one for each
+slab component below that meets the star of v_i, and only K_i starts
+them, one for each slab component of K_i minus dies_i.  K_i gets a node,
+named by v_i, unless exactly one arc ends there and exactly one leaves;
+then the leaving component carries the arc on.  Nodes come out in value
+order, and the edges, from the node where an arc began to the one where
+it ends, are sorted by node positions once at the end.  So nothing is
+sorted per level, and nothing is smoothed afterwards.  Components keep
+plain member lists, merged small into large, O(S·log S); simplices are
+numbered in set order, since the output reads no simplex order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 
 from .complexes import _rational, complex_from_json
@@ -99,7 +100,7 @@ from .errors import (
     MalformedFieldError,
     NonInjectiveFieldError,
 )
-from .graphs import Multigraph
+from .graphs import Multigraph, _find
 
 
 class VertexField:
@@ -152,14 +153,8 @@ class ReebGraph:
         if self.is_smoothed:
             return self
         vals = self.values
-        sides = {}  # node -> [edges to a lower node, edges to a higher one]
-        for u, w in self.graph.edges:
-            if vals[u] != vals[w]:
-                low, high = (u, w) if vals[u] < vals[w] else (w, u)
-                sides.setdefault(low, [0, 0])[1] += 1
-                sides.setdefault(high, [0, 0])[0] += 1
-        keep = {n for n in self.graph.nodes if sides.get(n) != [1, 1]}
-        g = self.graph.smoothed(keep)
+        regular = _regular_nodes(self)
+        g = self.graph.smoothed({n for n in self.graph.nodes if n not in regular})
         index = {n: i for i, n in enumerate(g.nodes)}
 
         def ends(edge):
@@ -187,6 +182,19 @@ class ReebGraph:
         ]
         edges = [[label[u], label[v]] for u, v in self.graph.edges]
         return {"smoothed": self.is_smoothed, "nodes": nodes, "edges": edges}
+
+
+def _regular_nodes(g):
+    """The nodes of Reeb graph `g` with one edge down, one up and no other:
+    those that smoothing contracts."""
+    vals = g.values
+    sides = {}  # node -> [edge ends to a lower node, to a higher one, to a level one]
+    for u, w in g.graph.edges:
+        a, b = vals[u], vals[w]
+        here, there = (1, 0) if a < b else (0, 1) if b < a else (2, 2)
+        sides.setdefault(u, [0, 0, 0])[here] += 1
+        sides.setdefault(w, [0, 0, 0])[there] += 1
+    return {n for n in g.graph.nodes if sides.get(n) == [1, 1, 0]}
 
 
 def _value_order(field):
@@ -222,15 +230,8 @@ def _upper_link_splits(v, upper_star):
     pieces = len(parent)
     if pieces < 2:
         return False
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
     for s in triangles:
-        a, b = (find(u) for u in s if u != v)
+        a, b = (_find(parent, u) for u in s if u != v)
         if a != b:
             parent[a] = b
             pieces -= 1
@@ -239,162 +240,18 @@ def _upper_link_splits(v, upper_star):
     return True
 
 
-def reeb_graph(field):
-    """Raw Reeb graph of the field: one node per level-set component.
+def _sweep_tables(c, order, simplices):
+    """The tables of the sweep, over the simplex numbering `simplices`.
 
-    Nodes of a level come in the order of their component's least simplex
-    (`c.sort_key`), and the edges of a slab in the order of their slab
-    component's least simplex; a node is `(level, least simplex)`.
+    born[i]: the numbers of the simplices whose lowest vertex is v_i, in
+    ascending order.  down[i]: the edges whose highest vertex is v_i; each
+    slab component meeting the star of v_i holds one.  hi[r]: the position
+    of the highest vertex of simplex r (0 for a vertex, which is never live
+    on a slab).  point[i]: the vertex v_i as a simplex, None when it spans
+    none.  A complex not closed under faces is refused first.
     """
-    c = field.complex
-    if not c.vertices:
-        return ReebGraph(Multigraph(), {})
-    vals = field.values
-    order = _value_order(field)
-    pos = {v: i for i, v in enumerate(order)}
-    # simplices are named by their rank in the canonical order, so the
-    # least member of a component is the least rank
-    simplices = sorted(c.simplices, key=c.sort_key)
-    rank = {s: r for r, s in enumerate(simplices)}
-    stars = [[] for _ in order]  # ranks through each vertex, ascending
-    lo = []
-    hi = []
-    for r, s in enumerate(simplices):
-        ps = [pos[v] for v in s]
-        for p in ps:
-            stars[p].append(r)
-        lo.append(min(ps))
-        hi.append(max(ps))
-    try:
-        faces = [
-            [rank[s[:j] + s[j + 1 :]] for j in range(len(s))] if len(s) > 1 else []
-            for s in simplices
-        ]
-    except KeyError:
-        c.check_closed()
-        raise
-    parent = list(range(len(simplices)))
-    # root -> heap of the member ranks of an active component; its top is
-    # live, and dead members below the top are dropped when they surface
-    comps = {}
-
-    def find(r):
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
-    def join(a, b):
-        a, b = find(a), find(b)
-        if a != b:
-            if len(comps[a]) < len(comps[b]):
-                a, b = b, a
-            parent[b] = a
-            heap = comps[a]
-            for m in comps.pop(b):
-                heappush(heap, m)
-
-    def least(a):
-        return comps[a][0]
-
-    nodes = []
-    values = {}
-    edges = []
-    pending = []  # (member, node below, rebuilt members or None) per slab component
-    for i, v in enumerate(order):
-        star = stars[i]  # empty for a listed vertex that spans no simplex
-        # level i: the slab below plus the simplices whose lowest vertex is
-        # v, all in K_i; the born ones start as one component with v
-        born = [r for r in star if lo[r] == i]
-        if star:
-            k = rank[(v,)]
-            for r in born:
-                parent[r] = k
-            comps[k] = born[:]  # ascending, hence a heap
-            for r in star:
-                if lo[r] < i:
-                    join(k, r)
-        level_node = {}
-        for a in sorted(comps, key=least):
-            node = (i, simplices[comps[a][0]])
-            nodes.append(node)
-            values[node] = vals[v]
-            level_node[a] = node
-        for member, below, rebuilt in pending:
-            a = find(member)
-            if rebuilt is not None and any(find(m) != a for m in rebuilt):
-                raise InvariantViolationError(
-                    "slab component meets a level in more than one piece"
-                )
-            edges.append((below, level_node[a]))
-        if i == len(order) - 1:
-            break
-        # slab i: drop the simplices whose highest vertex is v; only K_i
-        # changes, and it is rebuilt only where the upper link of v splits
-        level_root = {}  # live member of a rebuilt K_i -> root of K_i
-        rebuilt = set()
-        if star and not _upper_link_splits(v, [simplices[r] for r in born]):
-            a = find(k)
-            if len(born) == 1:  # v has no upper link: K_i ends here
-                del comps[a]
-            else:  # K_i minus dies_i is one slab component
-                heap = comps[a]
-                while hi[heap[0]] <= i:
-                    heappop(heap)
-        elif star:
-            for a in {find(r) for r in star}:
-                for m in comps.pop(a):
-                    if hi[m] > i:
-                        level_root[m] = a
-            for m in level_root:
-                parent[m] = m
-            for m in level_root:
-                for f in faces[m]:
-                    if lo[f] <= i < hi[f]:
-                        a, b = find(m), find(f)
-                        if a != b:
-                            parent[b] = a
-            for m in level_root:
-                comps.setdefault(find(m), []).append(m)
-            rebuilt = {find(m) for m in level_root}
-            for a in rebuilt:
-                heapify(comps[a])
-        pending = []
-        for a in sorted(comps, key=least):
-            if a in rebuilt:
-                members = tuple(comps[a])
-                if any(level_root[m] != level_root[a] for m in members):
-                    raise InvariantViolationError(
-                        "slab component meets a level in more than one piece"
-                    )
-                pending.append((a, level_node[level_root[a]], members))
-            else:
-                pending.append((a, level_node[a], None))
-    return ReebGraph(Multigraph(nodes, edges), values)
-
-
-def smoothed_reeb_graph(field):
-    """Smoothed Reeb graph of the field, written by arcs during the sweep.
-
-    The same union-find sweep as `reeb_graph`, but every slab component
-    carries the node where its arc began, and only K_i ends or starts arcs:
-    it gets a node, named by v_i, unless exactly one arc ends there and
-    exactly one leaves.  Nodes come in value order; each edge runs from its
-    lower node to its upper one, and edges are listed by the node-order
-    positions of their ends.  The result equals `reeb_graph(field).smoothed()`
-    up to node names.
-    """
-    c = field.complex
     c.check_closed()
-    vals = field.values
-    order = _value_order(field)
     pos = {v: i for i, v in enumerate(order)}
-    simplices = list(c.simplices)  # numbered in set order: the output reads no simplex order
-    # born[i]: the simplices whose lowest vertex is v_i.  down[i]: the edges
-    # whose highest vertex is v_i; each slab component meeting the star of
-    # v_i holds one, from v_i to the lowest vertex of a simplex it meets.
-    # hi[r]: the position of the highest vertex (0 for a vertex, which is
-    # never live on a slab).  point[i]: the vertex v_i as a simplex.
     born = [[] for _ in order]
     down = [[] for _ in order]
     hi = [0] * len(simplices)
@@ -414,15 +271,133 @@ def smoothed_reeb_graph(field):
             ps = [pos[u] for u in s]
             born[min(ps)].append(r)
             hi[r] = max(ps)
+    return born, down, hi, point
+
+
+def _split(members, i, simplices, hi, parent):
+    """The slab components of K_i minus dies_i, at a split vertex v_i.
+
+    `members` are K_i's members, dead ones among them; the live ones are
+    joined again through their live facets in `parent`, and the dead ones
+    dropped.  Returns root -> live members, one entry per slab component.
+    """
+    live = {}
+    for m in members:
+        if hi[m] > i:
+            live[simplices[m]] = m
+    for m in live.values():
+        parent[m] = m
+    for s, m in live.items():
+        for j in range(len(s) if len(s) > 2 else 0):  # no vertex is live
+            f = live.get(s[:j] + s[j + 1 :])
+            if f is not None:
+                a, b = _find(parent, m), _find(parent, f)
+                if a != b:
+                    parent[b] = a
+    pieces = {}
+    for m in live.values():
+        pieces.setdefault(_find(parent, m), []).append(m)
+    return pieces
+
+
+def reeb_graph(field):
+    """Raw Reeb graph of the field: one node per level-set component.
+
+    Nodes of a level come in the order of their component's least simplex
+    (`c.sort_key`), and the edges of a slab in the order of their slab
+    component's least simplex; a node is `(level, least simplex)`.
+    """
+    c = field.complex
+    vals = field.values
+    order = _value_order(field)
+    # simplices are numbered by their rank in the canonical order, so the
+    # least member of a component is the least number
+    simplices = sorted(c.simplices, key=c.sort_key)
+    born, down, hi, point = _sweep_tables(c, order, simplices)
+    parent = list(range(len(simplices)))
+    # root -> heap of the member numbers of an active component; its top is
+    # live, and dead members below the top are dropped when they surface
+    comps = {}
+
+    def least(a):
+        return comps[a][0]
+
+    nodes = []
+    values = {}
+    edges = []
+    pending = []  # (member, node below, rebuilt members or None) per slab component
+    for i, v in enumerate(order):
+        # level i: the slab below plus the simplices whose lowest vertex is
+        # v, all in K_i; the born ones start as one component with v
+        members = born[i]  # empty for a listed vertex that spans no simplex
+        if members:
+            root = point[i]
+            for r in members:
+                parent[r] = root
+            comps[root] = members[:]  # ascending, hence a heap
+            for r in down[i]:
+                a = _find(parent, r)
+                if a != root:
+                    if len(comps[a]) > len(comps[root]):
+                        root, a = a, root
+                    parent[a] = root
+                    heap = comps[root]
+                    for m in comps.pop(a):
+                        heappush(heap, m)
+        level_node = {}
+        for a in sorted(comps, key=least):
+            node = (i, simplices[comps[a][0]])
+            nodes.append(node)
+            values[node] = vals[v]
+            level_node[a] = node
+        for member, below, rebuilt in pending:
+            a = _find(parent, member)
+            if rebuilt is not None and any(_find(parent, m) != a for m in rebuilt):
+                raise InvariantViolationError(
+                    "slab component meets a level in more than one piece"
+                )
+            edges.append((below, level_node[a]))
+        if i == len(order) - 1:
+            break
+        # slab i: drop the simplices whose highest vertex is v; only K_i
+        # changes, and it is rebuilt only where the upper link of v splits
+        rebuilt = {}  # root of a rebuilt slab component -> the node of K_i
+        if len(members) == 1:  # v has no upper link: K_i ends here
+            del comps[root]
+        elif members and not _upper_link_splits(v, [simplices[r] for r in members]):
+            heap = comps[root]  # K_i minus dies_i is one slab component
+            while hi[heap[0]] <= i:
+                heappop(heap)
+        elif members:
+            for a, piece in _split(comps.pop(root), i, simplices, hi, parent).items():
+                heapify(piece)
+                comps[a] = piece
+                rebuilt[a] = level_node[root]
+        pending = [
+            (a, rebuilt[a], tuple(comps[a])) if a in rebuilt else (a, level_node[a], None)
+            for a in sorted(comps, key=least)
+        ]
+    return ReebGraph(Multigraph(nodes, edges), values)
+
+
+def smoothed_reeb_graph(field):
+    """Smoothed Reeb graph of the field, written by arcs during the sweep.
+
+    The same union-find sweep as `reeb_graph`, but every slab component
+    carries the node where its arc began, and only K_i ends or starts arcs:
+    it gets a node, named by v_i, unless exactly one arc ends there and
+    exactly one leaves.  Nodes come in value order; each edge runs from its
+    lower node to its upper one, and edges are listed by the node-order
+    positions of their ends.  The result equals `reeb_graph(field).smoothed()`
+    up to node names.
+    """
+    c = field.complex
+    vals = field.values
+    order = _value_order(field)
+    simplices = list(c.simplices)  # numbered in set order: the output reads no simplex order
+    born, down, hi, point = _sweep_tables(c, order, simplices)
     parent = list(range(len(simplices)))
     comps = {}  # root -> [node its arc began at, member ids] per slab component
-
-    def find(r):
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
     nodes = []
     values = {}
     edges = []
@@ -437,7 +412,7 @@ def smoothed_reeb_graph(field):
             parent[r] = root
         ends = []  # where the arcs of the slab components below K_i began
         for r in down[i]:
-            a = find(r)
+            a = _find(parent, r)
             if a != root:
                 start, more = comps.pop(a)
                 ends.append(start)
@@ -449,23 +424,7 @@ def smoothed_reeb_graph(field):
         if not split:
             leaves = [] if ends_here else [(root, members)]
         else:
-            live = {}
-            for m in members:
-                if hi[m] > i:
-                    live[simplices[m]] = m
-            for m in live.values():
-                parent[m] = m
-            for s, m in live.items():
-                for j in range(len(s) if len(s) > 2 else 0):  # no vertex is live
-                    f = live.get(s[:j] + s[j + 1 :])
-                    if f is not None:
-                        a, b = find(m), find(f)
-                        if a != b:
-                            parent[b] = a
-            pieces = {}
-            for m in live.values():
-                pieces.setdefault(find(m), []).append(m)
-            leaves = list(pieces.items())
+            leaves = _split(members, i, simplices, hi, parent).items()
         if len(ends) == 1 and len(leaves) == 1:
             start = ends[0]
         else:
@@ -481,14 +440,26 @@ def smoothed_reeb_graph(field):
 
 
 def graph_invariants(g):
-    """Counts, degrees and Betti numbers, computed on the smoothed graph."""
-    s = g.smoothed().graph
+    """Counts, degrees and Betti numbers of the smoothed graph, read from `g`.
+
+    Smoothing contracts exactly the regular nodes, each with one of its two
+    edges, and keeps every other node's degree and the components, so `g`
+    need not be smoothed first; a smoothed graph is counted as it is.
+    """
+    r = 0 if g.is_smoothed else len(_regular_nodes(g))
+    graph = g.graph
+    degrees = graph.degree_multiset()
+    two = bisect_left(degrees, 2)
+    del degrees[two : two + r]  # the regular nodes, each of degree two
+    nodes = len(graph.nodes) - r
+    edges = len(graph.edges) - r
+    betti0 = graph.betti0()
     return {
-        "nodes": len(s.nodes),
-        "edges": len(s.edges),
-        "degrees": s.degree_multiset(),
-        "betti0": s.betti0(),
-        "betti1": s.betti1(),
+        "nodes": nodes,
+        "edges": edges,
+        "degrees": degrees,
+        "betti0": betti0,
+        "betti1": edges - nodes + betti0,
     }
 
 

@@ -589,6 +589,19 @@ def test_two_points_do_not_collapse_to_a_point():
     assert failed == CollapseFailure(2, 10**6)
 
 
+def test_the_empty_complex_has_no_point(monkeypatch):
+    # a definite failure, known before any attempt is run
+    attempts = []
+    monkeypatch.setattr(branched, "_greedy_collapse", lambda *args: attempts.append(args))
+    empty = SimplicialComplex((), ())
+    failed = collapse_to(empty, "point", restarts=5, budget=7)
+    assert failed == CollapseFailure(0, 7, "the empty complex has no point")
+    assert attempts == []
+    monkeypatch.undo()
+    # onto its empty subcomplex it is already there
+    assert collapse_to(empty, set()) == CollapseCertificate((), "subcomplex", 0, 0)
+
+
 def test_collapse_runs_the_smallest_search_limits():
     disc = standard_model("disc", n=2)
     failed = collapse_to(disc, "point", restarts=1, budget=0)

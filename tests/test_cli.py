@@ -18,6 +18,7 @@ from reebtop.cli import COMMANDS, build_parser, main
 from reebtop.complexes import complex_from_json, complex_to_json
 from reebtop.errors import RecipeError
 from reebtop.graphs import Multigraph
+from reebtop.reeb import ReebGraph
 from reebtop.recipes import parse_recipe, run_recipe
 
 
@@ -229,14 +230,15 @@ def test_cli_reeb_smooths_once(tmp_path, monkeypatch):
         return call
 
     monkeypatch.setattr(Multigraph, "smoothed", counted("smoothed", Multigraph.smoothed))
+    monkeypatch.setattr(ReebGraph, "smoothed", counted("ReebGraph.smoothed", ReebGraph.smoothed))
     monkeypatch.setattr(reebtop.cli, "reeb_graph", counted("reeb_graph", reebtop.cli.reeb_graph))
     args = ["reeb", "--recipe", recipe, "--asset", "height"]
     # the smoothed graph is written by arcs: no raw graph, no smoothing pass
     assert main(args + ["--smooth-degree-2", "--out", str(tmp_path / "g.json")]) == 0
     assert calls == []
-    # the raw report smooths once, for its invariants
+    # the raw report counts its invariants on the raw graph: no smoothing pass
     assert main(args + ["--out", str(tmp_path / "raw.json")]) == 0
-    assert sorted(calls) == ["reeb_graph", "smoothed"]
+    assert calls == ["reeb_graph"]
 
 
 def test_cli_torus_reeb_invariants(tmp_path):
@@ -332,6 +334,15 @@ def test_cli_collapse_of_a_point_passes_with_no_step(tmp_path):
     rep = read_json(out)
     assert rep["pass"] and rep["steps"] == []
     assert (rep["winning_seed"], rep["restarts_used"]) == (0, 0)
+
+
+def test_cli_collapse_of_the_empty_complex_fails(tmp_path):
+    recipe = write_json(tmp_path / "r.json", [{"id": "e", "op": "from_facets", "facets": []}])
+    out = tmp_path / "c.json"
+    assert main(["collapse", "--recipe", recipe, "--target", "point", "--out", str(out)]) == 1
+    rep = read_json(out)
+    assert rep["pass"] is False
+    assert (rep["status"], rep["restarts"]) == ("the empty complex has no point", 0)
 
 
 def test_cli_collapse_sphere_inconclusive(tmp_path):

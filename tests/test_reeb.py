@@ -115,21 +115,26 @@ def test_arc_writer_refuses_a_complex_not_closed_under_faces():
 
 
 def test_arc_writer_refuses_a_complex_not_closed_under_faces_under_optimize():
+    # both writers refuse, with `python -O` stripping any assert
     result = run_optimized(
         """
         from reebtop.complexes import SimplicialComplex
         from reebtop.errors import InvariantViolationError
-        from reebtop.reeb import VertexField, smoothed_reeb_graph
+        from reebtop.reeb import VertexField, reeb_graph, smoothed_reeb_graph
 
-        c = SimplicialComplex([0, 1, 2], [(0, 1, 2)])
-        try:
-            smoothed_reeb_graph(VertexField(c, {0: 0, 1: 1, 2: 2}))
-        except InvariantViolationError as exc:
-            print("refused:", exc)
+        for writer in (reeb_graph, smoothed_reeb_graph):
+            c = SimplicialComplex([0, 1, 2], [(0, 1, 2)])
+            try:
+                writer(VertexField(c, {0: 0, 1: 1, 2: 2}))
+            except InvariantViolationError as exc:
+                print(writer.__name__, "refused:", exc)
         """
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["refused: closure misses (0,) < (0, 1, 2)"]
+    assert result.stdout.splitlines() == [
+        "reeb_graph refused: closure misses (0,) < (0, 1, 2)",
+        "smoothed_reeb_graph refused: closure misses (0,) < (0, 1, 2)",
+    ]
 
 
 def test_duplicate_values_rejected():
@@ -173,7 +178,7 @@ def test_one_complex_reeb_matches_smoothed_source():
     assert inv["nodes"] == len(src.nodes)
     assert inv["edges"] == len(src.edges)
     assert inv["degrees"] == src.degree_multiset()
-    assert inv["betti1"] == src.betti1()
+    assert inv["betti1"] == len(src.edges) - len(src.nodes) + src.betti0()
 
 
 def restart_smoothed(g):
@@ -227,6 +232,20 @@ def test_smoothed_matches_restart_loop_on_raw_reeb_graphs():
         for _ in range(3):
             values = dict(zip(c.vertices, rng.sample(range(10**6), len(c.vertices))))
             assert_same_smoothing(reeb_graph(VertexField(c, values)).graph)
+
+
+def test_invariants_count_the_smoothed_graph_of_any_reeb_graph():
+    # nodes may tie in value, and edges may be loops, repeat or join two
+    # nodes of one value; only a node with one edge down, one up and no
+    # other is contracted
+    rng = random.Random(8)
+    for _ in range(3000):
+        nodes = [("n", i) for i in range(rng.randrange(1, 9))]
+        values = {n: Fraction(rng.randrange(4)) for n in nodes}
+        edges = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randrange(12))]
+        g = ReebGraph(Multigraph(nodes, edges), values)
+        assert graph_invariants(g) == smoothed_invariants(g)
+        assert graph_invariants(g.smoothed()) == smoothed_invariants(g)
 
 
 def test_monotone_relabel_invariance():
@@ -348,6 +367,19 @@ def random_field(c, rng):
     return VertexField(c, {v: Fraction(x, 7) for v, x in zip(c.vertices, picks)})
 
 
+def smoothed_invariants(g):
+    """`graph_invariants` as counts on the smoothed graph, the oracle."""
+    s = g.smoothed().graph
+    nodes, edges, betti0 = len(s.nodes), len(s.edges), s.betti0()
+    return {
+        "nodes": nodes,
+        "edges": edges,
+        "degrees": s.degree_multiset(),
+        "betti0": betti0,
+        "betti1": edges - nodes + betti0,
+    }
+
+
 def assert_same_sweep(field):
     fast, slow = reeb_graph(field), scan_reeb_graph(field)
     assert fast.graph.nodes == slow.graph.nodes
@@ -356,6 +388,7 @@ def assert_same_sweep(field):
     arcs = smoothed_reeb_graph(field)
     for a, b in ((fast, slow), (fast.smoothed(), slow.smoothed()), (arcs, fast.smoothed())):
         assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+    assert graph_invariants(fast) == graph_invariants(arcs) == smoothed_invariants(fast)
     assert_persistence(field, (fast, fast.smoothed(), arcs))
     return fast
 

@@ -745,3 +745,69 @@ def test_the_certificate_checker_shares_nothing_with_the_collapse_search():
     # `replay_certificate` and its coface table check what the search
     # found, so they may reach the complex only through what it does not use
     assert checker_search_overlap(Path(branched.__file__).read_text(encoding="utf-8")) == []
+
+
+def own_nodes(fn):
+    """The nodes of function `fn`, without those of the functions, lambdas
+    and classes it defines."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def find_loops(source):
+    """Functions of `source` holding a union-find `find` loop, a `while`
+    whose test is `p[x] != x`, outer functions first."""
+    return [
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.While)
+            and isinstance(node.test, ast.Compare)
+            and [type(op) for op in node.test.ops] == [ast.NotEq]
+            and isinstance(node.test.left, ast.Subscript)
+            and ast.dump(node.test.left.slice) == ast.dump(node.test.comparators[0])
+            for node in own_nodes(fn)
+        )
+    ]
+
+
+def test_union_find_loops_are_detected():
+    source = (
+        "def f(parent, x):\n    while parent[x] != x:\n        x = parent[x]\n    return x\n"
+        "def g(parent):\n    def find(r):\n        while parent[r] != r:\n"
+        "            r = parent[r]\n        return r\n    return find\n"
+        "def h(xs, x):\n    while xs[0] != 0 or xs[x] == x:\n        xs.pop()\n"
+    )
+    assert find_loops(source) == ["f", "find"]
+
+
+def test_one_union_find_and_one_sweep_core():
+    # `graphs._find` is the package's one union-find `find`
+    paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+    found = [
+        f"{path.name}:{name}"
+        for path in paths
+        for name in find_loops(path.read_text(encoding="utf-8"))
+    ]
+    assert found == ["graphs.py:_find"]
+    tree = ast.parse(Path(reeb.__file__).read_text(encoding="utf-8"))
+    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "find"] == []
+    # both Reeb writers build their tables and rebuild K_i at a split vertex
+    # through the shared helpers
+    writers = {
+        node.name: {
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        }
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("reeb_graph", "smoothed_reeb_graph")
+    }
+    assert len(writers) == 2
+    for called in writers.values():
+        assert {"_sweep_tables", "_split", "_find"} <= called
