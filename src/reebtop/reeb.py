@@ -91,7 +91,6 @@ numbered in set order, since the output reads no simplex order.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 
 from .complexes import _rational, complex_from_json
@@ -440,26 +439,15 @@ def smoothed_reeb_graph(field):
 
 
 def graph_invariants(g):
-    """Counts, degrees and Betti numbers of the smoothed graph, read from `g`.
-
-    Smoothing contracts exactly the regular nodes, each with one of its two
-    edges, and keeps every other node's degree and the components, so `g`
-    need not be smoothed first; a smoothed graph is counted as it is.
-    """
-    r = 0 if g.is_smoothed else len(_regular_nodes(g))
-    graph = g.graph
-    degrees = graph.degree_multiset()
-    two = bisect_left(degrees, 2)
-    del degrees[two : two + r]  # the regular nodes, each of degree two
-    nodes = len(graph.nodes) - r
-    edges = len(graph.edges) - r
-    betti0 = graph.betti0()
+    """Counts, degrees and Betti numbers, computed on the smoothed graph."""
+    s = g.smoothed().graph
+    betti0 = s.betti0()
     return {
-        "nodes": nodes,
-        "edges": edges,
-        "degrees": degrees,
+        "nodes": len(s.nodes),
+        "edges": len(s.edges),
+        "degrees": s.degree_multiset(),
         "betti0": betti0,
-        "betti1": edges - nodes + betti0,
+        "betti1": len(s.edges) - len(s.nodes) + betti0,
     }
 
 
