@@ -138,46 +138,28 @@ def smith_normal_form(a, transforms=True):
     """
     m, n = a.rows, a.cols
     v = [{j: 1} for j in range(n)] if transforms else None
-    rest = _eliminate_unit_pivots(a.columns, m, v)
-    block, live = rest.block(), rest.live
+    pivots, columns, pivoted = _eliminate_unit_pivots(a.columns, m, v)
+    live = [j for j, col in enumerate(columns) if col]
+    leftover = [columns[j] for j in live]
+    # the leftover block, as dense rows over `live`; zero rows left out
+    block = [[col.get(i, 0) for col in leftover] for i in sorted(set().union(*leftover))]
     q, qinv = _dense_smith(block, len(block), len(live))
     tail = [block[i][i] for i in range(min(len(block), len(live)))]
-    count = len(rest.pivots)
+    count = len(pivots)
     diagonal = [1] * count + tail + [0] * (min(m, n) - count - len(tail))
     snf = SnfDecomposition(
-        count + sum(1 for d in tail if d), diagonal, frozenset(i for i, _ in rest.pivots))
+        count + sum(1 for d in tail if d), diagonal, frozenset(i for i, _ in pivots))
     if transforms:
         v_live = SparseMatrix(n, len(live), [v[j] for j in live])
+        free = [j for j, col in enumerate(columns) if not col and not pivoted[j]]
         snf.columns = [
             (tail[i] if i < len(tail) else 0,
              v_live.apply({t: row[i] for t, row in enumerate(q) if row[i]}),
              {j: x for j, x in zip(live, qinv[i]) if x})
             for i in range(len(live))
-        ] + [(0, v[j], {j: 1}) for j in rest.free]
-        snf.pivots, snf.leftover = rest.pivots, [rest.columns[j] for j in live]
+        ] + [(0, v[j], {j: 1}) for j in free]
+        snf.pivots, snf.leftover = pivots, leftover
     return snf
-
-
-@dataclass
-class _Elimination:
-    """What `_eliminate_unit_pivots` leaves of a·V.
-
-    `pivots` holds one (row, column) pair per unit pivot, in pivot order:
-    the pivot's row and its column of a·V, which is the column as it stood
-    at pivot time.  `columns` holds the other columns of a·V (a pivot's is
-    empty there), split by index into those eliminated to zero (`free`) and
-    those of the leftover block (`live`).
-    """
-
-    pivots: list
-    columns: list
-    free: list
-    live: list
-
-    def block(self):
-        """The leftover block, as dense rows over `live`; zero rows left out."""
-        live = [self.columns[j] for j in self.live]
-        return [[col.get(i, 0) for col in live] for i in sorted(set().union(*live))]
 
 
 def _eliminate_unit_pivots(columns, m, tracked=None):
@@ -201,13 +183,20 @@ def _eliminate_unit_pivots(columns, m, tracked=None):
     integral.  Each column of c at P is then an integer combination of the
     others, and deleting those columns (a unimodular column operation, then
     zero columns dropped) keeps the invariant factors of c over Z and Z/2.
+
+    Returns (pivots, columns, pivoted).  `pivots` holds one (row, column)
+    pair per unit pivot, in pivot order: the pivot's row and its column of
+    a·V, which is the column as it stood at pivot time.  `columns` holds
+    the columns of a·V with each pivot's left empty: those still nonzero
+    are the leftover block's, the other empty ones were eliminated to zero.
+    `pivoted[j]` tells whether column j took a pivot.
     """
     cols = [dict(col) for col in columns]
     rows = [set() for _ in range(m)]  # row -> columns with an entry there
     for j, col in enumerate(cols):
         for i in col:
             rows[i].add(j)
-    pivot = [False] * len(cols)
+    pivoted = [False] * len(cols)
     pivots = []
     progress = True
     while progress:
@@ -246,12 +235,10 @@ def _eliminate_unit_pivots(columns, m, tracked=None):
             for i in col:
                 rows[i].discard(j)
             cols[j] = {}
-            pivot[j] = True
+            pivoted[j] = True
             pivots.append((best, col))
             progress = True
-    live = [j for j, col in enumerate(cols) if col]
-    free = [j for j, col in enumerate(cols) if not col and not pivot[j]]
-    return _Elimination(pivots, cols, free, live)
+    return pivots, cols, pivoted
 
 
 def _dense_smith(s, m, n):
@@ -314,49 +301,39 @@ def _dense_smith(s, m, n):
     k = 0
     limit = min(m, n)
     while k < limit:
-        if pivot_search(k) is None:
+        # each pass works from the smallest entry of the block; this is
+        # what keeps coefficient growth in check
+        best = pivot_search(k)
+        if best is None:
             break
-        while True:
-            # always work from the smallest entry of the block; this is what
-            # keeps coefficient growth in check
-            i0, j0 = pivot_search(k)
-            if i0 != k:
-                s[k], s[i0] = s[i0], s[k]
-            if j0 != k:
-                swap_cols(k, j0)
-            piv = s[k][k]
-            for i in range(k + 1, m):
-                if s[i][k]:
-                    q = nearest_quotient(s[i][k], piv)
-                    if q:
-                        add_row(i, k, -q)
-            for j in range(k + 1, n):
-                if s[k][j]:
-                    q = nearest_quotient(s[k][j], piv)
-                    if q:
-                        add_col(j, k, -q)
-            if any(s[i][k] for i in range(k + 1, m)) or any(
-                s[k][j] for j in range(k + 1, n)
-            ):
-                continue  # a remainder smaller than the pivot is promoted next
-            # pivot must divide the remaining block for the divisor chain;
-            # a unit pivot divides everything
-            piv = s[k][k]
-            if piv == 1 or piv == -1:
-                break
-            dirty = None
-            for i in range(k + 1, m):
-                row = s[i]
-                for j in range(k + 1, n):
-                    if row[j] % piv:
-                        dirty = i
-                        break
-                if dirty is not None:
-                    break
-            if dirty is None:
-                break
-            add_row(k, dirty, 1)
-        if s[k][k] < 0:
+        i0, j0 = best
+        if i0 != k:
+            s[k], s[i0] = s[i0], s[k]
+        if j0 != k:
+            swap_cols(k, j0)
+        piv = s[k][k]
+        for i in range(k + 1, m):
+            if s[i][k]:
+                q = nearest_quotient(s[i][k], piv)
+                if q:
+                    add_row(i, k, -q)
+        for j in range(k + 1, n):
+            if s[k][j]:
+                q = nearest_quotient(s[k][j], piv)
+                if q:
+                    add_col(j, k, -q)
+        if any(s[i][k] for i in range(k + 1, m)) or any(
+            s[k][j] for j in range(k + 1, n)
+        ):
+            continue  # a remainder smaller than the pivot is promoted next
+        # pivot must divide the remaining block for the divisor chain;
+        # a unit pivot divides everything
+        if piv != 1 and piv != -1:
+            dirty = next((i for i in range(k + 1, m) if any(x % piv for x in s[i][k + 1:])), None)
+            if dirty is not None:
+                add_row(k, dirty, 1)
+                continue
+        if piv < 0:
             s[k] = [-x for x in s[k]]
         k += 1
     return v, vinv
@@ -436,24 +413,31 @@ def chain_basis(c, p, reduced=False, dual=False):
     augmentation ε replaces ∂_0, and when `dual`, εᵀ replaces ∂_0ᵀ as the
     coboundaries, so reduced H⁰ has rank b₀ − 1.
 
-    The basis reads two reductions its complex keeps (`_reduction`): the
-    boundaries' split is the reduction of ∂_{p+1} (of ∂_pᵀ when `dual`),
-    and the kernel elimination that of ∂_p (of ∂_{p+1}ᵀ), whose columns are
-    exactly those off the split's pivot rows.  ∂_p·∂_{p+1} = 0 is checked
-    once per complex and degree.  Reduced degree 0 is built by `ChainBasis`.
+    The basis is `ChainBasis(a, split, kernel)`, read from two reductions
+    the complex keeps (`_reduction`): the boundaries' split, that of ∂_{p+1}
+    (of ∂_pᵀ when `dual`), and the kernel elimination of a, that of ∂_p (of
+    ∂_{p+1}ᵀ), whose columns are exactly those off the split's pivot rows.
+    This is the one check of a·b = 0: ∂_p·∂_{p+1} = 0 once per complex and
+    degree, ε·∂_1 = 0 on every reduced degree-0 call.  Reduced degree 0
+    splits by the kept reduction of ∂_1, which has the image of ∂_1 (the
+    lemma in `_eliminate_unit_pivots`), and reduces ε off its pivot rows;
+    when `dual`, it reduces εᵀ, then ∂_1ᵀ off its pivot row, keeping neither.
     """
     if p == 0 and reduced:
         eps = augmentation_matrix(c)
+        _check_cycles(eps, boundary_matrix(c, 1))
         if dual:
-            return ChainBasis(_coboundary_matrix(c, 1), eps.transpose())
-        return ChainBasis(eps, boundary_matrix(c, 1))
+            a, split = _coboundary_matrix(c, 1), _reduce(eps.transpose())
+        else:
+            a, split = eps, _reduction(c, 1, False)
+        return ChainBasis(a, split, _reduce(a, split))
     if p not in c._cycles_checked:
         _check_cycles(boundary_matrix(c, p), boundary_matrix(c, p + 1))
         c._cycles_checked.add(p)
     if dual:
-        return _KeptChainBasis(
+        return ChainBasis(
             _coboundary_matrix(c, p + 1), _reduction(c, p, True), _reduction(c, p + 1, True))
-    return _KeptChainBasis(boundary_matrix(c, p), _reduction(c, p + 1, False), _reduction(c, p, False))
+    return ChainBasis(boundary_matrix(c, p), _reduction(c, p + 1, False), _reduction(c, p, False))
 
 
 def _check_cycles(a, b):
@@ -514,8 +498,10 @@ def _reduction(c, p, dual):
 class ChainBasis:
     """ker(a) / im(b) with generators expressed over the ambient chain basis.
 
-    `a` and `b` are `SparseMatrix`es with a·b = 0; x is a cycle when
-    `a.apply(x)` is empty.  Clearing splits the cycles.  Any b′ with
+    `a` is a `SparseMatrix`, and x is a cycle when `a.apply(x)` is empty.
+    `split` is the reduction (`_Reduction`) of boundaries b′ with a·b′ = 0,
+    checked by `chain_basis`, and `kernel` that of a off the split's pivot
+    rows (`_reduce(a, split)`).  Clearing splits the cycles.  Any b′ with
     im b′ = im b serves in place of b; `chain_basis` reads the boundaries
     cleared by the reduction one degree further on, which keeps the image
     by the lemma in `_eliminate_unit_pivots`.  A tracked elimination of b′
@@ -536,18 +522,9 @@ class ChainBasis:
     g[r_t] = −(Σ_{i≠r_t} g_i·c_t[i])·c_t[r_t].  Columns of divisor 1 are
     boundaries and are dropped.  Torsion generators come first, in divisor
     order, then the free ones.
-
-    `ChainBasis(a, b)` checks a·b = 0 and reduces b itself, uncleared, and
-    a off its pivot rows; nothing is kept between calls.
     """
 
-    def __init__(self, a, b):
-        _check_cycles(a, b)
-        split = _reduce(b)
-        self._read(a, split, _reduce(a, split))
-
-    def _read(self, a, split, kernel):
-        """The basis from the split of the boundaries and the kernel of a|P̄."""
+    def __init__(self, a, split, kernel):
         n, k = a.cols, len(kernel.kernel)
         basis = SparseMatrix(n, k, [v for v, _ in kernel.kernel])
         readers = SparseMatrix(n, k, [r for _, r in kernel.kernel])
@@ -588,13 +565,6 @@ class ChainBasis:
             x = sum(c * vec[i] for i, c in f.items())
             coords.append(x % d if d >= 2 else x)
         return coords
-
-
-class _KeptChainBasis(ChainBasis):
-    """A `ChainBasis` read from the reductions its complex keeps."""
-
-    def __init__(self, a, split, kernel):
-        self._read(a, split, kernel)
 
 
 def _dense(vec, n):

@@ -89,8 +89,20 @@ def as_model(x):
 # ---------------------------------------------------------------------------
 
 
+def _closed_part(c, name, error):
+    """The named part of `c`, refused with `error`, naming its first
+    missing face, unless it is closed under faces."""
+    part = c.named_part(name)
+    gap = _missing_face(part, c.sort_key)
+    if gap:
+        raise error(f"{name!r} not closed: {gap}")
+    return part
+
+
 def _check_flap_locus(base, sigma_name, taken):
-    sigma = base.named_part(sigma_name)
+    # the boundary below counts faces of the locus's own simplices, so a
+    # missing face would hide where the locus ends
+    sigma = _closed_part(base, sigma_name, InvalidBranchLocusError)
     if not sigma:
         raise InvalidBranchLocusError(f"{sigma_name!r} is empty")
     d = base.dim
@@ -156,16 +168,20 @@ def attach_double(x, names):
     Installs the cover names "X", "Y_j", "DY_j" (with union names "Y", "DY")
     so the output satisfies X | DY = everything and X & DY_j = Y_j exactly,
     ready for a Mayer-Vietoris check.  Each rim becomes a tripod locus.
+    An empty list of pieces, and a piece not closed under faces, are
+    refused with `InvalidSubmanifoldError`.
     """
     if isinstance(names, str):
         names = [names]
+    if not names:
+        raise InvalidSubmanifoldError("no piece to double")
     model = as_model(x)
     base = model.complex
     d = base.dim
     boundary_x = boundary_subcomplex(base).simplices
     parts = []
     for name in names:
-        part = base.named_part(name)
+        part = _closed_part(base, name, InvalidSubmanifoldError)
         if not part or part == base.simplices:
             raise InvalidSubmanifoldError(f"{name!r} must be a proper nonempty piece")
         sub = base.subcomplex(name)

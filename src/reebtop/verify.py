@@ -284,8 +284,8 @@ def verify_double_attachment(inst):
     away_from_doubles = {}
     away_from_base = {}
     for p in range(1, n):
+        gens = _column_matrix(w_dual[p].generators, len(w.simplices_of_dim(p)))
         for label, store in (("DY", away_from_doubles), ("X", away_from_base)):
-            gens = _column_matrix(w_dual[p].generators, len(w.simplices_of_dim(p)))
             store[p] = [
                 _dense(gens.apply(dict(enumerate(coef))), gens.rows)
                 for coef in preimage_kernel(*restriction_cols[label, p])

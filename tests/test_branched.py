@@ -150,6 +150,19 @@ def test_flap_rejects_a_locus_touching_the_boundary_at_a_vertex():
         attach_flap(square, "loop")
 
 
+def test_flap_rejects_a_locus_not_closed_under_faces():
+    # an open arc's missing endpoints hid its boundary, and the flap over it
+    # failed the link check at both ends; its closure has boundary
+    torus = standard_model("torus_grid", a=3, b=3)
+    arc = ((0, 0), (0, 1))
+    with pytest.raises(
+        InvalidBranchLocusError, match=re.escape(f"'arc' not closed: closure misses ((0, 0),) < {arc!r}")
+    ):
+        attach_flap(torus.with_named("arc", {arc}), "arc")
+    with pytest.raises(InvalidBranchLocusError, match="'arc' has boundary"):
+        attach_flap(torus.with_named("arc", closure([arc])), "arc")
+
+
 def test_flap_rejects_wrong_codimension():
     ann = standard_model("annulus", k=4)
     with pytest.raises(InvalidBranchLocusError):
@@ -196,6 +209,29 @@ def test_attach_double_rejects_piece_touching_boundary():
     bad = ann.with_named("low", low)
     with pytest.raises(InvalidSubmanifoldError):
         attach_double(bad, ["low"])
+
+
+def test_attach_double_rejects_no_piece():
+    # an empty list once returned the base with empty Y and DY parts
+    with pytest.raises(InvalidSubmanifoldError, match="no piece to double"):
+        attach_double(standard_model("annulus", k=4), [])
+
+
+def test_attach_double_rejects_a_piece_not_closed_under_faces():
+    # the core less one interior edge was doubled; one triangle alone was
+    # refused only because its rim came out empty
+    ann = standard_model("annulus", k=4)
+    core = ann.named_part("core")
+    edge = ((1, 1), (1, 2))
+    triangle = ((1, 1), (1, 2), (2, 2))
+    for part, gap in (
+        (core - {edge}, f"{edge!r} < ((0, 1), (1, 1), (1, 2))"),
+        ({triangle}, f"((1, 1),) < {triangle!r}"),
+    ):
+        with pytest.raises(
+            InvalidSubmanifoldError, match=re.escape(f"'piece' not closed: closure misses {gap}")
+        ):
+            attach_double(ann.with_named("piece", part), ["piece"])
 
 
 def test_attach_double_rejects_overlap():

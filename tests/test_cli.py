@@ -315,6 +315,15 @@ def test_cli_build_round_trip(tmp_path):
     assert r1["euler_characteristic"] == r2["euler_characteristic"]
 
 
+def test_cli_build_refuses_an_empty_piece_list(tmp_path, capsys):
+    # `attach_double` once returned its base unchanged, and `build` exited 0
+    recipe = write_json(tmp_path / "r.json", [ALL_OPS_RECIPE[10], dict(ALL_OPS_RECIPE[11], ys=[])])
+    out = tmp_path / "w.json"
+    assert main(["build", "--recipe", recipe, "--out", str(out)]) == 2
+    assert "step 'ad' failed: no piece to double" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_collapse_disc(tmp_path):
     recipe = write_json(
         tmp_path / "r.json", [{"id": "d", "op": "standard", "name": "disc", "n": 2}]

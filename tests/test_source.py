@@ -305,6 +305,54 @@ def test_the_dense_elimination_runs_on_leftover_blocks():
     assert calls == {("algebra.py", "smith_normal_form", "block")}
 
 
+def readers_of(source, name):
+    """Top-level definitions of `source` that read `name`, bare or as an
+    attribute; a read outside any of them is `<module>`."""
+    found = set()
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(getattr(node, "ctx", None), ast.Load) and name in (
+                getattr(node, "id", None), getattr(node, "attr", None)
+            ):
+                found.add(owner)
+    return found
+
+
+def test_readers_are_detected():
+    source = (
+        "def f(a):\n    return g(a)\n"
+        "class C:\n    def m(self):\n        return mod.g\n"
+        "def g(a):\n    return a\n"
+        "h = g\n"
+    )
+    assert readers_of(source, "g") == {"f", "C", "<module>"}
+    assert readers_of(source, "f") == set()
+
+
+def test_one_basis_constructor_one_cycle_check_one_unit_pivot_caller():
+    # `ChainBasis` is the one basis class, with no subclass, and
+    # `chain_basis` alone builds bases and checks a·b = 0; the unit-pivot
+    # elimination has one caller, the Smith routine
+    paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+    sources = {path.name: path.read_text(encoding="utf-8") for path in paths}
+    classes = [
+        node
+        for source in sources.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    ]
+    assert [node.name for node in classes if "Basis" in node.name] == ["ChainBasis"]
+    assert [node.name for node in classes if "ChainBasis" in map(ast.unparse, node.bases)] == []
+    for name, owner in (
+        ("ChainBasis", "chain_basis"),
+        ("_check_cycles", "chain_basis"),
+        ("_eliminate_unit_pivots", "smith_normal_form"),
+    ):
+        found = {(path, top) for path, source in sources.items() for top in readers_of(source, name)}
+        assert found == {("algebra.py", owner)}, name
+
+
 # what `tests/dense_oracle.py` may take from the package besides its errors:
 # data types and boundary builders, no elimination
 ORACLE_MAY_IMPORT = {"HomologyGroup", "SparseMatrix", "boundary_matrix", "augmentation_matrix"}
