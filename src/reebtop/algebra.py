@@ -18,7 +18,7 @@ touch floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from .errors import BadCoverError, IncompatibleCochainError
@@ -92,7 +92,6 @@ def augmentation_matrix(c):
     return SparseMatrix(1, n, [{0: 1} for _ in range(n)])
 
 
-@dataclass
 class SnfDecomposition:
     """The Smith form of a matrix a, and with transforms the columns reaching it.
 
@@ -110,12 +109,15 @@ class SnfDecomposition:
     time, and the leftover block's columns of a·V as {row: nonzero} dicts.
     """
 
-    rank: int
-    diagonal: list
-    pivot_rows: frozenset
-    columns: list | None = None
-    pivots: list | None = None
-    leftover: list | None = None
+    __slots__ = ("rank", "diagonal", "pivot_rows", "columns", "pivots", "leftover")
+
+    def __init__(self, rank, diagonal, pivot_rows, columns=None, pivots=None, leftover=None):
+        self.rank = rank
+        self.diagonal = diagonal
+        self.pivot_rows = pivot_rows
+        self.columns = columns
+        self.pivots = pivots
+        self.leftover = leftover
 
 
 def smith_normal_form(a, transforms=True):
@@ -344,11 +346,8 @@ def _dense_smith(s, m, n):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
-    degree: int
-    rank: int
-    torsion: tuple = ()
+class HomologyGroup(namedtuple("HomologyGroup", ["degree", "rank", "torsion"], defaults=((),))):
+    __slots__ = ()
 
     def to_json(self):
         return {"degree": self.degree, "rank": self.rank, "torsion": list(self.torsion)}
@@ -447,19 +446,12 @@ def _check_cycles(a, b):
             raise IncompatibleCochainError("boundary column is not a cycle")
 
 
-@dataclass
-class _Reduction:
-    """What chain bases read of the tracked Smith form of one cleared matrix.
-
-    As the boundaries' split: `pivots`, (row, column) per unit pivot in
-    pivot order, and `leftover`, the leftover block's columns (see
-    `SnfDecomposition`).  As the kernel elimination: `kernel`, the (v, r)
-    of each Smith column of divisor 0, over the matrix's whole column index.
-    """
-
-    pivots: list
-    leftover: list
-    kernel: list
+# What chain bases read of the tracked Smith form of one cleared matrix.
+# As the boundaries' split: `pivots`, (row, column) per unit pivot in pivot
+# order, and `leftover`, the leftover block's columns (see
+# `SnfDecomposition`).  As the kernel elimination: `kernel`, the (v, r) of
+# each Smith column of divisor 0, over the matrix's whole column index.
+_Reduction = namedtuple("_Reduction", ["pivots", "leftover", "kernel"])
 
 
 def _reduce(a, split=None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import (
     SimplicialComplex,
@@ -39,11 +39,8 @@ from .errors import (
 from .graphs import classify_vertex_link
 
 
-@dataclass(frozen=True)
-class BranchLocus:
-    name: str
-    kind: str  # "collar" | "tripod"
-    monodromy: str  # "trivial" | "swap"
+# kind: "collar" | "tripod"; monodromy: "trivial" | "swap"
+BranchLocus = namedtuple("BranchLocus", ["name", "kind", "monodromy"])
 
 
 class BranchedModel:
@@ -119,12 +116,16 @@ def _check_flap_locus(base, sigma_name, taken):
     if any(not sigma.isdisjoint(base.named_part(t)) for t in taken):
         raise InvalidBranchLocusError(f"{sigma_name!r} meets an existing locus")
     # the locus must be interior: each top simplex of sigma sits in exactly
-    # two top simplices, and no vertex of sigma lies on the boundary
-    owners = _ridge_count(base)
+    # two top simplices, and no vertex of sigma lies on the boundary.  Every
+    # face read below contains a vertex of sigma, and so does every top
+    # simplex around it: only those are counted
+    near = set(sub.vertices)
+    order = base._order()
+    owners = _ridge_count((s for s in order[d] if not near.isdisjoint(s)), d)
     for f in sub.facets():
         if owners[f] != 2:
             raise InvalidBranchLocusError(f"{sigma_name!r} has no product neighborhood at {f!r}")
-    rim = {v for f in base.simplices_of_dim(d - 1) if owners[f] < 2 for v in f}
+    rim = {v for f in order.get(d - 1, ()) if not near.isdisjoint(f) and owners[f] < 2 for v in f}
     for v in sub.vertices:
         if v in rim:
             raise InvalidBranchLocusError(f"{sigma_name!r} touches the boundary at {v!r}")
@@ -300,21 +301,18 @@ def check_local_structure_dim2(model):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CollapseCertificate:
-    """Replayable sequence of (free face, coface) removals."""
+class CollapseCertificate(
+    namedtuple("CollapseCertificate", ["steps", "target", "seed", "restarts_used"])
+):
+    """Replayable sequence of (free face, coface) removals; `target` is
+    "point" or "subcomplex"."""
 
-    steps: tuple
-    target: str  # "point" or "subcomplex"
-    seed: int
-    restarts_used: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CollapseFailure:
-    restarts: int
-    budget: int
-    reason: str = "inconclusive"
+CollapseFailure = namedtuple(
+    "CollapseFailure", ["restarts", "budget", "reason"], defaults=("inconclusive",)
+)
 
 
 def _coface_table(c):

@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
-from collections.abc import Callable
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import verify
 from .algebra import homology
@@ -156,11 +154,10 @@ def _collapse_options(p):
     _limit_options(p)
 
 
-class _Command(NamedTuple):
-    run: Callable  # (args, final value) with a recipe, (args) without -> report
-    help: str
-    recipe: bool | None  # --recipe: True required, False optional, None absent
-    options: Callable  # adds the command's own options to its parser
+# run: (args, final value) with a recipe, (args) without -> report; help:
+# its help text; recipe: --recipe is True required, False optional, None
+# absent; options: adds the command's own options to its parser
+_Command = namedtuple("_Command", ["run", "help", "recipe", "options"])
 
 
 # every subcommand, in the order `reebtop --help` lists them
@@ -240,6 +237,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback
+
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return 3

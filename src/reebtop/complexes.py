@@ -517,11 +517,9 @@ def product(a, b):
     return SimplicialComplex(order, simplices)
 
 
-def _ridge_count(a):
-    """{(d-1)-face: number of d-simplices around it}, d the dimension of `a`."""
-    d = a.dim
-    faces = (itertools.combinations(s, d) for s in a._order()[d])
-    return Counter(itertools.chain.from_iterable(faces))
+def _ridge_count(tops, d):
+    """{(d-1)-face: number of the d-simplices `tops` around it}."""
+    return Counter(itertools.chain.from_iterable(itertools.combinations(s, d) for s in tops))
 
 
 def boundary_subcomplex(a):
@@ -531,7 +529,7 @@ def boundary_subcomplex(a):
         return SimplicialComplex((), ())
     if any(len(f) - 1 != d for f in a.facets()):
         raise NotManifoldLikeError("complex is not pure")
-    count = _ridge_count(a)
+    count = _ridge_count(a._order()[d], d)
     rim = []
     for f in a.simplices_of_dim(d - 1):
         owners = count[f]

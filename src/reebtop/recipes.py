@@ -8,25 +8,34 @@ every intermediate value plus the final one.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import namedtuple
+from types import MappingProxyType
+
+# the interpreter's own SHA-256: `hashlib` maps OpenSSL's libcrypto into the
+# process to hash one short blob
+try:
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 from . import branched, complexes, models
 from .complexes import FACETS, LABEL, LABELS, NAME, NAMED, NAMES, OBJECT, SIZE
 from .errors import RecipeError
 
 
-@dataclass(frozen=True)
-class Recipe:
-    steps: tuple
+class Recipe(namedtuple("Recipe", ["steps"])):
+    __slots__ = ()
 
     def digest(self):
+        """The SHA-256 hex digest of the canonical recipe JSON."""
         blob = json.dumps(
             [dict(s) for s in self.steps], sort_keys=True, separators=(",", ":")
         )
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return sha256(blob.encode()).hexdigest()
 
 
 def read_json(text, what, error=RecipeError):
@@ -121,12 +130,13 @@ def _bouquet(step, values):
     return branched.bouquet(ms, bps)
 
 
-@dataclass(frozen=True)
-class _Op:
-    required: tuple  # fields the step must carry
-    refs: dict  # {field naming earlier steps: NAME for one id, NAMES for a list}
-    build: Callable  # (step, values by id) -> the step's value
-    kinds: dict = field(default_factory=dict)  # {other field: the complexes.Kind it holds}
+# required: the fields the step must carry; refs: {field naming earlier
+# steps: NAME for one id, NAMES for a list}; build: (step, values by id) ->
+# the step's value; kinds: {other field: the complexes.Kind it holds}, by
+# default a read-only empty mapping
+_Op = namedtuple(
+    "_Op", ["required", "refs", "build", "kinds"], defaults=(MappingProxyType({}),)
+)
 
 
 _AB = {"a": NAME, "b": NAME}

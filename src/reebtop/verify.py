@@ -13,7 +13,7 @@ The two paths share no intermediate data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .algebra import (
@@ -26,7 +26,6 @@ from .algebra import (
     preimage_kernel,
 )
 from .branched import (
-    BranchedModel,
     CollapseCertificate,
     as_model,
     attach_double,
@@ -47,16 +46,13 @@ from .models import concentric_disc, standard_model
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HandleData:
+class HandleData(namedtuple("HandleData", ["n", "l", "h", "hj"])):
     """Counts (h_1..h_{n-1}) for the base and per-piece counts hj."""
 
-    n: int
-    l: int
-    h: tuple
-    hj: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        # the tuple's constructor has set the fields; this refuses bad ones
         if self.n < 2 or self.l < 1:
             raise InconsistentHandleDataError("need dimension >= 2 and l >= 1")
         if len(self.h) != self.n - 1:
@@ -76,14 +72,13 @@ class HandleData:
         return sum(row[p - 1] for row in self.hj)
 
 
-@dataclass(frozen=True)
-class Predictions:
-    homology: tuple
-    cohomology_ranks: tuple
-    a_ranks: dict
-    base_restriction_ranks: dict
-    double_restriction_ranks: dict
-    cup_pairs: dict
+Predictions = namedtuple(
+    "Predictions",
+    [
+        "homology", "cohomology_ranks", "a_ranks", "base_restriction_ranks",
+        "double_restriction_ranks", "cup_pairs",
+    ],
+)
 
 
 def handle_predictions(data):
@@ -141,11 +136,7 @@ def handle_predictions(data):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoublesInstance:
-    name: str
-    data: HandleData
-    model: BranchedModel
+DoublesInstance = namedtuple("DoublesInstance", ["name", "data", "model"])
 
 
 def _pair_of_pants():

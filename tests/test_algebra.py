@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from dense_oracle import (
     mul,
     rank_mod2,
 )
+from kunneth_oracle import invariant_factors, kunneth
 
 from reebtop import algebra
 from reebtop.algebra import (
@@ -515,6 +517,40 @@ def test_double_annulus_homology():
 def test_wedge_sphere_circle_homology():
     w = wedge(standard_model("sphere", n=2), 0, standard_model("circle", k=3), 0)
     assert betti_numbers(w) == [1, 1, 1]
+
+
+KUNNETH_FACTORS = {
+    "rp2": lambda: from_facets(RP2_FACETS),
+    "circle": lambda: standard_model("circle", k=3),
+    "torus_3x3": lambda: standard_model("torus_grid", a=3, b=3),
+    "sphere": lambda: standard_model("sphere", n=2),
+    "genus2": lambda: standard_model("surface", genus=2, boundary=0),
+}
+# every pair of factors but genus2 x genus2, the largest product by far
+KUNNETH_PAIRS = [
+    pair for pair in itertools.combinations_with_replacement(KUNNETH_FACTORS, 2)
+    if pair != ("genus2", "genus2")
+]
+
+
+def test_the_kunneth_oracle_reads_tor():
+    assert len(KUNNETH_PAIRS) == 14
+    assert invariant_factors([2, 4, 3]) == (2, 12)
+    assert invariant_factors([]) == ()
+    rp2 = [(1, ()), (0, (2,)), (0, ())]
+    # H_3(RP2 x RP2) = Tor(H_1, H_1): the tensor products leave it 0
+    assert kunneth(rp2, rp2) == [(1, ()), (0, (2, 2)), (0, (2,)), (0, (2,)), (0, ())]
+    assert kunneth(rp2, [(1, ()), (1, ())]) == [(1, ()), (1, (2,)), (0, (2,)), (0, ())]
+
+
+@pytest.mark.parametrize("x, y", KUNNETH_PAIRS, ids=["-".join(pair) for pair in KUNNETH_PAIRS])
+def test_product_homology_obeys_kunneth(x, y):
+    a, b = KUNNETH_FACTORS[x](), KUNNETH_FACTORS[y]()
+
+    def groups(c):
+        return [(g.rank, g.torsion) for g in homology(c)]
+
+    assert groups(product(a, b)) == kunneth(groups(a), groups(b))
 
 
 def test_projective_plane_torsion():

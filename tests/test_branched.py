@@ -150,6 +150,29 @@ def test_flap_rejects_a_locus_touching_the_boundary_at_a_vertex():
         attach_flap(square, "loop")
 
 
+def test_flap_rejects_a_locus_edge_with_three_owners():
+    # the flapped torus, as a plain complex, keeps the meridian's name but
+    # not its locus, and every meridian edge now lies in three triangles
+    torus = standard_model("torus_grid", a=3, b=3)
+    flapped = attach_flap(torus, "meridian").complex
+    with pytest.raises(
+        InvalidBranchLocusError,
+        match=re.escape("'meridian' has no product neighborhood at ((0, 0), (0, 1))"),
+    ):
+        attach_flap(flapped, "meridian")
+
+
+def test_flap_rejects_a_locus_vertex_on_an_edge_in_no_triangle():
+    # a dangling edge at (0, 0) is a rim face with no owner at all
+    torus = standard_model("torus_grid", a=3, b=3)
+    tailed = union_on(
+        list(torus.vertices) + ["tail"], torus.simplices, closure([((0, 0), "tail")]),
+        named=torus.named,
+    )
+    with pytest.raises(InvalidBranchLocusError, match=r"'meridian' touches the boundary at \(0, 0\)"):
+        attach_flap(tailed, "meridian")
+
+
 def test_flap_rejects_a_locus_not_closed_under_faces():
     # an open arc's missing endpoints hid its boundary, and the flap over it
     # failed the link check at both ends; its closure has boundary

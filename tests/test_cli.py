@@ -1,11 +1,15 @@
 import argparse
+import ast
 import contextlib
 import copy
 import hashlib
 import io
 import json
 import random
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_optimized
+import reebtop
 from reebtop.algebra import betti_numbers
 from reebtop.cli import COMMANDS, build_parser, main
 from reebtop.complexes import complex_from_json, complex_to_json
@@ -1021,3 +1026,61 @@ def test_main_builds_only_the_named_commands_parser(tmp_path, monkeypatch, capsy
             main(argv)
         assert added == names, argv
     capsys.readouterr()
+
+
+def step_lists(value):
+    """Every recipe (a non-empty list of step objects) held in `value`."""
+    if isinstance(value, list) and value and all(isinstance(s, dict) and "op" in s for s in value):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [r for item in value for r in step_lists(item)]
+    if isinstance(value, dict):
+        return [r for item in value.values() for r in step_lists(item)]
+    return []
+
+
+def recipes_of_this_module():
+    """The recipes this module names, each prefix of ALL_OPS_RECIPE, and the
+    literal ones in its test bodies."""
+    found = [r for name, value in globals().items() if name.isupper() for r in step_lists(value)]
+    found += [ALL_OPS_RECIPE[: i + 1] for i in range(len(ALL_OPS_RECIPE))]
+    for node in ast.walk(ast.parse(Path(__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.List):
+            with contextlib.suppress(ValueError):
+                found += step_lists(ast.literal_eval(node))
+    return found
+
+
+def test_recipe_digest_is_the_sha256_of_the_canonical_recipe():
+    digests = {}
+    for steps in recipes_of_this_module():
+        try:
+            recipe = parse_recipe(steps)
+        except RecipeError:
+            continue
+        blob = json.dumps(steps, sort_keys=True, separators=(",", ":")).encode()
+        assert recipe.digest() == hashlib.sha256(blob).hexdigest()
+        digests[blob] = recipe.digest()
+    assert len(digests) >= 20
+    assert parse_recipe(SPHERE).digest() == (
+        "c8cd4868b4b67d25ea2b5183f17360e5cf90d83b8eb4c34cb259032e988c05f1"
+    )
+
+
+def test_recipe_digest_falls_back_to_hashlib():
+    # an interpreter built without its own SHA-256 modules hashes with
+    # `hashlib`, and the digest stays the same
+    code = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["_sha2"] = sys.modules["_sha256"] = None  # refused on import
+        sys.path.insert(0, {str(Path(reebtop.__file__).resolve().parents[1])!r})
+        from reebtop import recipes
+        import hashlib
+        assert recipes.sha256 is hashlib.sha256
+        print(recipes.parse_recipe({SPHERE!r}).digest())
+        """
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == parse_recipe(SPHERE).digest()

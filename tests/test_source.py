@@ -2,18 +2,22 @@
 
 import ast
 import builtins
-import dataclasses
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import reebtop
 from reebtop import algebra, branched, cli, complexes, errors, recipes, reeb
-from reebtop.algebra import augmentation_matrix, boundary_matrix, smith_normal_form
-from reebtop.branched import collapse_to
+from reebtop.algebra import HomologyGroup, augmentation_matrix, boundary_matrix, smith_normal_form
+from reebtop.branched import BranchLocus, CollapseCertificate, collapse_to
 from reebtop.complexes import SimplicialComplex
 from reebtop.graphs import Multigraph
 from reebtop.models import standard_model
+from reebtop.verify import HandleData
 
 
 def test_no_assert_in_the_package():
@@ -712,7 +716,7 @@ def test_only_the_kinds_test_for_a_json_boolean():
     }
     # the per-reader checks the kinds replace stay gone
     assert not hasattr(recipes, "_holds_bool")
-    assert [f.name for f in dataclasses.fields(recipes._Op)] == ["required", "refs", "build", "kinds"]
+    assert recipes._Op._fields == ("required", "refs", "build", "kinds")
     kinds = [kind for op in recipes._OPS.values() for kind in op.kinds.values()]
     assert kinds and all(isinstance(kind, complexes.Kind) for kind in kinds)
 
@@ -859,3 +863,57 @@ def test_one_union_find_and_one_sweep_core():
     assert len(writers) == 2
     for called in writers.values():
         assert {"_sweep_tables", "_split", "_find"} <= called
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # `hashlib` maps OpenSSL's libcrypto into the process, `dataclasses`
+    # loads `inspect`, and `traceback` serves the exit-3 branch alone; none
+    # of them, nor `typing`, is imported with the package
+    src = Path(reebtop.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import reebtop.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    # -S: a bare interpreter, with no module that `site` would import
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "reebtop.cli" in added
+    assert added.isdisjoint({"hashlib", "_hashlib", "dataclasses", "inspect", "traceback", "typing"})
+    # in the source, `hashlib` is only the digest's fallback, where the
+    # interpreter has no built-in SHA-256
+    imports = {}
+    for path in sorted(src.joinpath("reebtop").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fallback = {
+            id(node)
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler)
+            for node in ast.walk(handler)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                for name in names:
+                    if name in ("hashlib", "dataclasses", "typing"):
+                        imports.setdefault(name, []).append((path.name, id(node) in fallback))
+    assert imports == {"hashlib": [("recipes.py", True)]}
+
+
+def test_records_refuse_a_new_value():
+    records = [
+        HomologyGroup(1, 2, (3,)),
+        CollapseCertificate((), "point", 0, 0),
+        BranchLocus("seam", "tripod", "trivial"),
+        HandleData(2, 1, (0,), ((0,),)),
+    ]
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        # no instance dictionary takes a field the record does not have
+        with pytest.raises(AttributeError):
+            record.extra = None

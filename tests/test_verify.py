@@ -73,6 +73,25 @@ def test_inconsistent_handle_data():
         handle_predictions(HandleData(2, 3, (1,), ((0,), (0,), (0,))))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 1, (), ()), "need dimension >= 2 and l >= 1"),
+        ((2, 0, (0,), ()), "need dimension >= 2 and l >= 1"),
+        ((3, 1, (0,), ((0, 0),)), r"h must list h_1..h_\{n-1\}"),
+        ((2, 2, (0,), ((0,),)), "one handle list per piece"),
+        ((2, 1, (0,), ((0, 0),)), "piece lists must match h"),
+        ((2, 1, (-1,), ((0,),)), "handle counts must be nonnegative"),
+        ((2, 1, (0,), ((-1,),)), "handle counts must be nonnegative"),
+    ],
+)
+def test_handle_data_refuses_inconsistent_counts_when_made(args, message):
+    with pytest.raises(InconsistentHandleDataError, match=message):
+        HandleData(*args)
+    with pytest.raises(InconsistentHandleDataError, match=message):
+        HandleData(**dict(zip(("n", "l", "h", "hj"), args)))
+
+
 def test_unknown_instance():
     with pytest.raises(InconsistentHandleDataError):
         build_instance("nope")
