@@ -9,25 +9,43 @@ construction.  Incidence queries (cofaces, stars, links) read one
 vertex-to-star index, built in a single pass on the first query; facets and
 boundaries come from one pass over codimension-one faces.
 
+Simplices are validated once, where they enter the program: the public
+constructor `SimplicialComplex(...)`, `from_facets`, `complex_from_json`
+(and the recipes, which build through these) and `with_named`.  There each
+simplex becomes a tuple that must name listed vertices only, and no vertex
+may be listed twice.
+A construction that derives a complex from validated ones checks only what
+it adds and hands the rest to the constructor through its one private path
+(`_known`): simplices and named parts it vouches for, the canonical order
+if it knows it, and whether the complex is closed under faces.  Every
+complex is still built by `SimplicialComplex.__init__`.
+
 The canonical order (each dimension's simplices sorted by the vertex
 positions, `sort_key`) is derived data like the star index: one sort on the
 first ordered query (`dim`, `simplices_of_dim`, `positions`, `f_vector`,
-`facets`).  Constructions that already know it hand it over
-instead: `from_facets` sorts integer position tuples, whose plain tuple
-order is the canonical one; `with_named` and `_with_parts` (same vertices
-and simplices, other names or assets) share it; `subcomplex` sorts its part
-by the parent's `positions`; and the flapped complex of `attach_flap`
-(`_flapped`) places the prism's few new simplices into the base's order.
-Every complex is still built by `SimplicialComplex.__init__`, and only this
-module reads the stored order.
+`facets`) unless a construction handed it over.  Only this module reads the
+stored order.  What each construction hands over:
 
-Being closed under faces is derived data too (`check_closed`): known from
-construction for `from_facets`, for `_flapped` over a closed base and for
-the complexes that share their simplices (`relabeled`, `_with_parts`), and
-otherwise checked once, on the first call, and remembered.  One finder,
-`_missing_face`, names the first missing face of a complex, a named part or
-a collapse target; a computation that meets a missing face asks
-`check_closed` for the refusal.
+- `from_facets` closes the facets one dimension at a time on vertex
+  positions, whose plain tuple order is the canonical one; it hands over
+  the order, its own simplices and closed named parts, and the closed fact.
+- `complex_from_json` checks each facet's vertices itself and hands over
+  the closures it builds, known closed.
+- `with_named` checks its new part (in the complex, closed under faces);
+  `_with_parts` (same vertices and simplices, other names or assets) shares
+  the order and the closed fact of the complex it re-wraps.
+- `subcomplex` sorts its part, which lies in the complex, by the parent's
+  `positions`.
+- `relabeled` maps validated simplices position by position; the vertex
+  list is still checked for a label given twice.  It keeps the closed fact.
+- `_flapped`, the complex of `attach_flap`, checks only the prism's new
+  simplices and places them into the base's order; it is closed when the
+  base is.
+
+Being closed under faces (`check_closed`) is otherwise checked once, on the
+first call, and remembered.  One finder, `_missing_face`, names the first
+missing face of a complex, a named part or a collapse target; a computation
+that meets a missing face asks `check_closed` for the refusal.
 """
 
 from __future__ import annotations
@@ -57,21 +75,24 @@ class SimplicialComplex:
         "_boundaries", "_coboundaries", "_reductions", "_cycles_checked", "_parts", "_closed",
     )
 
-    def __init__(self, vertices, simplices, named=None, assets=None):
+    def __init__(self, vertices, simplices, named=None, assets=None, *, _known=None):
         self.vertices = tuple(vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             raise MalformedFacetError("duplicate vertex in vertex list")
-        self.simplices = _frozen(simplices)
-        unlisted = set(itertools.chain.from_iterable(self.simplices)).difference(self._index)
-        if unlisted:
-            v = min(unlisted, key=repr)
-            raise MalformedFacetError(f"a simplex names {v!r}, not a listed vertex")
-        self.named = {name: _frozen(part) for name, part in (named or {}).items()}
+        # the public path checks every simplex; this module's constructions
+        # pass `_known` = (canonical order or None, closed fact), with the
+        # simplices and named parts as frozensets of tuples they have checked
+        if _known is None:
+            simplices = _checked(simplices, self._index)
+            named = {name: _frozen(part) for name, part in (named or {}).items()}
+        by_dim, closed = _known or (None, False)
+        self.simplices = simplices
+        self.named = dict(named or {})
         self.assets = {
             name: dict(values) for name, values in (assets or {}).items()
         }
-        self._by_dim = None  # derived: {p: canonically ordered p-simplices}
+        self._by_dim = by_dim  # derived: {p: canonically ordered p-simplices}
         self._stars = None  # derived: {vertex: simplices containing it}
         self._positions = {}  # derived: {p: {p-simplex: index in simplices_of_dim(p)}}
         self._boundaries = {}  # derived: {p: algebra.boundary_matrix(self, p)}
@@ -79,7 +100,7 @@ class SimplicialComplex:
         self._reductions = {}  # derived: {(p, dual): algebra._reduction(self, p, dual)}
         self._cycles_checked = set()  # derived: degrees p with ∂_p·∂_{p+1} = 0 checked
         self._parts = {}  # derived: {name: subcomplex(name)}
-        self._closed = False  # derived: known to be closed under faces
+        self._closed = closed  # derived: known to be closed under faces
 
     # -- basic queries -------------------------------------------------
 
@@ -185,22 +206,26 @@ class SimplicialComplex:
         if not part <= self.simplices:
             raise BadNameError(f"{what} leaves the complex")
         order = sorted(set(itertools.chain.from_iterable(part)), key=self._index.__getitem__)
-        sub = SimplicialComplex(order, part)
-        sub._by_dim = {
+        by_dim = {
             d: sorted(group, key=self.positions(d).__getitem__)
             for d, group in _by_length(part).items()
         }
+        sub = SimplicialComplex(order, part, _known=(by_dim, False))
         if name is not None:
             self._parts[name] = sub
         return sub
 
     def with_named(self, name, simplices):
+        """The complex with one more named part, which must lie in the
+        complex and be closed under faces; the other parts are kept as they
+        are."""
         part = _frozen(simplices)
         if not part <= self.simplices:
             raise BadNameError(f"named part {name!r} leaves the complex")
-        named = dict(self.named)
-        named[name] = part
-        return _with_parts(self, named, self.assets)
+        gap = _missing_face(part, self.sort_key)
+        if gap:
+            raise BadNameError(f"named part {name!r} not closed: {gap}")
+        return _with_parts(self, {**self.named, name: part}, self.assets)
 
     def full_subcomplex(self, vertex_subset):
         """All simplices entirely supported on the given vertices."""
@@ -255,9 +280,8 @@ class SimplicialComplex:
             n: {new(v): val for v, val in values.items()}
             for n, values in self.assets.items()
         }
-        out = SimplicialComplex(order, map(remap, self.simplices), named, assets)
-        out._closed = self._closed
-        return out
+        simplices = frozenset(map(remap, self.simplices))
+        return SimplicialComplex(order, simplices, named, assets, _known=(None, self._closed))
 
     # -- labels for serialization and recipes ------------------------------
 
@@ -378,6 +402,17 @@ def _frozen(simplices):
     return frozenset(map(tuple, simplices))
 
 
+def _checked(simplices, index):
+    """The simplices as a frozenset of tuples (`_frozen`), refused unless
+    every vertex they name is a key of `index`."""
+    out = _frozen(simplices)
+    unlisted = set(itertools.chain.from_iterable(out)).difference(index)
+    if unlisted:
+        v = min(unlisted, key=repr)
+        raise MalformedFacetError(f"a simplex names {v!r}, not a listed vertex")
+    return out
+
+
 def _by_length(simplices):
     """{p: the p-simplices, in no particular order}."""
     ordered = sorted(simplices, key=len)
@@ -387,13 +422,11 @@ def _by_length(simplices):
 def _with_parts(c, named=None, assets=None):
     """`c`'s vertices and simplices with other named parts and assets.
 
-    The new complex shares `c`'s canonical order, known or still to come,
-    and its closed fact.
+    Each part must be a frozenset of `c`'s simplices; nothing is checked
+    again.  The new complex shares `c`'s canonical order, known or still to
+    come, and its closed fact.
     """
-    out = SimplicialComplex(c.vertices, c.simplices, named, assets)
-    out._by_dim = c._by_dim
-    out._closed = c._closed
-    return out
+    return SimplicialComplex(c.vertices, c.simplices, named, assets, _known=(c._by_dim, c._closed))
 
 
 def closure(simplices):
@@ -426,13 +459,23 @@ def from_facets(facets, names=None):
     except TypeError as exc:
         raise MalformedFacetError("vertex identifiers are not totally orderable") from exc
     rank = {v: i for i, v in enumerate(order)}.__getitem__
-    # the complex is closed and sorted on vertex positions, where plain tuple
-    # order is the canonical order, and then labelled
-    ranked = sorted(closure(tuple(sorted(map(rank, f))) for f in clean))
-    ranked.sort(key=len)
-    labelled = [tuple(map(order.__getitem__, t)) for t in ranked]
-    by_dim = {k - 1: list(group) for k, group in itertools.groupby(labelled, key=len)}
-    label_of = dict(zip(ranked, labelled))
+    # the complex is closed one dimension at a time on vertex positions, where
+    # plain tuple order is the canonical order; each level is sorted and
+    # labelled, and dropped once its faces one dimension down are taken
+    tops = {}
+    for f in clean:
+        tops.setdefault(len(f), set()).add(tuple(sorted(map(rank, f))))
+    by_dim = {}
+    level = set()
+    for k in range(max(tops, default=0), 0, -1):
+        level |= tops.get(k, set())
+        faces = map(itertools.combinations, level, itertools.repeat(k - 1))
+        below = set(itertools.chain.from_iterable(faces)) if k > 1 else None
+        by_dim[k - 1] = [tuple(map(order.__getitem__, t)) for t in sorted(level)]
+        level = below
+    simplices = frozenset(itertools.chain.from_iterable(by_dim.values()))
+    # named parts hold the complex's own tuples, not copies of them
+    own = dict(zip(simplices, simplices)) if names else {}
     named = {}
     for name, part_facets in (names or {}).items():
         part = []
@@ -440,17 +483,15 @@ def from_facets(facets, names=None):
             if len(set(f)) != len(f):
                 raise MalformedFacetError(f"named facet {f!r} repeats a vertex")
             try:
-                t = tuple(sorted(map(rank, f)))
+                t = tuple(order[i] for i in sorted(map(rank, f)))
             except KeyError:
                 t = None
-            if t not in label_of:
+            if t not in own:
                 raise BadNameError(f"named facet {f!r} is not a face of the complex")
             part.append(t)
-        named[name] = frozenset(map(label_of.__getitem__, closure(part)))
-    c = SimplicialComplex(order, frozenset(labelled), named)
-    c._by_dim = by_dim
-    c._closed = True
-    return c
+        # faces of a tuple sorted in the vertex order are sorted too
+        named[name] = frozenset(map(own.__getitem__, closure(part)))
+    return SimplicialComplex(order, simplices, named, _known=(by_dim, True))
 
 
 def disjoint_union(a, b):
@@ -661,7 +702,8 @@ def _flapped(base, vertices, simplices):
     order = list(base.vertices) + list(vertices)
     index = {v: i for i, v in enumerate(order)}
     n = len(base.vertices)
-    out = SimplicialComplex(order, base.simplices.union(simplices), base.named)
+    # `base`'s simplices were checked when it was built; only the new ones are
+    new = _checked(simplices, index)
 
     def position_key(t):
         return tuple(map(index.__getitem__, t))
@@ -671,7 +713,7 @@ def _flapped(base, vertices, simplices):
         return entry[0][: bisect.bisect(entry[0], n - 1)]
 
     added = {}
-    for s in simplices:
+    for s in new:
         added.setdefault(len(s) - 1, []).append((position_key(s), s))
     by_dim = dict(base._order())
     for d, group in added.items():
@@ -689,9 +731,9 @@ def _flapped(base, vertices, simplices):
             lo = hi
         merged += old[lo:]
         by_dim[d] = merged
-    out._by_dim = by_dim
-    out._closed = base._closed
-    return out
+    return SimplicialComplex(
+        order, base.simplices | new, base.named, _known=(by_dim, base._closed)
+    )
 
 
 def double(y):
@@ -851,5 +893,6 @@ def complex_from_json(data):
         assets[name] = {
             v: _rational(values[i], f"asset {name!r} value") for i, v in enumerate(order)
         }
-    # the constructor refuses a vertex listed twice
-    return SimplicialComplex(order, simplices, named, assets)
+    # `decode` has checked every vertex, and the constructor refuses a vertex
+    # listed twice; closures are closed
+    return SimplicialComplex(order, simplices, named, assets, _known=(None, True))

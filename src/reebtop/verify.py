@@ -65,6 +65,10 @@ class HandleData(namedtuple("HandleData", ["n", "l", "h", "hj"])):
         if any(x < 0 for x in self.h) or any(x < 0 for row in self.hj for x in row):
             raise InconsistentHandleDataError("handle counts must be nonnegative")
 
+    # the tuple's `_make`, which `_replace` calls, skips `__init__`; this one
+    # builds through the constructor, so both refuse what it refuses
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def h_p(self, p):
         return self.h[p - 1]
 

@@ -181,7 +181,9 @@ def test_flap_rejects_a_locus_not_closed_under_faces():
     with pytest.raises(
         InvalidBranchLocusError, match=re.escape(f"'arc' not closed: closure misses ((0, 0),) < {arc!r}")
     ):
-        attach_flap(torus.with_named("arc", {arc}), "arc")
+        # the public constructor keeps an open part; `with_named` refuses it
+        open_arc = SimplicialComplex(torus.vertices, torus.simplices, {**torus.named, "arc": {arc}})
+        attach_flap(open_arc, "arc")
     with pytest.raises(InvalidBranchLocusError, match="'arc' has boundary"):
         attach_flap(torus.with_named("arc", closure([arc])), "arc")
 
@@ -254,7 +256,8 @@ def test_attach_double_rejects_a_piece_not_closed_under_faces():
         with pytest.raises(
             InvalidSubmanifoldError, match=re.escape(f"'piece' not closed: closure misses {gap}")
         ):
-            attach_double(ann.with_named("piece", part), ["piece"])
+            open_piece = SimplicialComplex(ann.vertices, ann.simplices, {**ann.named, "piece": part})
+            attach_double(open_piece, ["piece"])
 
 
 def test_attach_double_rejects_overlap():

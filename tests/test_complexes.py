@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import run_optimized
+from facets_oracle import from_facets_oracle
 from scan_oracle import (
     scan_boundary_subcomplex,
     scan_coface_table,
@@ -21,6 +22,7 @@ from reebtop.complexes import (
     SimplicialComplex,
     barycentric_subdivision,
     boundary_subcomplex,
+    closure,
     complex_from_json,
     complex_to_json,
     cone,
@@ -653,3 +655,154 @@ def test_star_index_matches_scans_on_the_catalog():
         flapped.complex,
     ):
         assert_incidence_matches_scans(c)
+
+
+def test_with_named_refuses_a_part_not_closed_under_faces():
+    # the first missing face is named as `check_invariants` names it, by
+    # dimension and then in canonical order
+    c = from_facets([[0, 1, 2], [2, 3]])
+    with pytest.raises(BadNameError, match=re.escape("'x' not closed: closure misses (0,) < (0, 1)")):
+        c.with_named("x", [(0, 1), (2, 3), (2,)])
+    with pytest.raises(BadNameError, match=re.escape("'x' not closed: closure misses (1, 2) < (0, 1, 2)")):
+        c.with_named("x", closure([(0, 1), (0, 2)]) | {(0, 1, 2)})
+    # the part is checked before it is kept: the complex is unchanged
+    assert "x" not in c.named
+    kept = c.with_named("x", closure([(2, 3)]))
+    assert kept.named["x"] == {(2,), (3,), (2, 3)} and kept.check_invariants()
+
+
+# -- from_facets against the oracle ---------------------------------------------
+
+
+@st.composite
+def labelled_facets_with_names(draw):
+    """Facets of mixed dimension on int or on tuple labels, drawn in any
+    order, and named facet lists: mostly faces of a facet, sometimes any
+    labels at all, which `from_facets` may refuse."""
+    count = draw(st.integers(1, 8))
+    labels = [(i % 3, i // 3) for i in range(count)] if draw(st.booleans()) else list(range(count))
+    label = st.sampled_from(labels)
+    facets = draw(
+        st.lists(st.lists(label, min_size=1, max_size=4, unique=True), min_size=1, max_size=8)
+    )
+    names = {}
+    for name in draw(st.lists(st.sampled_from("abc"), unique=True, max_size=3)):
+        part = []
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.integers(0, 5)):
+                f = draw(st.sampled_from(facets))
+                part.append(draw(st.lists(st.sampled_from(f), min_size=1, max_size=len(f), unique=True)))
+            else:
+                part.append(draw(st.lists(label, min_size=1, max_size=3)))
+        names[name] = part
+    return facets, names
+
+
+def refusal_of(build, *args):
+    """(type name, message) of what `build(*args)` raises, or None."""
+    try:
+        build(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_facets_with_names())
+def test_from_facets_matches_the_oracle(drawn):
+    facets, names = drawn
+    refused = refusal_of(from_facets_oracle, facets, names)
+    assert refusal_of(from_facets, facets, names) == refused
+    if refused:
+        return
+    c = from_facets(facets, names)
+    oracle, by_dim = from_facets_oracle(facets, names)
+    assert c == oracle
+    assert c._by_dim == by_dim == oracle._order()
+    assert c._closed and c.check_invariants()
+
+
+# -- malformed input at every entry point ------------------------------------------
+
+C = from_facets([[0, 1], [1, 2]])
+
+# (entry point, malformed input, its call, its refusal as (type name,
+# message)), the refusals each entry point gave before constructions handed
+# their checked simplices over.  What the constructor keeps as given,
+# `check_invariants` refuses.
+MALFORMED = [
+    ("constructor", "unlisted vertex", lambda: SimplicialComplex((0, 1), [(0,), (1,), (0, 2)]),
+     ("MalformedFacetError", "a simplex names 2, not a listed vertex")),
+    ("constructor", "duplicate vertex", lambda: SimplicialComplex((0, 1, 0), [(0,), (1,)]),
+     ("MalformedFacetError", "duplicate vertex in vertex list")),
+    ("constructor", "non-tuple simplex", lambda: SimplicialComplex((0, 1), [(0,), 1]),
+     ("TypeError", "'int' object is not iterable")),
+    ("constructor", "repeated facet vertex", lambda: SimplicialComplex((0, 1), [(0,), (0, 0)]),
+     ("InvariantViolationError", "simplex (0, 0) not sorted in the vertex order")),
+    ("constructor", "unknown named facet",
+     lambda: SimplicialComplex((0, 1), [(0,), (1,)], {"x": [(0, 1)]}),
+     ("InvariantViolationError", "named part 'x' leaves the complex")),
+    ("from_facets", "unlisted vertex", lambda: from_facets([[0, 1]], {"x": [[0, 9]]}),
+     ("BadNameError", "named facet [0, 9] is not a face of the complex")),
+    ("from_facets", "duplicate vertex", lambda: from_facets([[0, 1]], {"x": [[1, 1]]}),
+     ("MalformedFacetError", "named facet [1, 1] repeats a vertex")),
+    ("from_facets", "non-tuple simplex", lambda: from_facets([[0, 1], 2]),
+     ("TypeError", "'int' object is not iterable")),
+    ("from_facets", "repeated facet vertex", lambda: from_facets([[0, 1], [2, 0, 2]]),
+     ("MalformedFacetError", "facet [2, 0, 2] repeats a vertex")),
+    ("from_facets", "unknown named facet", lambda: from_facets([[0, 1], [1, 2]], {"x": [[0, 2]]}),
+     ("BadNameError", "named facet [0, 2] is not a face of the complex")),
+    ("complex_from_json", "unlisted vertex",
+     lambda: complex_from_json({"vertices": [0, 1], "facets": [[0, 2]]}),
+     ("MalformedFacetError", "facet [0, 2] names 2, not a listed vertex")),
+    ("complex_from_json", "duplicate vertex",
+     lambda: complex_from_json({"vertices": [0, 1, 0], "facets": [[0, 1]]}),
+     ("MalformedFacetError", "duplicate vertex in vertex list")),
+    ("complex_from_json", "non-tuple simplex",
+     lambda: complex_from_json({"vertices": [0, 1], "facets": [[0, 1], 1]}),
+     ("MalformedFacetError",
+      "complex 'facets' is not a list of facets, each a list of vertex labels")),
+    ("complex_from_json", "repeated facet vertex",
+     lambda: complex_from_json({"vertices": [0, 1], "facets": [[0, 1, 0]]}),
+     ("MalformedFacetError", "facet [0, 1, 0] repeats a vertex")),
+    ("complex_from_json", "unknown named facet",
+     lambda: complex_from_json(
+         {"vertices": [0, 1, 2], "facets": [[0, 1], [1, 2]], "named": {"x": [[0, 2]]}}
+     ),
+     ("BadNameError", "named part 'x' leaves the complex")),
+    ("with_named", "unlisted vertex", lambda: C.with_named("x", [(9,)]),
+     ("BadNameError", "named part 'x' leaves the complex")),
+    ("with_named", "duplicate vertex", lambda: C.with_named("x", [(1,), (1, 1)]),
+     ("BadNameError", "named part 'x' leaves the complex")),
+    ("with_named", "non-tuple simplex", lambda: C.with_named("x", [(1,), 1]),
+     ("TypeError", "'int' object is not iterable")),
+    ("with_named", "repeated facet vertex", lambda: C.with_named("x", [(0, 1, 0)]),
+     ("BadNameError", "named part 'x' leaves the complex")),
+    ("with_named", "unknown named facet", lambda: C.with_named("x", [(0, 2)]),
+     ("BadNameError", "named part 'x' leaves the complex")),
+]
+
+
+def built_and_checked(build):
+    build().check_invariants()
+
+
+def malformed_refusals():
+    return [refusal_of(built_and_checked, build) for _, _, build, _ in MALFORMED]
+
+
+def test_every_entry_point_refuses_malformed_input():
+    assert malformed_refusals() == [refusal for *_, refusal in MALFORMED]
+
+
+def test_every_entry_point_refuses_malformed_input_under_optimize():
+    result = run_optimized(
+        """
+        from test_complexes import malformed_refusals
+
+        for refusal in malformed_refusals():
+            print(repr(refusal))
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [repr(refusal) for *_, refusal in MALFORMED]

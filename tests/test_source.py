@@ -917,3 +917,19 @@ def test_records_refuse_a_new_value():
         # no instance dictionary takes a field the record does not have
         with pytest.raises(AttributeError):
             record.extra = None
+
+
+def test_the_order_and_the_closed_fact_are_written_by_the_complex_alone():
+    # constructions hand both to `SimplicialComplex.__init__` through its
+    # private `_known`; none writes them onto a complex after it is built
+    paths = sorted(Path(reebtop.__file__).resolve().parent.glob("*.py"))
+    writes = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr in ("_by_dim", "_closed")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert writes == []

@@ -92,6 +92,21 @@ def test_handle_data_refuses_inconsistent_counts_when_made(args, message):
         HandleData(**dict(zip(("n", "l", "h", "hj"), args)))
 
 
+def test_handle_data_refuses_inconsistent_counts_when_replaced_or_made():
+    # the namedtuple's `_make`, and `_replace` through it, build a record
+    # without `__init__` unless the class routes them through the constructor
+    data = HandleData(2, 1, (0,), ((0,),))
+    with pytest.raises(InconsistentHandleDataError, match="need dimension >= 2 and l >= 1"):
+        data._replace(n=1)
+    with pytest.raises(InconsistentHandleDataError, match="need dimension >= 2 and l >= 1"):
+        HandleData._make([1, 1, (0,), ((0,),)])
+    with pytest.raises(InconsistentHandleDataError, match="piece lists must match h"):
+        data._replace(n=3, h=(0, 0))
+    assert data._replace(h=(1,), hj=((1,),)) == HandleData(2, 1, (1,), ((1,),))
+    made = HandleData._make(iter([3, 1, (1, 0), ((1, 0),)]))
+    assert type(made) is HandleData and made.h_p(1) == 1
+
+
 def test_unknown_instance():
     with pytest.raises(InconsistentHandleDataError):
         build_instance("nope")
