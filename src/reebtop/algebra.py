@@ -6,7 +6,8 @@ chosen coordinates, and a chain-level Mayer-Vietoris exactness checker.
 Invariant factors and bases both come from one sparse elimination of unit
 pivots, with the dense elimination run on the leftover block alone.
 Homology runs the degrees from the top down, and the unit pivots of ∂_{p+1}
-clear columns of ∂_p before its elimination starts.  Chain bases read one
+clear columns of ∂_p before its elimination starts; the cleared columns are
+never built.  Chain bases read one
 cleared, tracked reduction per boundary and direction, kept on the complex:
 the reduction of ∂_{p+1} splits its pivots off the cycles of degree p, and
 the reduction of ∂_p is their kernel elimination.  Mod-2
@@ -64,17 +65,28 @@ def boundary_matrix(c, p):
     if p < 1:
         matrix = SparseMatrix(0, len(cols), [{} for _ in cols])
     else:
-        index = c.positions(p - 1)
-        try:
-            matrix = SparseMatrix(len(index), len(cols), [
-                {index[s[:i] + s[i + 1:]]: -1 if i % 2 else 1 for i in range(len(s))}
-                for s in cols
-            ])
-        except KeyError:
-            c.check_closed()
-            raise
+        matrix = SparseMatrix(len(c.positions(p - 1)), len(cols), _boundary_columns(c, p, cols))
     c._boundaries[p] = matrix
     return matrix
+
+
+def _boundary_columns(c, p, simplices):
+    """The columns of ∂_p (p ≥ 1) at the given p-simplices, signs by omitted
+    vertex: the one column formula, of `boundary_matrix` and `homology`.
+
+    A face missing from `c.positions(p - 1)` shows as a `KeyError`, at no
+    cost on closed complexes; it then asks `c.check_closed()` for the
+    refusal.
+    """
+    index = c.positions(p - 1)
+    try:
+        return [
+            {index[s[:i] + s[i + 1:]]: -1 if i % 2 else 1 for i in range(len(s))}
+            for s in simplices
+        ]
+    except KeyError:
+        c.check_closed()
+        raise
 
 
 def _coboundary_matrix(c, p):
@@ -366,26 +378,40 @@ def homology(c, coefficients="Z", reduced=False):
     so every column of ∂_p at a row where ∂_{p+1} took a unit pivot is an
     integer combination of the other columns of ∂_p (see
     `_eliminate_unit_pivots`).  Those columns are left out of the Smith form
-    of ∂_p, which keeps its invariant factors; n_p is still read from the
-    full matrix.
+    of ∂_p, which keeps its invariant factors, and are never built: the
+    kept columns are read from a matrix the complex already keeps, or built
+    alone (`_boundary_columns`).  Closure is checked first (`check_closed`,
+    free on a complex known closed), so the refusal of a missing face does
+    not rest on which columns are built.  (A highest missing face would
+    show anyway: by the same lemma its row of ∂ is nonzero off the pivot
+    rows, so some kept column meets it.)  n_p is read from the f-vector.
     """
     if coefficients not in ("Z", "Z2"):
         raise ValueError(f"unsupported coefficients {coefficients!r}")
     dim = c.dim
     if dim < 0:
         return []
-    mats = {p: boundary_matrix(c, p) for p in range(1, dim + 2)}
-    mats[0] = augmentation_matrix(c) if reduced else boundary_matrix(c, 0)
+    c.check_closed()
+    sizes = c.f_vector()
     diagonals, cleared = {}, ()
     for p in range(dim + 1, -1, -1):
-        kept = [col for j, col in enumerate(mats[p].columns) if j not in cleared]
-        snf = smith_normal_form(SparseMatrix(mats[p].rows, len(kept), kept), transforms=False)
+        if p == 0:
+            a = augmentation_matrix(c) if reduced else boundary_matrix(c, 0)
+        else:
+            a = c._boundaries.get(p)
+        if a is None:
+            kept = [s for j, s in enumerate(c.simplices_of_dim(p)) if j not in cleared]
+            a = SparseMatrix(sizes[p - 1], len(kept), _boundary_columns(c, p, kept))
+        else:
+            kept = [col for j, col in enumerate(a.columns) if j not in cleared]
+            a = SparseMatrix(a.rows, len(kept), kept)
+        snf = smith_normal_form(a, transforms=False)
         diagonals[p], cleared = snf.diagonal, snf.pivot_rows
     ranks = {p: _rank(diagonal, coefficients) for p, diagonal in diagonals.items()}
     out = []
     for p in range(dim + 1):
         torsion = () if coefficients == "Z2" else tuple(d for d in diagonals[p + 1] if d > 1)
-        out.append(HomologyGroup(p, mats[p].cols - ranks[p] - ranks[p + 1], torsion))
+        out.append(HomologyGroup(p, sizes[p] - ranks[p] - ranks[p + 1], torsion))
     return out
 
 
@@ -639,11 +665,6 @@ def preimage_kernel(matrix_cols, dst_orders):
     return [g[:k] for g in gens]
 
 
-def map_is_injective(matrix_cols, src_orders, dst_orders):
-    ker = preimage_kernel(matrix_cols, dst_orders)
-    return lattice_subset(ker, relation_vectors(src_orders))
-
-
 # ---------------------------------------------------------------------------
 # Mayer-Vietoris
 # ---------------------------------------------------------------------------
@@ -724,10 +745,11 @@ def mayer_vietoris_check(w, a_name, b_name):
             cols.append(bases["Y", p - 1].project(y_vec))
         return cols
 
-    def exact(f, g, mid, dst):
-        """Is the image of f the kernel of g, in the group of orders `mid`?"""
+    def exact(f, kernel, mid):
+        """Is the image of f the kernel of g, given as `preimage_kernel(g, dst)`,
+        in the group of orders `mid`?"""
         rels = relation_vectors(mid)
-        return lattices_equal(f + rels, preimage_kernel(g, dst) + rels)
+        return lattices_equal(f + rels, kernel + rels)
 
     m_conn = [connecting_columns(p) for p in range(n + 2)]
     report = {"cover": [a_name, b_name], "degrees": {}, "pass": True}
@@ -738,14 +760,16 @@ def mayer_vietoris_check(w, a_name, b_name):
         oy_prev = bases["Y", p - 1].orders if p else []
         m_alpha = alpha_columns(p)
         m_beta = beta_columns(p)
-        exact_sum = exact(m_alpha, m_beta, oa, ow)
-        exact_total = exact(m_beta, m_conn[p], ow, oy_prev)
-        exact_inter = exact(m_conn[p + 1], m_alpha, oy, oa)
+        # the kernel of alpha answers both exactness at Y and injectivity
+        ker_alpha = preimage_kernel(m_alpha, oa)
+        exact_sum = exact(m_alpha, preimage_kernel(m_beta, ow), oa)
+        exact_total = exact(m_beta, preimage_kernel(m_conn[p], oy_prev), ow)
+        exact_inter = exact(m_conn[p + 1], ker_alpha, oy)
         report["degrees"][p] = {
             "exact_at_pair": exact_sum,
             "exact_at_total": exact_total,
             "exact_at_intersection": exact_inter,
-            "injective": map_is_injective(m_alpha, oy, oa),
+            "injective": lattice_subset(ker_alpha, relation_vectors(oy)),
         }
         if not (exact_sum and exact_total and exact_inter):
             report["pass"] = False

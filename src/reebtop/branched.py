@@ -202,7 +202,7 @@ def attach_double(x, names):
             raise InvalidSubmanifoldError(f"{n1!r} and {n2!r} overlap")
 
     vertices = list(base.vertices)
-    simplex_sets = [base.simplices]
+    pieces = [base]
     named = dict(base.named)
     named["X"] = base.simplices
     union_y = set()
@@ -211,7 +211,7 @@ def attach_double(x, names):
     for j, (name, sub, rim) in enumerate(parts, start=1):
         mirror = _mirror_copy(sub, rim, f"m:{name}")
         vertices += [v for v in mirror.vertices if v not in base._index]
-        simplex_sets.append(mirror.simplices)
+        pieces.append(mirror)
         named[f"Y_{j}"] = sub.simplices
         named[f"DY_{j}"] = sub.simplices | mirror.simplices
         named[f"seam_{j}"] = rim
@@ -220,7 +220,7 @@ def attach_double(x, names):
         loci.append(BranchLocus(f"seam_{j}", "tripod", "trivial"))
     named["Y"] = frozenset(union_y)
     named["DY"] = frozenset(union_dy)
-    out = union_on(vertices, *simplex_sets, named=named)
+    out = union_on(vertices, *pieces, named=named)
     for j in range(1, len(parts) + 1):
         if out.named_part("X") & out.named_part(f"DY_{j}") != out.named_part(f"Y_{j}"):
             raise BadCoverError("cover intersection is not the doubled piece")

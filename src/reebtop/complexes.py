@@ -27,8 +27,10 @@ first ordered query (`dim`, `simplices_of_dim`, `positions`, `f_vector`,
 stored order.  What each construction hands over:
 
 - `from_facets` closes the facets one dimension at a time on vertex
-  positions, whose plain tuple order is the canonical one; it hands over
-  the order, its own simplices and closed named parts, and the closed fact.
+  positions, whose plain tuple order is the canonical one, and labels each
+  level in bulk; named parts are closed on positions too and labelled
+  through one position-to-label map.  It hands over the order, its own
+  simplices and closed named parts, and the closed fact.
 - `complex_from_json` checks each facet's vertices itself and hands over
   the closures it builds, known closed.
 - `with_named` checks its new part (in the complex, closed under faces);
@@ -41,11 +43,21 @@ stored order.  What each construction hands over:
 - `_flapped`, the complex of `attach_flap`, checks only the prism's new
   simplices and places them into the base's order; it is closed when the
   base is.
+- `product` and `relative_subdivision` take every face of what they build,
+  so they are known closed; `barycentric_subdivision` is when its input is
+  (otherwise the constructor checks it, and refuses a face that is no
+  vertex).  `cone`, `remove_open_star` and `disjoint_union` are closed when
+  their inputs are.
+- `union_on` (behind `wedge`, `double`, `attach_double` and the models)
+  takes the pieces' complexes, re-sorts each distinct simplex once and maps
+  the named parts through that memo; it is closed when every piece is.
 
 Being closed under faces (`check_closed`) is otherwise checked once, on the
-first call, and remembered.  One finder, `_missing_face`, names the first
-missing face of a complex, a named part or a collapse target; a computation
-that meets a missing face asks `check_closed` for the refusal.
+first call, and remembered; `homology` asks it first, since it never builds
+the boundary columns that clearing drops.  One finder, `_missing_face`,
+names the first missing face of a complex, a named part or a collapse
+target; a computation that meets a missing face asks `check_closed` for the
+refusal.
 """
 
 from __future__ import annotations
@@ -466,16 +478,19 @@ def from_facets(facets, names=None):
     for f in clean:
         tops.setdefault(len(f), set()).add(tuple(sorted(map(rank, f))))
     by_dim = {}
+    labels = {}  # with names: {position tuple: its label tuple}, level by level
     level = set()
     for k in range(max(tops, default=0), 0, -1):
         level |= tops.get(k, set())
         faces = map(itertools.combinations, level, itertools.repeat(k - 1))
         below = set(itertools.chain.from_iterable(faces)) if k > 1 else None
-        by_dim[k - 1] = [tuple(map(order.__getitem__, t)) for t in sorted(level)]
+        positions = sorted(level)
+        # labelled in bulk: each column of positions is mapped at once
+        by_dim[k - 1] = list(zip(*(map(order.__getitem__, col) for col in zip(*positions))))
+        if names:
+            labels.update(zip(positions, by_dim[k - 1]))
         level = below
     simplices = frozenset(itertools.chain.from_iterable(by_dim.values()))
-    # named parts hold the complex's own tuples, not copies of them
-    own = dict(zip(simplices, simplices)) if names else {}
     named = {}
     for name, part_facets in (names or {}).items():
         part = []
@@ -483,24 +498,32 @@ def from_facets(facets, names=None):
             if len(set(f)) != len(f):
                 raise MalformedFacetError(f"named facet {f!r} repeats a vertex")
             try:
-                t = tuple(order[i] for i in sorted(map(rank, f)))
+                t = tuple(sorted(map(rank, f)))
             except KeyError:
                 t = None
-            if t not in own:
+            if t not in labels:
                 raise BadNameError(f"named facet {f!r} is not a face of the complex")
             part.append(t)
-        # faces of a tuple sorted in the vertex order are sorted too
-        named[name] = frozenset(map(own.__getitem__, closure(part)))
+        # closed on positions, whose faces are sorted too, and labelled
+        # through `labels`: the part holds the complex's own tuples
+        named[name] = frozenset(map(labels.__getitem__, closure(part)))
     return SimplicialComplex(order, simplices, named, _known=(by_dim, True))
 
 
 def disjoint_union(a, b):
-    """Tagged disjoint union: `a`'s vertex v becomes (0, v), `b`'s (1, v)."""
+    """Tagged disjoint union: `a`'s vertex v becomes (0, v), `b`'s (1, v).
+
+    Known closed when both summands are.
+    """
     ta = a.relabeled(lambda v: (0, v))
     tb = b.relabeled(lambda v: (1, v))
     named = {f"0:{n}": p for n, p in ta.named.items()}
     named.update({f"1:{n}": p for n, p in tb.named.items()})
-    return SimplicialComplex(ta.vertices + tb.vertices, ta.simplices | tb.simplices, named)
+    # `a`'s vertices come first, so every tuple stays sorted
+    return SimplicialComplex(
+        ta.vertices + tb.vertices, ta.simplices | tb.simplices, named,
+        _known=(None, ta._closed and tb._closed),
+    )
 
 
 def wedge(a, basepoint_a, b, basepoint_b):
@@ -520,14 +543,13 @@ def _one_point_union(pieces, basepoints):
     """
     joint = (0, basepoints[0])
     order = []
-    simplex_sets = []
+    tagged = []
     named = {}
     for i, (piece, bp) in enumerate(zip(pieces, basepoints)):
-        tagged = piece.relabeled(lambda v, i=i, bp=bp: joint if v == bp else (i, v))
-        order += [v for v in tagged.vertices if v != joint or i == 0]
-        simplex_sets.append(tagged.simplices)
-        named.update((f"{i}:{n}", part) for n, part in tagged.named.items())
-    return union_on(order, *simplex_sets, named=named)
+        tagged.append(piece.relabeled(lambda v, i=i, bp=bp: joint if v == bp else (i, v)))
+        order += [v for v in tagged[i].vertices if v != joint or i == 0]
+        named.update((f"{i}:{n}", part) for n, part in tagged[i].named.items())
+    return union_on(order, *tagged, named=named)
 
 
 def _monotone_paths(p, q):
@@ -546,6 +568,8 @@ def product(a, b):
 
     Vertices are pairs in lexicographic order of factor positions; the
     simplices are the chains in the componentwise order of factor simplices.
+    A chain is sorted in that order, and every face of it is taken, so the
+    product is known closed.
     """
     order = [(u, v) for u in a.vertices for v in b.vertices]
     simplices = set()
@@ -555,7 +579,7 @@ def product(a, b):
                 chain = tuple((fa[i], fb[j]) for i, j in path)
                 for k in range(1, len(chain) + 1):
                     simplices.update(itertools.combinations(chain, k))
-    return SimplicialComplex(order, simplices)
+    return SimplicialComplex(order, frozenset(simplices), _known=(None, True))
 
 
 def _ridge_count(tops, d):
@@ -596,7 +620,10 @@ def barycentric_subdivision(a):
     """Order complex of the face poset; vertices are the simplices of `a`.
 
     Named subcomplexes survive as their own subdivisions; vertex assets do
-    not extend to barycenters and are dropped.
+    not extend to barycenters and are dropped.  Every chain is sorted by
+    dimension, and every sub-chain is taken; when `a` is known closed, every
+    face is a listed vertex, so the subdivision is known closed.  Otherwise
+    the constructor checks it, and refuses a face that is no vertex.
     """
     order = list(a._ranked())
     descending = set()
@@ -609,12 +636,12 @@ def barycentric_subdivision(a):
 
     for s in a.simplices:
         chains([], s)
-    fixed = {tuple(reversed(c)) for c in descending}
+    fixed = frozenset(tuple(reversed(c)) for c in descending)
     named = {
         n: frozenset(c for c in fixed if all(s in part for s in c))
         for n, part in a.named.items()
     }
-    return SimplicialComplex(order, fixed, named)
+    return SimplicialComplex(order, fixed, named, _known=(None, True) if a._closed else None)
 
 
 def relative_subdivision(a, keep):
@@ -623,7 +650,9 @@ def relative_subdivision(a, keep):
     Every simplex outside `keep` is replaced by the cone from its barycenter
     over the subdivision of its boundary; simplices inside `keep` survive
     verbatim, so gluing along `keep` by the identity stays well defined.
-    New vertices are tagged ('b', simplex).
+    New vertices are tagged ('b', simplex).  Each generator is sorted (kept
+    vertices in `a`'s order, then barycenters by dimension), and the
+    result is their closure, known closed.
     """
     keep = frozenset(tuple(s) for s in keep)
     outside = [s for s in a._ranked() if s not in keep]
@@ -646,7 +675,7 @@ def relative_subdivision(a, keep):
     keep_vertices = {v for s in keep for v in s}
     kept = [v for v in a.vertices if v in keep_vertices]
     order = kept + [new_vertex[s] for s in outside]
-    return SimplicialComplex(order, closure(generators))
+    return SimplicialComplex(order, closure(generators), _known=(None, True))
 
 
 def _mirror_copy(y, seam, tag):
@@ -671,20 +700,27 @@ def _mirror_copy(y, seam, tag):
     return y.relabeled(fresh)
 
 
-def union_on(vertices, *simplex_sets, named=None):
-    """Complex on an explicit vertex order; every tuple is re-sorted to it."""
-    index = {v: i for i, v in enumerate(vertices)}
+def union_on(vertices, *pieces, named=None):
+    """The union of the complexes `pieces` on an explicit vertex order.
+
+    Every simplex is re-sorted to that order, each distinct tuple once, and
+    the named parts, made of the pieces' tuples, map through the same
+    re-sorting.  Known closed when every piece is.
+    """
+    key = {v: i for i, v in enumerate(vertices)}.__getitem__
+    fixed = {}
+    for piece in pieces:
+        for s in piece.simplices.difference(fixed):
+            fixed[s] = tuple(sorted(s, key=key))
 
     def fix(s):
-        return tuple(sorted(s, key=index.__getitem__))
+        # a named tuple from no piece leaves the complex; it is sorted alone
+        t = fixed.get(s)
+        return tuple(sorted(s, key=key)) if t is None else t
 
-    simplices = set()
-    for part in simplex_sets:
-        simplices.update(fix(s) for s in part)
-    fixed = None
-    if named is not None:
-        fixed = {n: frozenset(fix(s) for s in part) for n, part in named.items()}
-    return SimplicialComplex(vertices, simplices, fixed)
+    parts = {n: frozenset(map(fix, part)) for n, part in (named or {}).items()}
+    closed = all(piece._closed for piece in pieces)
+    return SimplicialComplex(vertices, frozenset(fixed.values()), parts, _known=(None, closed))
 
 
 def _flapped(base, vertices, simplices):
@@ -748,25 +784,30 @@ def double(y):
         "second_copy": mirror.simplices,
         "seam": bd.simplices,
     }
-    return union_on(order, y.simplices, mirror.simplices, named=named)
+    return union_on(order, y, mirror, named=named)
 
 
 def cone(apex, base):
-    """Cone over `base` with a fresh apex vertex placed first in the order."""
+    """Cone over `base` with a fresh apex vertex placed first in the order;
+    known closed when `base` is."""
     if apex in base._index:
         raise MalformedFacetError(f"apex {apex!r} already a vertex of the base")
     simplices = {(apex,)}
     for s in base.simplices:
         simplices.add(s)
         simplices.add((apex,) + s)
-    return SimplicialComplex((apex,) + base.vertices, simplices)
+    return SimplicialComplex(
+        (apex,) + base.vertices, frozenset(simplices), _known=(None, base._closed)
+    )
 
 
 def remove_open_star(a, vertex, boundary_name=None):
     """Delete a vertex and everything containing it; the hole rim is its link.
 
     Optionally names the rim.  The vertex must be interior in the sense that
-    its link survives as the new boundary piece.
+    its link survives as the new boundary piece.  A face of a simplex that
+    misses the vertex misses it too, so the result is known closed when `a`
+    is.
     """
     star = a.open_star(vertex)
     order = [v for v in a.vertices if v != vertex]
@@ -778,7 +819,7 @@ def remove_open_star(a, vertex, boundary_name=None):
         n: {v: val for v, val in values.items() if v != vertex}
         for n, values in a.assets.items()
     }
-    return SimplicialComplex(order, a.simplices - star, named, assets)
+    return SimplicialComplex(order, a.simplices - star, named, assets, _known=(None, a._closed))
 
 
 # ---------------------------------------------------------------------------

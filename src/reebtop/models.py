@@ -96,7 +96,7 @@ def _disc(n):
             tuple(("o", v) for v in s) for s in rim.simplices
         ),
     }
-    return union_on(order, core.simplices, collar.simplices, named=named)
+    return union_on(order, core, collar, named=named)
 
 
 def _annulus(k):
@@ -280,7 +280,7 @@ def _tube_join(c1, v1, c2, v2):
     tube = ring.relabeled(mapping)
     ta = a.relabeled(lambda v: (0, v))
     tb = b.relabeled(lambda v: (1, v))
-    return union_on(ta.vertices + tb.vertices, ta.simplices, tb.simplices, tube.simplices)
+    return union_on(ta.vertices + tb.vertices, ta, tb, tube)
 
 
 def _surface(genus, boundary):

@@ -207,6 +207,9 @@ def verify_double_attachment(inst):
     pred = handle_predictions(inst.data)
     claims = []
 
+    # Mayer-Vietoris builds and keeps W's boundary matrices, which
+    # `homology` then reads, so it runs first; the claims keep their order
+    mv = mayer_vietoris_check(w, "X", "DY")
     computed_h = tuple(homology(w))
     claims.append(
         _claim(
@@ -216,8 +219,6 @@ def verify_double_attachment(inst):
             [g.to_json() for g in computed_h],
         )
     )
-
-    mv = mayer_vietoris_check(w, "X", "DY")
     claims.append(
         _claim(
             f"{inst.name}:mayer-vietoris",

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -469,6 +470,42 @@ def test_homology_clears_one_column_per_unit_pivot(monkeypatch):
     assert shapes[2] == (n[1], n[2] - len(d3.pivot_rows))
 
 
+def built_columns(monkeypatch, c, **options):
+    """{p: columns of ∂_p built} while `homology(c, **options)` runs, counted
+    at `_boundary_columns`, the one column formula."""
+    built = {}
+    original = algebra._boundary_columns
+
+    def counted(c, p, simplices):
+        built[p] = built.get(p, 0) + len(simplices)
+        return original(c, p, simplices)
+
+    monkeypatch.setattr(algebra, "_boundary_columns", counted)
+    homology(c, **options)
+    return built
+
+
+def test_homology_builds_only_the_columns_that_clearing_keeps(monkeypatch):
+    # ∂₂ is built whole (nothing above clears it); of ∂₁'s 432 columns the
+    # 287 at ∂₂'s pivot rows are never built, and ∂₃ has no columns
+    t = standard_model("torus_grid", a=12, b=12)
+    assert built_columns(monkeypatch, t) == {3: 0, 2: 288, 1: 145}
+    for options in ({"coefficients": "Z2"}, {"reduced": True}):
+        fresh = standard_model("torus_grid", a=12, b=12)
+        assert built_columns(monkeypatch, fresh, **options) == {3: 0, 2: 288, 1: 145}
+
+
+def test_homology_builds_no_column_of_a_kept_matrix(monkeypatch):
+    # a complex that keeps its boundary matrices hands them over, and the
+    # kept columns are read from them
+    t = standard_model("torus_grid", a=12, b=12)
+    expected = homology(standard_model("torus_grid", a=12, b=12))
+    for p in range(t.dim + 2):
+        boundary_matrix(t, p)
+    assert built_columns(monkeypatch, t) == {}
+    assert homology(t) == expected
+
+
 def random_unimodular(rng, n):
     """A product of random elementary operations: unimodular over Z."""
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -816,6 +853,46 @@ def test_boundaries_refuse_a_complex_not_closed_under_faces_under_optimize():
     assert result.stdout.splitlines() == ["refused: closure misses (0,) < (0, 1, 2)"]
 
 
+def holed_rp2_x_circle():
+    """RP²×S¹(3) without the vertex (1, 1): the only missing face."""
+    c = product(from_facets(RP2_FACETS), standard_model("circle", k=3))
+    return SimplicialComplex(c.vertices, c.simplices - {((1, 1),)})
+
+
+HOLED_REFUSAL = "closure misses ((1, 1),) < ((0, 0), (1, 1))"
+
+
+@pytest.mark.parametrize("options", [{}, {"coefficients": "Z2"}, {"reduced": True}])
+def test_homology_refuses_a_missing_face_under_columns_it_never_builds(options):
+    # the edge the refusal names is at a pivot row of ∂₂, so clearing drops
+    # its column of ∂₁ and `homology` never builds it; the refusal still
+    # names it, as `check_closed` finds it before any column is built
+    c = holed_rp2_x_circle()
+    owner = ((0, 0), (1, 1))
+    d2 = smith_normal_form(boundary_matrix(holed_rp2_x_circle(), 2), transforms=False)
+    assert c.positions(1)[owner] in d2.pivot_rows
+    with pytest.raises(InvariantViolationError, match=re.escape(HOLED_REFUSAL)):
+        homology(c, **options)
+
+
+def test_homology_refuses_a_missing_face_under_columns_it_never_builds_under_optimize():
+    result = run_optimized(
+        """
+        from reebtop.algebra import homology
+        from reebtop.errors import InvariantViolationError
+        from test_algebra import holed_rp2_x_circle
+
+        for options in ({}, {"coefficients": "Z2"}, {"reduced": True}):
+            try:
+                homology(holed_rp2_x_circle(), **options)
+            except InvariantViolationError as exc:
+                print("refused:", exc)
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f"refused: {HOLED_REFUSAL}"] * 3
+
+
 def hemisphere_cover():
     s2 = standard_model("sphere", n=2)
     eq = s2.named_part("equator")
@@ -830,6 +907,22 @@ def test_mayer_vietoris_sphere():
     # the equator circle dies in both discs, so degree one is not injective
     assert not rep["degrees"][1]["injective"]
     assert rep["degrees"][0]["injective"] and rep["degrees"][2]["injective"]
+
+
+def test_mayer_vietoris_reads_the_kernel_of_alpha_once_per_degree(monkeypatch):
+    # exactness at the intersection and injectivity both read ker(alpha):
+    # three kernels per degree, those of alpha, beta and the connecting map
+    calls = []
+    original = algebra.preimage_kernel
+
+    def counted(cols, orders):
+        calls.append(len(cols))
+        return original(cols, orders)
+
+    expected = mayer_vietoris_check(hemisphere_cover(), "up", "lo")
+    monkeypatch.setattr(algebra, "preimage_kernel", counted)
+    assert mayer_vietoris_check(hemisphere_cover(), "up", "lo") == expected
+    assert len(calls) == 3 * len(expected["degrees"])
 
 
 def test_mayer_vietoris_reports_a_zero_connecting_map(monkeypatch):

@@ -75,7 +75,7 @@ def union_on_flap(base, sigma_name):
     prism = product(base.subcomplex(sigma_name), from_facets([[0, 1]]))
     prism = prism.relabeled(lambda p: p[0] if p[1] == 0 else ("flap", sigma_name, p[0]))
     order = list(base.vertices) + [v for v in prism.vertices if v not in base.vertices]
-    return union_on(order, base.simplices, prism.simplices, named=dict(base.named))
+    return union_on(order, base, prism, named=dict(base.named))
 
 
 def test_flap_builds_the_union_on_complex():
@@ -165,10 +165,8 @@ def test_flap_rejects_a_locus_edge_with_three_owners():
 def test_flap_rejects_a_locus_vertex_on_an_edge_in_no_triangle():
     # a dangling edge at (0, 0) is a rim face with no owner at all
     torus = standard_model("torus_grid", a=3, b=3)
-    tailed = union_on(
-        list(torus.vertices) + ["tail"], torus.simplices, closure([((0, 0), "tail")]),
-        named=torus.named,
-    )
+    tail = SimplicialComplex([(0, 0), "tail"], closure([((0, 0), "tail")]))
+    tailed = union_on(list(torus.vertices) + ["tail"], torus, tail, named=torus.named)
     with pytest.raises(InvalidBranchLocusError, match=r"'meridian' touches the boundary at \(0, 0\)"):
         attach_flap(tailed, "meridian")
 

@@ -307,7 +307,9 @@ def test_contractible_never_refutes():
 @pytest.mark.parametrize("name", ["annulus_core", "pants_two_discs"])
 def test_cover_parts_are_built_once(monkeypatch, name):
     # `mayer_vietoris_check` and the restriction claims read one complex per
-    # named part, so no boundary matrix of X or DY is built twice
+    # named part, so no boundary matrix of X or DY is built twice; W's
+    # columns are built once too, since Mayer-Vietoris builds and keeps W's
+    # matrices whole before `homology` reads them
     from reebtop import algebra
 
     builds = []
@@ -318,7 +320,15 @@ def test_cover_parts_are_built_once(monkeypatch, name):
             builds.append((c.vertices, c.simplices, p))
         return original(c, p)
 
+    columns = []
+    original_columns = algebra._boundary_columns
+
+    def counted_columns(c, p, simplices):
+        columns.append((c.simplices, p, len(simplices)))
+        return original_columns(c, p, simplices)
+
     monkeypatch.setattr(algebra, "boundary_matrix", counted)
+    monkeypatch.setattr(algebra, "_boundary_columns", counted_columns)
     inst = build_instance(name)
     w = inst.model.complex
     report = verify_double_attachment(inst)
@@ -326,6 +336,8 @@ def test_cover_parts_are_built_once(monkeypatch, name):
     parts = {w.named_part(n) for n in ("X", "DY")}
     kept = [b for b in builds if b[1] in parts]
     assert kept and len(kept) == len(set(kept))
+    on_w = sorted((p, n) for simplices, p, n in columns if simplices == w.simplices)
+    assert on_w == [(p, len(w.simplices_of_dim(p))) for p in range(1, w.dim + 3)]
     for n in ("X", "DY"):
         sub = w.subcomplex(n)
         assert w.subcomplex(n) is sub
